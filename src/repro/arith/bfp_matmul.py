@@ -7,8 +7,17 @@ smaller exponent is right-shifted (truncating) before the integer add
 (Eqn 3), exactly what the per-column shifter + PSU accumulator do in
 hardware.
 
-This module is the numerical oracle for the cycle-level simulator in
-``repro.hw`` and the fast path for model emulation in ``repro.models``.
+The per-block functions (:func:`block_matmul`, :func:`accumulate`,
+:func:`bfp_matmul_dense`) are the numerical oracle for the cycle-level
+simulator in ``repro.hw``.  Model emulation has one bfp kernel,
+:func:`fast_emulate_blocks`: every emulated bfp matmul — eager ViT and
+prefill, the format registry, compiled decode replay — runs it through
+:func:`bfp_matmul_prepared` or :func:`bfp_matmul_from_tiles`.  The
+integer :func:`_emulate_blocks` is its bit-exact reference: the tests
+compare the two, and it still runs in exactly three cases the float64
+kernel does not cover — exact accumulation (the ablation einsum), an
+attached :class:`AlignmentProbe` (the probe lives in the integer loop),
+and a reduction too deep for float64 to stay exact (:func:`_fast_ok`).
 """
 
 from __future__ import annotations
@@ -18,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, HardwareContractError
-from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, BfpBlock, quantize_tiles
+from repro.formats.bfp8 import (
+    BLOCK_COLS,
+    BLOCK_ROWS,
+    MAN_MAX,
+    BfpBlock,
+    quantize_tiles,
+)
 from repro.formats.blocking import BfpMatrix
 from repro.formats.rounding import shift_right
 
@@ -36,9 +51,9 @@ __all__ = [
     "bfp_matmul",
     "bfp_matmul_emulate",
     "bfp_matmul_prepared",
-    "bfp_matmul_emulate_batched",
     "bfp_batched_tiles",
     "bfp_matmul_from_tiles",
+    "fast_emulate_blocks",
     "activation_blocks",
 ]
 
@@ -49,9 +64,9 @@ PSU_WIDTH = 48  # DSP48E2 accumulator / PSU buffer word width
 class AlignmentProbe:
     """Observer for the shift-aware aligned-width predictor (extension).
 
-    While attached (:func:`set_alignment_probe`), every sequential PSU
-    alignment step inside :func:`_emulate_blocks` also runs the exponent
-    unit's magnitude-bound predictor
+    While attached (:func:`set_alignment_probe`), every emulated matmul
+    runs on the integer :func:`_emulate_blocks`, where each sequential PSU
+    alignment step also runs the exponent unit's magnitude-bound predictor
     (:func:`repro.hw.exponent_unit.predict_aligned_bound` semantics,
     vectorized) and cross-checks it against the emulated mantissas.  The
     probe only *observes* — results are bit-identical with or without it —
@@ -120,7 +135,7 @@ def set_alignment_probe(
 ) -> AlignmentProbe | None:
     """Attach (or detach with ``None``) the alignment probe; returns the
     previous one.  The emulation hot path pays one ``is None`` check per
-    call plus one per alignment step when detached."""
+    call when detached."""
     global _ALIGN_PROBE
     previous = _ALIGN_PROBE
     _ALIGN_PROBE = probe
@@ -264,14 +279,15 @@ def bfp_matmul(a: BfpMatrix, b: BfpMatrix) -> BfpMatrix:
 def _flatten_cols(b_man: np.ndarray) -> np.ndarray:
     """Right-operand mantissas ``(..., Kb, Cb, h, c)`` -> ``(..., Kb, h, Cb*c)``.
 
-    The column-flattened int64 layout the emulation core multiplies
+    The column-flattened float64 layout the emulation kernels multiply
     against: all Cb column blocks of one K block form a single matmul
-    operand, so the mantissa product is one gufunc slice per (K block,
-    row block) instead of one per output block.
+    operand, so the mantissa product is one BLAS slice per (K block,
+    row block) instead of one per output block.  The integer oracle
+    widens it to int64 itself.
     """
     kb, cb, h, c = b_man.shape[-4:]
     return np.ascontiguousarray(
-        b_man.astype(np.int64).swapaxes(-2, -3)
+        b_man.astype(np.float64).swapaxes(-2, -3)
     ).reshape(*b_man.shape[:-4], kb, h, cb * c)
 
 
@@ -280,14 +296,14 @@ class BfpWeight:
     """A quantized right-hand operand in matmul-ready layout.
 
     Built once per weight (prepare time): the :class:`BfpMatrix`
-    mantissas widened to int64 and column-flattened to ``(Kb, h, Cb*c)``
-    so the emulation's mantissa product needs no per-call cast or
-    re-layout — the per-call work the Y-stationary hardware also never
-    repeats.
+    mantissas column-flattened to ``(Kb, h, Cb*c)`` float64 (see
+    :func:`_flatten_cols`) so the kernel's mantissa product needs no
+    per-call cast or re-layout — the per-call work the Y-stationary
+    hardware also never repeats.
     """
 
     matrix: BfpMatrix
-    man64: np.ndarray  # (Kb, h, Cb*c) int64
+    man64: np.ndarray  # (Kb, h, Cb*c) float64, integer-valued
     exp64: np.ndarray  # (Kb, Cb) int64
 
     @classmethod
@@ -346,12 +362,12 @@ def _emulate_blocks(
     *,
     exact_accumulate: bool,
 ) -> np.ndarray:
-    """Block-grid matmul core shared by all emulation entry points.
+    """Integer block-grid matmul: the reference for the float64 kernel.
 
     ``a_man``: ``(..., Rb, Kb, r, h)`` block-grid mantissas; ``b_flat``:
-    ``(..., Kb, h, Cb*c)`` — the right operand widened to int64 and
-    column-flattened (a :class:`BfpWeight`'s resident layout, see
-    :func:`_flatten_cols`); ``b_exp``: ``(..., Kb, Cb)``.  Leading batch
+    ``(..., Kb, h, Cb*c)`` — the column-flattened right operand (a
+    :class:`BfpWeight`'s resident layout, see :func:`_flatten_cols`),
+    widened to int64 here; ``b_exp``: ``(..., Kb, Cb)``.  Leading batch
     dimensions are optional and broadcast-compatible.  Returns the dense
     padded result ``(..., Rb*r, Cb*c)`` in float64.
 
@@ -449,6 +465,112 @@ def _emulate_blocks(
     return dense.reshape(*lead, rb * r, nc)
 
 
+def _fast_ok(depth: int) -> bool:
+    """Whether float64 arithmetic is exact for a ``depth``-long reduction.
+
+    Every intermediate of :func:`fast_emulate_blocks` is an integer
+    bounded by ``depth * MAN_MAX**2`` (products of two clamped mantissas
+    summed over the padded K extent; aligned partials only shrink);
+    exactness needs that below 2^52.
+    """
+    return depth * MAN_MAX * MAN_MAX < 1 << 52
+
+
+def fast_emulate_blocks(
+    a_man: np.ndarray,
+    a_exp: np.ndarray,
+    b_flat: np.ndarray,
+    b_exp: np.ndarray,
+) -> np.ndarray:
+    """The bfp kernel: ``_emulate_blocks(..., exact_accumulate=False)``
+    computed in float64.
+
+    Same operands, same result to the bit, different machine: mantissa
+    products run as one batched float64 BLAS matmul (exact — bounded
+    integers), and the truncating alignment ``x >> d`` becomes
+    ``floor(x * 2^-d)`` (identical for integer-valued f64, including the
+    ``d = 63`` sign saturation).  Maximal runs of alignment steps where
+    every PSU keeps its exponent are summed in one vectorized pass —
+    integer-valued f64 adds at a common scale are order-independent —
+    so the sequential Python loop only walks the exponent *changes*.
+    Callers gate on :func:`_fast_ok` so every intermediate stays below
+    2^52.
+    """
+    a_exp = np.asarray(a_exp, dtype=np.int64)
+    b_exp = np.asarray(b_exp, dtype=np.int64)
+    rb, kb, r = a_man.shape[-4], a_man.shape[-3], a_man.shape[-2]
+    cb = b_exp.shape[-1]
+    nc = b_flat.shape[-1]
+    lead = np.broadcast_shapes(a_man.shape[:-4], b_flat.shape[:-3])
+    if kb == 0 or cb == 0:
+        return np.zeros((*lead, rb * r, nc), dtype=np.float64)
+    c = nc // cb
+    a_sw = np.asarray(a_man, dtype=np.float64).swapaxes(-4, -3)
+    b_flat = np.asarray(b_flat, dtype=np.float64)
+    prods = np.matmul(a_sw, b_flat[..., :, None, :, :])
+    exps = a_exp.swapaxes(-2, -1)[..., None] + b_exp[..., None, :]
+    run = np.maximum.accumulate(exps, axis=-3)
+    pv = prods.reshape(*prods.shape[:-1], cb, c)  # (..., Kb, Rb, r, Cb, c)
+    psu = np.ascontiguousarray(pv[..., 0, :, :, :, :])
+    if kb > 1:
+        keeps = run[..., :-1, :, :] >= exps[..., 1:, :, :]
+        ds = np.minimum(np.abs(run[..., :-1, :, :] - exps[..., 1:, :, :]), 63)
+        sc = np.exp2(-ds.astype(np.float64))
+        kb_axis = keeps.ndim - 3
+        uniform = keeps.all(
+            axis=tuple(i for i in range(keeps.ndim) if i != kb_axis)
+        )
+        bk = 1
+        while bk < kb:
+            if uniform[bk - 1]:
+                end = bk + 1
+                while end < kb and uniform[end - 1]:
+                    end += 1
+                # ``prods`` is this kernel's own buffer: scale in place.
+                seg = pv[..., bk:end, :, :, :, :]
+                np.multiply(
+                    seg, sc[..., bk - 1 : end - 1, :, None, :, None], out=seg
+                )
+                np.floor(seg, out=seg)
+                psu += seg.sum(axis=-5)
+                bk = end
+            else:
+                d = sc[..., bk - 1, :, None, :, None]
+                keep = keeps[..., bk - 1, :, None, :, None]
+                prod = pv[..., bk, :, :, :, :]
+                psu = np.where(
+                    keep, psu + np.floor(prod * d), prod + np.floor(psu * d)
+                )
+                bk += 1
+    limit = float(1 << (PSU_WIDTH - 1))
+    if psu.size and (psu.min() < -limit or psu.max() >= limit):
+        raise HardwareContractError("emulated PSU overflowed 48 bits")
+    # +0.0 normalizes any -0.0 from all-zero f64 products: the integer
+    # oracle decodes those lanes to +0.0.
+    dense = (psu + 0.0) * np.exp2(run[..., -1, :, :].astype(np.float64))[
+        ..., :, None, :, None
+    ]
+    return dense.reshape(*lead, rb * r, nc)
+
+
+def _emulate(
+    a_man: np.ndarray,
+    a_exp: np.ndarray,
+    b_flat: np.ndarray,
+    b_exp: np.ndarray,
+    *,
+    exact_accumulate: bool,
+) -> np.ndarray:
+    """Run :func:`fast_emulate_blocks`, or the integer oracle where the
+    float64 kernel does not apply (see the module docstring)."""
+    depth = a_man.shape[-3] * a_man.shape[-1]
+    if exact_accumulate or _ALIGN_PROBE is not None or not _fast_ok(depth):
+        return _emulate_blocks(
+            a_man, a_exp, b_flat, b_exp, exact_accumulate=exact_accumulate
+        )
+    return fast_emulate_blocks(a_man, a_exp, b_flat, b_exp)
+
+
 def bfp_matmul_prepared(
     am: BfpMatrix,
     bm: BfpMatrix | BfpWeight,
@@ -476,7 +598,7 @@ def bfp_matmul_prepared(
             f"{am.block_shape} @ {bm.block_shape}"
         )
     bw = bm if isinstance(bm, BfpWeight) else BfpWeight.from_matrix(bm)
-    dense = _emulate_blocks(
+    dense = _emulate(
         am.mantissas, am.exponents, bw.man64, bw.exp64,
         exact_accumulate=exact_accumulate,
     )
@@ -514,37 +636,16 @@ def bfp_matmul_emulate(
     return bfp_matmul_prepared(am, bm, exact_accumulate=exact_accumulate)
 
 
-def bfp_matmul_emulate_batched(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    exact_accumulate: bool = False,
-    man_bits: int = 8,
-) -> np.ndarray:
-    """Batched bfp matmul emulation: ``(B, M, K) @ (B, K, N) -> (B, M, N)``.
-
-    One fused kernel for a stack of independent 2-D matmuls — the compute
-    shape of per-head attention and of batched decode steps.  Block
-    quantization, the mantissa einsum, and the aligned-truncating PSU
-    accumulation are all vectorized over the batch axis; each slice's
-    result is bit-identical to :func:`bfp_matmul_emulate` on that slice,
-    because quantization grids and alignment decisions are per-block and
-    blocks never span slices.
-    """
-    tiles = bfp_batched_tiles(a, b, man_bits=man_bits)
-    return bfp_matmul_from_tiles(*tiles, exact_accumulate=exact_accumulate)
-
-
 def bfp_batched_tiles(
     a: np.ndarray, b: np.ndarray, *, man_bits: int = 8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Quantize both operands of a batched matmul to block-grid tiles.
 
-    Returns ``(a_man, a_exp, b_man, b_exp, m, n)`` — the split exists so
+    ``(B, M, K) @ (B, K, N)`` — the compute shape of per-head attention
+    and of batched decode steps.  Returns ``(a_man, a_exp, b_man, b_exp,
+    m, n)`` for :func:`bfp_matmul_from_tiles`; the split exists so
     callers that also *observe* the quantization (the numerics monitor)
-    can inspect the tiles without quantizing twice; the pair
-    (:func:`bfp_batched_tiles`, :func:`bfp_matmul_from_tiles`) composes
-    to exactly :func:`bfp_matmul_emulate_batched`.
+    can inspect the tiles without quantizing twice.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -567,8 +668,14 @@ def bfp_matmul_from_tiles(
     *,
     exact_accumulate: bool = False,
 ) -> np.ndarray:
-    """Finish a batched emulated matmul from pre-quantized tiles."""
-    dense = _emulate_blocks(
+    """Finish a batched emulated matmul from pre-quantized tiles.
+
+    One fused kernel call for the whole stack; each slice's result is
+    bit-identical to :func:`bfp_matmul_emulate` on that slice, because
+    quantization grids and alignment decisions are per-block and blocks
+    never span slices.
+    """
+    dense = _emulate(
         a_man, a_exp, _flatten_cols(b_man), b_exp,
         exact_accumulate=exact_accumulate,
     )

@@ -373,9 +373,8 @@ def resolve_unit_mode(
     """The unit mode a format's matmuls execute under.
 
     Precedence: an explicit :class:`ModeOptions` override, else the
-    format's registered ``array_mode``, else the fp32 vector fallback —
-    exactly the historical ``uses_array`` routing when no override is
-    given.
+    format's registered ``array_mode``, else the fp32 vector fallback
+    (formats whose ``array_mode`` is ``None``).
     """
     if modes is not None:
         override = modes.mode_for(fmt_name)

@@ -37,7 +37,6 @@ proof-of-extensibility members that none of the legacy backends had.
 from __future__ import annotations
 
 import re
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -58,25 +57,6 @@ __all__ = [
 ]
 
 Recorder = Callable[[int], None]
-
-_warned_uses_array = False
-
-
-def _warn_uses_array() -> None:
-    """One-time deprecation pointer from ``uses_array`` to the registry."""
-    global _warned_uses_array
-    if _warned_uses_array:
-        return
-    _warned_uses_array = True
-    warnings.warn(
-        "QuantFormat.uses_array is deprecated: formats now carry "
-        "array_mode (a repro.cost.modes unit-mode name, or None for the "
-        "fp32 vector fallback); resolve the executing mode via "
-        "repro.cost.modes.resolve_unit_mode(format_name).",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def _as2d(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]) if x.ndim != 2 else x
@@ -105,17 +85,6 @@ class QuantFormat:
     #: stream schedule); ``None`` routes them through the fp32 vector
     #: personality.
     array_mode: str | None = None
-
-    @property
-    def uses_array(self) -> bool:
-        """Deprecated boolean view of :attr:`array_mode`.
-
-        The mode space outgrew a boolean when the trans-precision unit
-        modes landed; resolve the executing mode through
-        :func:`repro.cost.modes.resolve_unit_mode` instead.
-        """
-        _warn_uses_array()
-        return self.array_mode is not None
 
     # -- value domain --------------------------------------------------------
     def quantize(self, x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,10 @@ taps and KV re-stacking.  This module hoists all of it out of the loop:
   prepared-weight handles, resolved formats and fused gate+up projection
   bound up front; :meth:`DecodePlan.replay` executes it with no per-layer
   Python dispatch and **bit-identical** logits versus the eager path.
+  Replay calls each format's own kernels (``fmt.matmul`` /
+  ``fmt.matmul_batched``), so block-fp layers run the same float64 kernel
+  as eager code, :func:`repro.arith.bfp_matmul.fast_emulate_blocks`
+  (re-exported here under its historical path).
 * :class:`KvArena` keeps a batch group's K/V in one preallocated buffer
   with capacity-doubling in-place appends — no per-token
   ``np.concatenate`` re-stack/copy.
@@ -33,12 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arith.bfp_matmul import (
-    PSU_WIDTH,
-    activation_blocks,
-    bfp_batched_tiles,
-)
-from repro.errors import ConfigurationError, HardwareContractError
+# Re-exported under its historical path, which profiling span lists name.
+from repro.arith.bfp_matmul import fast_emulate_blocks
+from repro.errors import ConfigurationError
 from repro.formats.bfp8 import BLOCK_COLS
 from repro.formats.registry import BfpFormat
 from repro.models.attention import MultiHeadSelfAttention
@@ -226,103 +227,6 @@ def bind_group_cache(
 
 
 # ---------------------------------------------------------------------------
-# Fast bfp replay kernel (bit-identical to _emulate_blocks, f64 throughout)
-# ---------------------------------------------------------------------------
-
-
-def _fast_ok(man_bits: int, kb: int) -> bool:
-    """Whether f64 arithmetic is exact for this mantissa width / K depth.
-
-    Every intermediate is an integer bounded by ``kb * 2^(2*man_bits+1)``
-    (products of two ``man_bits`` mantissas summed over 8-wide blocks,
-    scaled partials only shrink); exactness needs that below 2^53.
-    """
-    return 2 * man_bits + 1 + max(kb, 1).bit_length() <= 52
-
-
-def fast_emulate_blocks(
-    a_man: np.ndarray,
-    a_exp: np.ndarray,
-    b_flat: np.ndarray,
-    b_exp: np.ndarray,
-) -> np.ndarray:
-    """Float64 twin of ``_emulate_blocks(..., exact_accumulate=False)``.
-
-    Same operands, same result to the bit, different machine: mantissa
-    products run as one batched float64 BLAS matmul (exact — bounded
-    integers), and the truncating alignment ``x >> d`` becomes
-    ``floor(x * 2^-d)`` (identical for integer-valued f64, including the
-    ``d = 63`` sign saturation).  Maximal runs of alignment steps where
-    every PSU keeps its exponent are summed in one vectorized pass —
-    integer-valued f64 adds at a common scale are order-independent —
-    so the sequential Python loop only walks the exponent *changes*.
-    Callers gate on :func:`_fast_ok` so every intermediate stays below
-    2^53.
-    """
-    a_exp = np.asarray(a_exp, dtype=np.int64)
-    b_exp = np.asarray(b_exp, dtype=np.int64)
-    rb, kb, r = a_man.shape[-4], a_man.shape[-3], a_man.shape[-2]
-    cb = b_exp.shape[-1]
-    nc = b_flat.shape[-1]
-    lead = np.broadcast_shapes(a_man.shape[:-4], b_flat.shape[:-3])
-    if kb == 0 or cb == 0:
-        return np.zeros((*lead, rb * r, nc), dtype=np.float64)
-    c = nc // cb
-    a_sw = np.asarray(a_man, dtype=np.float64).swapaxes(-4, -3)
-    prods = np.matmul(a_sw, b_flat[..., :, None, :, :])
-    exps = a_exp.swapaxes(-2, -1)[..., None] + b_exp[..., None, :]
-    run = np.maximum.accumulate(exps, axis=-3)
-    pv = prods.reshape(*prods.shape[:-1], cb, c)  # (..., Kb, Rb, r, Cb, c)
-    psu = np.ascontiguousarray(pv[..., 0, :, :, :, :])
-    if kb > 1:
-        keeps = run[..., :-1, :, :] >= exps[..., 1:, :, :]
-        ds = np.minimum(np.abs(run[..., :-1, :, :] - exps[..., 1:, :, :]), 63)
-        sc = np.exp2(-ds.astype(np.float64))
-        kb_axis = keeps.ndim - 3
-        uniform = keeps.all(
-            axis=tuple(i for i in range(keeps.ndim) if i != kb_axis)
-        )
-        bk = 1
-        while bk < kb:
-            if uniform[bk - 1]:
-                end = bk + 1
-                while end < kb and uniform[end - 1]:
-                    end += 1
-                seg = np.multiply(
-                    pv[..., bk:end, :, :, :, :],
-                    sc[..., bk - 1 : end - 1, :, None, :, None],
-                )
-                np.floor(seg, out=seg)
-                psu += seg.sum(axis=-5)
-                bk = end
-            else:
-                d = sc[..., bk - 1, :, None, :, None]
-                keep = keeps[..., bk - 1, :, None, :, None]
-                prod = pv[..., bk, :, :, :, :]
-                psu = np.where(
-                    keep, psu + np.floor(prod * d), prod + np.floor(psu * d)
-                )
-                bk += 1
-    limit = float(1 << (PSU_WIDTH - 1))
-    if psu.size and (psu.min() < -limit or psu.max() >= limit):
-        raise HardwareContractError("emulated PSU overflowed 48 bits")
-    # +0.0 normalizes any -0.0 from all-zero f64 products: the integer
-    # path decodes those lanes to +0.0 and the logits are SHA-pinned.
-    dense = (psu + 0.0) * np.exp2(run[..., -1, :, :].astype(np.float64))[
-        ..., :, None, :, None
-    ]
-    return dense.reshape(*lead, rb * r, nc)
-
-
-def _flatten_cols_f64(b_man: np.ndarray) -> np.ndarray:
-    """``_flatten_cols`` twin that widens straight to float64."""
-    kb, cb, h, c = b_man.shape[-4:]
-    return np.ascontiguousarray(
-        b_man.astype(np.float64).swapaxes(-2, -3)
-    ).reshape(*b_man.shape[:-4], kb, h, cb * c)
-
-
-# ---------------------------------------------------------------------------
 # Fused ops
 # ---------------------------------------------------------------------------
 
@@ -330,53 +234,20 @@ def _flatten_cols_f64(b_man: np.ndarray) -> np.ndarray:
 class _LinearOp:
     """One linear layer, resolved at trace time.
 
-    Holds the format and the prepared-weight handle (no per-call cache
-    lookup or fingerprint revalidation); block-fp weights additionally
-    keep their mantissas pre-widened to float64 for the fast kernel.
+    Holds the format and the prepared-weight handle, so replay does no
+    per-call cache lookup or fingerprint revalidation.
     """
 
-    __slots__ = ("fmt", "prepared", "bias", "d_in", "d_out", "fast",
-                 "wman", "wexp", "man_bits")
+    __slots__ = ("fmt", "prepared", "bias", "d_in", "d_out")
 
     def __init__(self, fmt, lin: Linear) -> None:
         self.fmt = fmt
-        w = lin.params["w"]
-        self.prepared = fmt.prepare_weight(w)
+        self.prepared = fmt.prepare_weight(lin.params["w"])
         self.bias = lin.params.get("b")
         self.d_in, self.d_out = lin.d_in, lin.d_out
-        self._bind_fast()
-
-    def _bind_fast(self) -> None:
-        from repro.arith.bfp_matmul import BfpWeight
-        from repro.perf.prepared import PreparedTensor
-
-        kb = -(-self.d_in // BLOCK_COLS)
-        self.fast = (
-            isinstance(self.fmt, BfpFormat)
-            and not self.fmt.exact_accumulate
-            and isinstance(self.prepared, PreparedTensor)
-            and isinstance(self.prepared.payload, BfpWeight)
-            and _fast_ok(self.fmt.man_bits, kb)
-        )
-        if self.fast:
-            bw = self.prepared.payload
-            self.wman = bw.man64.astype(np.float64)
-            self.wexp = bw.exp64
-            self.man_bits = self.fmt.man_bits
-        else:
-            self.wman = self.wexp = None
-            self.man_bits = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(-1, self.d_in)
-        if self.fast:
-            am = activation_blocks(flat, man_bits=self.man_bits)
-            dense = fast_emulate_blocks(
-                am.mantissas, am.exponents, self.wman, self.wexp
-            )
-            y = dense[: flat.shape[0], : self.d_out].astype(np.float32)
-        else:
-            y = self.fmt.matmul(flat, self.prepared)
+        y = self.fmt.matmul(x.reshape(-1, self.d_in), self.prepared)
         if self.bias is not None:
             y = y + self.bias
         return y.reshape(*x.shape[:-1], self.d_out).astype(np.float32)
@@ -397,33 +268,6 @@ class _FusedLinearOp(_LinearOp):
         self.prepared = fmt.prepare_weight(fused)
         self.bias = None
         self.d_in, self.d_out = gate.d_in, gate.d_out + up.d_out
-        self._bind_fast()
-
-
-class _AttnMatmulOp:
-    """Batched attention matmul (Q.K^T / P.V), format-resolved at trace."""
-
-    __slots__ = ("fmt", "fast", "man_bits")
-
-    def __init__(self, fmt, *, kb_max: int) -> None:
-        self.fmt = fmt
-        self.fast = (
-            isinstance(fmt, BfpFormat)
-            and not fmt.exact_accumulate
-            and _fast_ok(fmt.man_bits, kb_max)
-        )
-        self.man_bits = fmt.man_bits if self.fast else 0
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.fast:
-            a_man, a_exp, b_man, b_exp, m, n = bfp_batched_tiles(
-                a, b, man_bits=self.man_bits
-            )
-            dense = fast_emulate_blocks(
-                a_man, a_exp, _flatten_cols_f64(b_man), b_exp
-            )
-            return dense[:, :m, :n].astype(np.float32)
-        return self.fmt.matmul_batched(a, b)
 
 
 class _NonlinearShim:
@@ -472,7 +316,7 @@ class _BlockOps:
     gate_up: _LinearOp  # fused or gate (with .up set) — see build
     up: _LinearOp | None
     down: _LinearOp
-    attn_mm: _AttnMatmulOp
+    attn: object  # the attention-role format (Q.K^T, P.V)
     swiglu: object
 
 
@@ -507,7 +351,6 @@ class DecodePlan:
         self.final_norm = model.norm
         b = self.batch
         d, vocab = model.dim, model.vocab
-        kb_attn = -(-max(model.seq_len, 1) // BLOCK_COLS)
         self.n_heads = self.head_dim = 0
         self.scale = 1.0
         self.blocks: list[_BlockOps] = []
@@ -527,7 +370,6 @@ class DecodePlan:
             apath, mpath = f"block{i}.attn", f"block{i}.mlp"
             lin_a = backend._fmt_at(apath, "linear")
             lin_m = backend._fmt_at(mpath, "linear")
-            att_f = backend._fmt_at(apath, "attention")
             h, hd = attn.n_heads, attn.head_dim
             hidden = mlp.gate.d_out
             fuse = (
@@ -552,9 +394,7 @@ class DecodePlan:
                 ),
                 up=None if fuse else _LinearOp(lin_m, mlp.up),
                 down=_LinearOp(lin_m, mlp.down),
-                attn_mm=_AttnMatmulOp(
-                    att_f, kb_max=max(kb_attn, -(-hd // BLOCK_COLS))
-                ),
+                attn=backend._fmt_at(apath, "attention"),
                 swiglu=_swiglu_fn(mlp),
             ))
             self.n_heads, self.head_dim = h, hd
@@ -622,13 +462,13 @@ class DecodePlan:
             arena.append(k_new, v_new)
             k, v = arena.views()
             t = arena.length
-            s = ops.attn_mm(
+            s = ops.attn.matmul_batched(
                 q.reshape(b * h, 1, hd),
                 k.transpose(0, 1, 3, 2).reshape(b * h, hd, t),
             )
             scores = s.reshape(b, h, 1, t) * self.scale
             probs = ops.softmax.forward(scores.astype(np.float32), ops.nl_attn)
-            ctx = ops.attn_mm(
+            ctx = ops.attn.matmul_batched(
                 probs.reshape(b * h, 1, t), v.reshape(b * h, t, hd)
             )
             ctx = ctx.reshape(b, h, 1, hd).transpose(0, 2, 1, 3).reshape(b, 1, d)

@@ -1,7 +1,7 @@
 """Shift-aware aligned-width prediction: sound, loss-free, observable.
 
 The predictor (:func:`repro.hw.exponent_unit.predict_aligned_bound`
-semantics, vectorized inside ``_emulate_blocks`` by the
+semantics, vectorized inside the integer ``_emulate_blocks`` by the
 :class:`~repro.arith.bfp_matmul.AlignmentProbe`) must *never*
 under-predict — that soundness is what licenses the cost model to skip
 the upper barrel-shifter stage on predicted-narrow steps.  And since the
@@ -14,8 +14,9 @@ import pytest
 
 from repro.arith.bfp_matmul import (
     AlignmentProbe,
+    bfp_batched_tiles,
     bfp_matmul_emulate,
-    bfp_matmul_emulate_batched,
+    bfp_matmul_from_tiles,
     get_alignment_probe,
     set_alignment_probe,
 )
@@ -88,9 +89,9 @@ def test_probe_covers_batched_path(probe):
         rng.integers(-20, 21, (4, 16, 32)))
     b = rng.standard_normal((4, 32, 16))
     set_alignment_probe(None)
-    want = bfp_matmul_emulate_batched(a, b)
+    want = bfp_matmul_from_tiles(*bfp_batched_tiles(a, b))
     set_alignment_probe(probe)
-    got = bfp_matmul_emulate_batched(a, b)
+    got = bfp_matmul_from_tiles(*bfp_batched_tiles(a, b))
     assert np.array_equal(want, got)
     assert probe.steps == 3 * 2 * 2 * 4 and probe.under_predictions == 0
 

@@ -12,8 +12,9 @@ from repro.arith.bfp_matmul import (
     activation_blocks,
     bfp_matmul,
     bfp_matmul_dense,
+    bfp_batched_tiles,
     bfp_matmul_emulate,
-    bfp_matmul_emulate_batched,
+    bfp_matmul_from_tiles,
     bfp_matmul_prepared,
     block_matmul,
     requantize_wide,
@@ -230,7 +231,7 @@ class TestBatchedEmulate:
         rng = np.random.default_rng(m * 31 + k * 7 + n * 3 + batch)
         a = rng.normal(size=(batch, m, k))
         b = rng.normal(size=(batch, k, n))
-        out = bfp_matmul_emulate_batched(a, b)
+        out = bfp_matmul_from_tiles(*bfp_batched_tiles(a, b))
         assert out.shape == (batch, m, n)
         for i in range(batch):
             assert np.array_equal(out[i], bfp_matmul_emulate(a[i], b[i]))
@@ -238,7 +239,9 @@ class TestBatchedEmulate:
     def test_exact_accumulate_slices_match(self, rng):
         a = rng.normal(size=(3, 9, 24))
         b = rng.normal(size=(3, 24, 10))
-        out = bfp_matmul_emulate_batched(a, b, exact_accumulate=True)
+        out = bfp_matmul_from_tiles(
+            *bfp_batched_tiles(a, b), exact_accumulate=True
+        )
         for i in range(3):
             assert np.array_equal(
                 out[i], bfp_matmul_emulate(a[i], b[i], exact_accumulate=True)
@@ -247,7 +250,7 @@ class TestBatchedEmulate:
     def test_narrow_mantissa_slices_match(self, rng):
         a = rng.normal(size=(2, 8, 16))
         b = rng.normal(size=(2, 16, 8))
-        out = bfp_matmul_emulate_batched(a, b, man_bits=4)
+        out = bfp_matmul_from_tiles(*bfp_batched_tiles(a, b, man_bits=4))
         for i in range(2):
             assert np.array_equal(
                 out[i], bfp_matmul_emulate(a[i], b[i], man_bits=4)
@@ -255,8 +258,8 @@ class TestBatchedEmulate:
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
-            bfp_matmul_emulate_batched(np.zeros((2, 4, 5)), np.zeros((2, 4, 5)))
+            bfp_batched_tiles(np.zeros((2, 4, 5)), np.zeros((2, 4, 5)))
         with pytest.raises(ConfigurationError):
-            bfp_matmul_emulate_batched(np.zeros((2, 4, 5)), np.zeros((3, 5, 4)))
+            bfp_batched_tiles(np.zeros((2, 4, 5)), np.zeros((3, 5, 4)))
         with pytest.raises(ConfigurationError):
-            bfp_matmul_emulate_batched(np.zeros((4, 5)), np.zeros((5, 4)))
+            bfp_batched_tiles(np.zeros((4, 5)), np.zeros((5, 4)))

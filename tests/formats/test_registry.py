@@ -76,19 +76,6 @@ class TestArrayMapping:
         assert get_format("fp32").array_mode is None
         assert get_format("fp16").array_mode is None
 
-    def test_uses_array_is_deprecated_boolean_view(self):
-        import repro.formats.registry as registry
-
-        registry._warned_uses_array = False
-        with pytest.deprecated_call(match="array_mode"):
-            assert get_format("bfp8").uses_array
-        # The warning fires once per process, not per access.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not get_format("fp32").uses_array
-
 
 class TestMinifloat:
     def test_e4m3_saturates_at_240(self):

@@ -15,6 +15,7 @@ The contract under test (:mod:`repro.runtime.plan`):
 """
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from repro.obs.numerics import NULL_MONITOR, NumericsMonitor, set_monitor
 from repro.perf.prepared import PreparedOperandCache, get_cache, set_cache
 from repro.runtime import plan as planmod
 from repro.runtime.plan import (
-    DecodePlan,
     KvArena,
     bind_group_cache,
     compiled_active,
@@ -399,12 +399,31 @@ class TestPlanStats:
         assert stats["replays"] == 4
         assert stats["sampled_taps"] == 0
 
-    def test_trace_is_fast_kernel_eligible(self):
-        """bfp8 at 8 mantissa bits stays inside the exact-f64 window for
-        every reduction depth a TinyLM can produce."""
+    def test_replay_runs_the_fast_kernel(self, monkeypatch):
+        """Replayed bfp matmuls run the float64 kernel, never the integer
+        oracle (no probe attached, no exact accumulation)."""
+        bm = importlib.import_module("repro.arith.bfp_matmul")
+
+        calls = {"fast": 0, "oracle": 0}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
         model = _model()
         backend = PolicyBackend(get_policy("bfp8-mixed"))
-        plan = resolve_plan(model, backend, 1)
-        assert isinstance(plan, DecodePlan)
-        for ops in plan.blocks:
-            assert ops.qkv.fast, "qkv did not qualify for the fast kernel"
+        cache = model.init_cache()
+        model.forward_step(1, 0, cache, backend, compiled=True)
+        monkeypatch.setattr(
+            bm, "fast_emulate_blocks", spy("fast", bm.fast_emulate_blocks)
+        )
+        monkeypatch.setattr(
+            bm, "_emulate_blocks", spy("oracle", bm._emulate_blocks)
+        )
+        model.forward_step(2, 1, cache, backend, compiled=True)
+        (stats,) = plan_stats(model)
+        assert stats["replays"] == 2
+        assert calls["fast"] > 0 and calls["oracle"] == 0
