@@ -159,7 +159,8 @@ class ShardedCostModel(CostModel):
         return compute, allreduce + pp_transfer
 
     def batch_cycles(self, batch: Batch) -> int:
-        compute, comm = self.split_cycles(batch)
+        compute, allreduce, pp_transfer = self._split3(batch)
+        comm = allreduce + pp_transfer
         self.compute_cycles_total += compute
         self.interconnect_cycles_total += comm
         return compute + comm

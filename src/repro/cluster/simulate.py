@@ -1,8 +1,8 @@
 """Cluster serving simulation: a fleet of replicas behind one router.
 
-This is the multi-board driver over the per-replica engine the serving
-refactor exposed (:class:`repro.serve.dispatcher.Dispatcher`).  One event
-heap carries the whole fleet — arrivals hit the cluster edge, get routed
+:func:`drive` is the repo's one simulation driver, over the per-replica
+engine :class:`repro.serve.dispatcher.Dispatcher`.  One event heap
+carries the whole fleet — arrivals hit the cluster edge, get routed
 (:class:`~repro.cluster.router.Router`: session affinity, then
 join-the-shortest-queue with seeded ties), and land in one replica's
 batcher; each replica dispatches onto its own *lanes* (shard groups of
@@ -17,9 +17,9 @@ their boards return to the free pool (live KV is never evicted).  Every
 decision lands in the report as a
 :class:`~repro.cluster.autoscaler.ScaleEvent`.
 
-Determinism carries over from the single-pool simulator: integer cycle
-time, ``(cycle, sequence)`` event order, a seeded trace and a seeded
-router — one ``(trace seed, router seed)`` pair replays byte-identically.
+Determinism: integer cycle time, ``(cycle, sequence)`` event order, a
+seeded trace and a seeded router — one ``(trace seed, router seed)``
+pair replays byte-identically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.router import Router
 from repro.cluster.sharding import ShardedCostModel
 from repro.cluster.topology import Board, ClusterSpec, Replica
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
 from repro.hw.system import UnitPool
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
@@ -51,8 +51,8 @@ class ClusterConfig:
 
     ``spike`` (a :class:`~repro.obs.incident_cli.SpikeInjection`, or
     ``None``) injects a deterministic latency spike into every replica's
-    cost model — the cluster counterpart of the single-pool
-    ``--inject-spike-*`` flags, composed over the sharded models through
+    cost model — the value the ``--inject-spike-*`` flags build, composed
+    over the sharded models through
     :class:`~repro.obs.incident_cli.SpikedCostModel`.
     """
 
@@ -134,52 +134,51 @@ class ClusterReport:
         return "\n".join(lines)
 
 
-def simulate_cluster(
+@dataclass
+class FleetRun:
+    """What one :func:`drive` run leaves for its front end to report."""
+
+    replicas: list[Replica]
+    router: Router | None
+    scaler: Autoscaler | None
+    edge_rejected: int
+    queue_samples: list[tuple[int, int]]  # fleet series; empty when bare
+    end: int  # cycle of the last event
+
+
+def drive(
     requests: list[Request],
-    config: ClusterConfig = ClusterConfig(),
+    config: ClusterConfig,
     *,
-    tracer: Tracer = NULL_TRACER,
-    registry: MetricsRegistry | None = None,
-    slo: SLOTracker = NULL_SLO,
-    path: RequestPathConfig | None = None,
-    recorder: FlightRecorder = NULL_RECORDER,
-) -> ClusterReport:
-    """Run the cluster serving simulation over a request trace.
+    tracer: Tracer,
+    registry: MetricsRegistry,
+    slo: SLOTracker,
+    path: RequestPathConfig | None,
+    recorder: FlightRecorder,
+    bare: bool = False,
+) -> FleetRun:
+    """The one event loop under :func:`simulate_cluster` and the
+    single-pool :func:`repro.serve.dispatcher.simulate`.
 
-    Event tags on the shared heap: ``arrive`` (a request at the cluster
-    edge), ``finish``/``wake`` (a replica's dispatcher events, tagged with
-    the replica id by its push wrapper), ``spawn`` (a provisioning replica
-    becoming routable) and ``autoscale`` (a periodic policy sample).
-
-    ``slo`` (default: disabled) is the fleet-wide SLO tracker — every
-    replica reports completions/rejections into it, the router uses its
-    burn rates for affinity bypass, the autoscaler for burn-triggered
-    scale-ups, and the summary gains an ``"slo"`` section.  ``path``
-    turns on request-path stage decomposition in the trace: boards
-    become trace processes, units threads, and sampled requests carry
-    named stage children across the edge -> router -> replica -> shard
-    path (one :class:`~repro.obs.tracer.SpanContext` per request).
-
-    ``recorder`` (default: disabled) is shared across the fleet: every
-    replica's dispatcher feeds it, edge rejections and scale decisions
-    land in its decision ring, and scale events are annotated with the
-    incident open at decision time.  Cluster bundles are capture-only
-    (``replay.supported = false``): the router's RNG and the
-    autoscaler's window state span capture epochs, so the single-pool
-    epoch-replay argument does not hold here.
+    Event tags: ``arrive`` (a request at the cluster edge), ``finish`` /
+    ``wake`` (a dispatcher's own events, naming it in their payload),
+    ``spawn`` (a provisioning replica becoming routable) and
+    ``autoscale`` (a periodic policy sample).  ``bare`` is the single
+    pool's naming: its one replica, reached without the router, exports
+    bare ``unitN`` tracks and ``serve.*`` metrics and no fleet series.
+    The run ends in an O(replicas) conservation check.
     """
     spec = config.spec
-    clock = config.serve.clock
-    reg = get_registry() if registry is None else registry
-    router = Router(config.router_seed, slo=slo)
+    router = None if bare else Router(config.router_seed, slo=slo)
     scaler = (
-        Autoscaler(config.autoscaler, clock)
+        Autoscaler(config.autoscaler, config.serve.clock)
         if config.autoscaler is not None
         else None
     )
 
     boards = [Board(b) for b in range(spec.boards)]
     replicas: list[Replica] = []
+    owner: dict[Dispatcher, Replica] = {}
 
     events: list[tuple[int, int, str, object]] = []
     seq = 0
@@ -188,15 +187,6 @@ def simulate_cluster(
         nonlocal seq
         heapq.heappush(events, (t, seq, tag, payload))
         seq += 1
-
-    def replica_push(rid: int):
-        """Event sink handed to one replica's dispatcher: tags events
-        with the replica id so the loop can route them back."""
-
-        def _push(t: int, tag: str, payload: object = None) -> None:
-            push(t, tag, (rid, payload))
-
-        return _push
 
     def allocate_boards(rid: int) -> tuple[int, ...] | None:
         free = [b for b in boards if b.free][: spec.boards_per_replica]
@@ -238,17 +228,18 @@ def simulate_cluster(
         r.dispatcher = Dispatcher(
             config.serve,
             UnitPool(spec.lanes_per_replica),
-            replica_push(rid),
+            push,
             cost=dispatch_cost,
             tracer=tracer,
-            registry=reg,
-            track_prefix=f"r{rid}.",
+            registry=registry,
+            track_prefix="" if bare else f"r{rid}.",
             slo=slo,
             path=path,
-            processes=lane_procs,
-            metric_prefix=f"cluster.r{rid}.",
+            processes=None if bare else lane_procs,
+            metric_prefix="" if bare else f"cluster.r{rid}.",
             recorder=recorder,
         )
+        owner[r.dispatcher] = r
         replicas.append(r)
         if active_at > now:
             push(active_at, "spawn", rid)
@@ -263,12 +254,13 @@ def simulate_cluster(
                     b.owner = None
             note_active(now)
 
+    fleet_trace = tracer.enabled and not bare
     _last_active = -1
 
     def note_active(now: int) -> None:
         nonlocal _last_active
         n = sum(1 for r in replicas if r.active)
-        if tracer.enabled and n != _last_active:
+        if fleet_trace and n != _last_active:
             tracer.counter("cluster.active_replicas", cycle=now, value=n)
             _last_active = n
 
@@ -278,25 +270,33 @@ def simulate_cluster(
 
     arrivals_remaining = len(requests)
     edge_rejected = 0
-    cluster_queue_samples: list[tuple[int, int]] = []
+    # Queued items over the active replicas as last sampled: an event only
+    # changes the queues of the replicas it settles, so it moves by deltas.
+    fleet_depth = 0
+    queue_samples: list[tuple[int, int]] = []
 
-    def fleet_depth() -> int:
-        return sum(r.dispatcher.depth() for r in replicas if r.active)
+    def settle(r: Replica, now: int) -> None:
+        """Dispatch on a replica an event touched; re-sample its queue."""
+        nonlocal fleet_depth
+        d = r.dispatcher
+        d.try_dispatch(now)
+        depth = d.observe_queue(now)
+        if r.state == "active":
+            fleet_depth += depth - r.queued
+        else:
+            retire_if_drained(r, now)
+        r.queued = depth
 
     def work_pending() -> bool:
-        if arrivals_remaining:
-            return True
-        for r in replicas:
-            if r.state == "retired":
-                continue
-            if r.state == "provisioning":
-                return True
-            d = r.dispatcher
-            if d.depth() or len(d.idle) < d.pool.n_units:
-                return True
-        return False
+        return bool(arrivals_remaining) or any(
+            r.state == "provisioning" or r.state != "retired" and (
+                r.dispatcher.depth()
+                or len(r.dispatcher.idle) < r.dispatcher.pool.n_units)
+            for r in replicas
+        )
 
     def run_autoscale(now: int) -> None:
+        nonlocal fleet_depth
         pending_up = sum(1 for r in replicas if r.state == "provisioning")
         free_capacity = (
             sum(1 for b in boards if b.free) // spec.boards_per_replica
@@ -335,6 +335,7 @@ def simulate_cluster(
                 active, key=lambda r: (r.dispatcher.depth(), -r.rid)
             )
             victim.state = "draining"
+            fleet_depth -= victim.queued
             router.forget(victim.rid)
             ev = scaler.record(
                 now, "scale_down", victim.rid, n_active - 1, depth, util,
@@ -347,8 +348,8 @@ def simulate_cluster(
         note_active(now)
         if recorder.enabled:
             recorder.record_scale(now, ev.as_dict())
-        if reg.enabled:
-            reg.counter(f"cluster.{ev.action}").inc()
+        if registry.enabled:
+            registry.counter(f"cluster.{ev.action}").inc()
         if tracer.enabled:
             tracer.span(
                 f"{ev.action} r{ev.rid}",
@@ -359,18 +360,23 @@ def simulate_cluster(
                 args=ev.as_dict(),
             )
 
-    for r in sorted(requests, key=lambda r: (r.arrival, r.rid)):
-        push(r.arrival, "arrive", r)
+    for req in sorted(requests, key=lambda r: (r.arrival, r.rid)):
+        push(req.arrival, "arrive", req)
     if scaler is not None:
         push(scaler.interval, "autoscale", None)
 
+    now = 0
     while events:
         now, _, tag, payload = heapq.heappop(events)
-        touched: list[Replica] = []
-        if tag == "arrive":
+        if tag == "finish":
+            d, unit, batch = payload
+            d.on_finish(unit, batch, now)
+            settle(owner[d], now)
+        elif tag == "arrive":
             arrivals_remaining -= 1
-            req: Request = payload
-            if fleet_depth() >= config.max_cluster_queue:
+            req = payload
+            target = None
+            if fleet_depth >= config.max_cluster_queue:
                 edge_rejected += 1
                 if slo.enabled:
                     slo.record_rejection(req, now)
@@ -378,61 +384,107 @@ def simulate_cluster(
                     recorder.record_rejection(req, now)
                     if slo.enabled:
                         recorder.observe_burn(now, slo.fleet_burn(now))
-                if reg.enabled:
-                    reg.counter("cluster.edge_rejections").inc()
-            else:
-                target = router.route(req, replicas, now)
-                if target is None:  # pragma: no cover - min_replicas >= 1
-                    edge_rejected += 1
-                    if slo.enabled:
-                        slo.record_rejection(req, now)
-                else:
-                    if target.dispatcher.admit(req, now):
-                        ctx = target.dispatcher.trace_ctx(req)
-                        if ctx is not None:
-                            ctx.child(
-                                "route", start=req.arrival, end=now,
-                                args={"replica": target.rid,
-                                      "queue_depth": target.dispatcher.depth()},
-                            )
-                    touched.append(target)
-        elif tag == "finish":
-            rid, (unit, batch) = payload
-            r = replicas[rid]
-            r.dispatcher.on_finish(unit, batch, now)
-            touched.append(r)
+                if registry.enabled:
+                    registry.counter("cluster.edge_rejections").inc()
+            else:  # min_replicas >= 1 keeps a routable replica
+                target = (replicas[0] if router is None
+                          else router.route(req, replicas, now))
+                if target.dispatcher.admit(req, now) and router is not None:
+                    ctx = target.dispatcher.trace_ctx(req)
+                    if ctx is not None:
+                        ctx.child(
+                            "route", start=req.arrival, end=now,
+                            args={"replica": target.rid,
+                                  "queue_depth": target.dispatcher.depth()},
+                        )
+            if target is not None:
+                settle(target, now)
         elif tag == "wake":
-            rid, _ = payload
-            r = replicas[rid]
-            r.dispatcher.on_wake(now)
-            touched.append(r)
+            payload.on_wake(now)
+            settle(owner[payload], now)
         elif tag == "spawn":
             r = replicas[payload]
             if r.state == "provisioning":
                 r.state = "active"
                 note_active(now)
-                touched.append(r)
-        elif tag == "autoscale":
+                settle(r, now)
+        else:  # autoscale
             run_autoscale(now)
-            touched.extend(r for r in replicas if r.state != "retired")
+            live = [r for r in replicas if r.state != "retired"]
             if work_pending():
                 push(now + scaler.interval, "autoscale", None)
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown event tag {tag!r}")
-        for r in touched:
-            r.dispatcher.try_dispatch(now)
-            r.dispatcher.observe_queue(now)
-            retire_if_drained(r, now)
-        cluster_queue_samples.append((now, fleet_depth()))
+            for r in live:
+                settle(r, now)
+        if not bare:
+            queue_samples.append((now, fleet_depth))
         if recorder.enabled and not any(
             len(r.dispatcher.idle) < r.dispatcher.pool.n_units
             or not r.dispatcher.batcher.empty()
             for r in replicas if r.state != "retired"
         ):
-            # Fleet-wide idle point (cheap unit check first, queue scan
-            # only when every unit is free); cluster bundles are
+            # A fleet-wide idle point (cheap unit check first, queue scan
+            # only when every unit is free) is the recorder's capture-epoch
+            # boundary: a single-pool replay re-simulates exactly one
+            # epoch from its arrival rows; cluster bundles are
             # capture-only, but epochs still bound the arrival capture.
             recorder.end_event(now, True)
+
+    # Conservation: each request is shed at the edge or admitted to one
+    # replica, which completes or rejects it; busy cycles fit the lanes.
+    horizon = max(r.dispatcher.metrics.last_completion for r in replicas)
+    routed = 0
+    for r in replicas:
+        d, m = r.dispatcher, r.dispatcher.metrics
+        routed += m.arrivals
+        span, lanes = r.active_span(horizon), d.pool.n_units
+        if m.arrivals != m.completed + m.rejections or d.busy_cycles > span * lanes:
+            raise InvariantError(
+                f"replica {r.rid}: {m.arrivals} arrivals, {m.completed} "
+                f"completed, {m.rejections} rejected; {d.busy_cycles} busy "
+                f"cycles in a {span}-cycle span x {lanes} lanes")
+    if routed + edge_rejected != len(requests):
+        raise InvariantError(f"edge: {len(requests)} requests, {routed} "
+                             f"admitted, {edge_rejected} rejected")
+    return FleetRun(replicas, router, scaler, edge_rejected, queue_samples,
+                    now)
+
+
+def simulate_cluster(
+    requests: list[Request],
+    config: ClusterConfig = ClusterConfig(),
+    *,
+    tracer: Tracer = NULL_TRACER,
+    registry: MetricsRegistry | None = None,
+    slo: SLOTracker = NULL_SLO,
+    path: RequestPathConfig | None = None,
+    recorder: FlightRecorder = NULL_RECORDER,
+) -> ClusterReport:
+    """Run the cluster serving simulation over a request trace.
+
+    ``slo`` (default: disabled) is the fleet-wide SLO tracker — every
+    replica reports completions/rejections into it, the router uses its
+    burn rates for affinity bypass, the autoscaler for burn-triggered
+    scale-ups, and the summary gains an ``"slo"`` section.  ``path``
+    turns on request-path stage decomposition in the trace: boards
+    become trace processes, units threads, and sampled requests carry
+    named stage children across the edge -> router -> replica -> shard
+    path (one :class:`~repro.obs.tracer.SpanContext` per request).
+
+    ``recorder`` (default: disabled) is shared across the fleet: every
+    replica's dispatcher feeds it, edge rejections and scale decisions
+    land in its decision ring, and scale events are annotated with the
+    incident open at decision time.  Cluster bundles are capture-only
+    (``replay.supported = false``): the router's RNG and the
+    autoscaler's window state span capture epochs, so the single-pool
+    epoch-replay argument does not hold here.
+    """
+    spec = config.spec
+    clock = config.serve.clock
+    reg = get_registry() if registry is None else registry
+    run = drive(requests, config, tracer=tracer, registry=reg, slo=slo,
+                path=path, recorder=recorder)
+    replicas, router, scaler = run.replicas, run.router, run.scaler
+    edge_rejected = run.edge_rejected
 
     # -- merge ----------------------------------------------------------------
     merged = MetricsCollector()
@@ -450,7 +502,7 @@ def simulate_cluster(
         for phase, sizes in m.batch_sizes.items():
             merged.batch_sizes.setdefault(phase, []).extend(sizes)
         total_busy += r.dispatcher.busy_cycles
-    merged.queue_samples = cluster_queue_samples
+    merged.queue_samples = run.queue_samples
     horizon = merged.last_completion
 
     summary = merged.summary(clock=clock, busy_cycles=total_busy)

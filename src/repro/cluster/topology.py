@@ -115,6 +115,8 @@ class Replica:
     cost: object = field(default=None, repr=False)
     state: str = "active"
     retired_at: int | None = None
+    #: Queue depth at the driver's last sample of this replica.
+    queued: int = 0
 
     @property
     def active(self) -> bool:

@@ -33,6 +33,10 @@ class ConfigurationError(ReproError):
     """An object was constructed with inconsistent or unsupported parameters."""
 
 
+class InvariantError(ReproError):
+    """A simulation broke a conservation invariant (a simulator bug)."""
+
+
 class RegistryError(ReproError):
     """A name-keyed registry was misused.
 

@@ -25,12 +25,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError
 from repro.obs.recorder import FlightRecorder, RecorderConfig
 from repro.obs.slo import NULL_SLO, SLOClass, SLOConfig, SLOTracker
-from repro.serve.dispatcher import (
-    CostModel,
-    ServeConfig,
-    serve_config_from_dict,
-    simulate,
-)
+from repro.serve.dispatcher import serve_config_from_dict, simulate
 from repro.serve.request import Request
 
 __all__ = [
@@ -83,17 +78,13 @@ class SpikedCostModel:
     it folds the spike over whatever model it is given — serve's plain
     :class:`~repro.serve.dispatcher.CostModel`, cluster's
     :class:`~repro.cluster.sharding.ShardedCostModel`, anything with
-    ``batch_cycles``/``batch_breakdown`` — so ``--inject-spike-*`` now
-    works under ``--cluster`` too.  Passing a :class:`ServeConfig` as
-    the first argument keeps the historical constructor working (it
-    wraps a fresh single-pool ``CostModel``); every attribute of the
-    wrapped model (sharding accumulators, ``cfg``, ...) is delegated.
+    ``batch_cycles``/``batch_breakdown``.  The simulation driver wraps
+    every replica's model when a run carries a :class:`SpikeInjection`;
+    other attributes (sharding accumulators, ``cfg``, ...) delegate.
     """
 
-    def __init__(
-        self, cost: "CostModel | ServeConfig", spike: SpikeInjection
-    ) -> None:
-        self.inner = CostModel(cost) if isinstance(cost, ServeConfig) else cost
+    def __init__(self, cost, spike: SpikeInjection) -> None:
+        self.inner = cost
         self.spike = spike
 
     def _extra(self, batch) -> int:
@@ -154,10 +145,9 @@ def replay_bundle(bundle: dict) -> FlightRecorder:
     config = serve_config_from_dict(capture["serve_config"])
     requests = requests_from_subtrace(bundle["subtrace"]["requests"])
 
-    cost = None
+    spike = None
     if capture.get("injection"):
-        cost = SpikedCostModel(config,
-                               SpikeInjection.from_dict(capture["injection"]))
+        spike = SpikeInjection.from_dict(capture["injection"])
 
     slo = NULL_SLO
     slo_cfg = capture.get("slo")
@@ -181,7 +171,7 @@ def replay_bundle(bundle: dict) -> FlightRecorder:
         capture=capture,
     )
     recorder.preload_state(bundle)
-    simulate(requests, config, slo=slo, recorder=recorder, cost=cost)
+    simulate(requests, config, slo=slo, recorder=recorder, spike=spike)
     return recorder
 
 

@@ -89,6 +89,7 @@ class DynamicBatcher:
         self.policy = policy
         self._wait = policy.max_wait_cycles(clock)
         self._queues: dict[ClassKey, deque[PhaseItem]] = {}
+        self._count = 0  # items over all queues, kept by add/_pop
 
     # -- intake --------------------------------------------------------------
     def add(self, item: PhaseItem) -> None:
@@ -96,19 +97,14 @@ class DynamicBatcher:
         if item.phase == "decode" and item.unit is None:
             raise ConfigurationError("decode items must carry a unit pin")
         self._queues.setdefault(key, deque()).append(item)
+        self._count += 1
 
     def depth(self) -> int:
-        """Total queued items (the admission-control pressure signal)."""
-        return sum(len(q) for q in self._queues.values())
+        """Total queued items, O(1): the admission/routing pressure signal."""
+        return self._count
 
     def empty(self) -> bool:
-        """O(1) emptiness test: ``_pop`` deletes drained queues, so the
-        dict is non-empty iff at least one item is queued.  Hot-loop
-        guards (recorder epoch marking) use this instead of depth()."""
-        return not self._queues
-
-    def queued(self, phase: str) -> int:
-        return sum(len(q) for (p, _), q in self._queues.items() if p == phase)
+        return not self._count
 
     # -- batch closing -------------------------------------------------------
     def _ready(self, key: ClassKey, now: int) -> bool:
@@ -123,6 +119,7 @@ class DynamicBatcher:
         take = min(len(q), self.policy.batch_limit(key[0]),
                    limit if limit is not None else len(q))
         items = [q.popleft() for _ in range(take)]
+        self._count -= take
         if not q:
             del self._queues[key]
         phase, unit = key

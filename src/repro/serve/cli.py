@@ -357,6 +357,28 @@ def _write_slo_out(args, summary: dict) -> None:
     print(f"SLO snapshot written to {args.slo_out}")
 
 
+def _write_outputs(args, report, tracer, registry, recorder) -> None:
+    """The artifact flags both front ends share (JSON, trace, metrics,
+    SLO snapshot, recorder summary)."""
+    json_out = args.json_out if args.json_out is not None else args.json
+    if json_out is not None:
+        json_out.write_text(report.to_json() + "\n")
+    if args.trace_out is not None:
+        args.trace_out.write_text(tracer.to_json() + "\n")
+        print(f"trace written to {args.trace_out} "
+              f"({len(tracer.spans)} spans, {len(tracer.counters)} counter "
+              "samples; open in ui.perfetto.dev)")
+    if args.metrics_out is not None:
+        if args.metrics_format == "prom":
+            args.metrics_out.write_text(registry.to_prom_text())
+        else:
+            args.metrics_out.write_text(registry.to_json() + "\n")
+    if args.slo_out is not None:
+        _write_slo_out(args, report.summary)
+    if recorder.enabled:
+        _print_recorder_summary(args, recorder, report.summary)
+
+
 def _config(args, max_batch: int) -> ServeConfig:
     return ServeConfig(
         policy=BatchPolicy(max_batch=max_batch, max_wait_us=args.max_wait_us,
@@ -390,16 +412,11 @@ def run_serve_sim(args) -> int:
     config = _config(args, args.max_batch)
     slo = _slo_tracker(args)
     spike = _spike(args, config)
-    cost = None
-    if spike is not None:
-        from repro.obs.incident_cli import SpikedCostModel
-
-        cost = SpikedCostModel(config, spike)
     recorder = _recorder(args, config, tracer, slo, spike)
     report: ServeReport = simulate(trace, config,
                                    tracer=tracer, registry=registry,
                                    slo=slo, path=_path_config(args),
-                                   recorder=recorder, cost=cost)
+                                   recorder=recorder, spike=spike)
     print(report.render(
         f"serve-sim: {args.requests} requests, rate {args.rate:g}/s, "
         f"seed {args.seed}, max_batch {args.max_batch}"
@@ -421,23 +438,7 @@ def run_serve_sim(args) -> int:
             if ref[key]:
                 print(f"dynamic batching {key} speedup: "
                       f"{got[key] / ref[key]:.2f}x")
-    json_out = args.json_out if args.json_out is not None else args.json
-    if json_out is not None:
-        json_out.write_text(report.to_json() + "\n")
-    if args.trace_out is not None:
-        args.trace_out.write_text(tracer.to_json() + "\n")
-        print(f"trace written to {args.trace_out} "
-              f"({len(tracer.spans)} spans, {len(tracer.counters)} counter "
-              "samples; open in ui.perfetto.dev)")
-    if args.metrics_out is not None:
-        if args.metrics_format == "prom":
-            args.metrics_out.write_text(registry.to_prom_text())
-        else:
-            args.metrics_out.write_text(registry.to_json() + "\n")
-    if args.slo_out is not None:
-        _write_slo_out(args, report.summary)
-    if recorder.enabled:
-        _print_recorder_summary(args, recorder, report.summary)
+    _write_outputs(args, report, tracer, registry, recorder)
     if args.numerics_out is not None:
         _write_serving_numerics(trace, args)
     return 0
@@ -521,23 +522,7 @@ def _run_cluster_sim(args) -> int:
         f"serve-sim --cluster: {args.requests} requests, rate "
         f"{args.rate:g}/s, seed {args.seed}, {shape}"
     ))
-    json_out = args.json_out if args.json_out is not None else args.json
-    if json_out is not None:
-        json_out.write_text(report.to_json() + "\n")
-    if args.trace_out is not None:
-        args.trace_out.write_text(tracer.to_json() + "\n")
-        print(f"trace written to {args.trace_out} "
-              f"({len(tracer.spans)} spans, {len(tracer.counters)} counter "
-              "samples; open in ui.perfetto.dev)")
-    if args.metrics_out is not None:
-        if args.metrics_format == "prom":
-            args.metrics_out.write_text(registry.to_prom_text())
-        else:
-            args.metrics_out.write_text(registry.to_json() + "\n")
-    if args.slo_out is not None:
-        _write_slo_out(args, report.summary)
-    if recorder.enabled:
-        _print_recorder_summary(args, recorder, report.summary)
+    _write_outputs(args, report, tracer, registry, recorder)
     return 0
 
 

@@ -12,17 +12,17 @@ Flow control is preemption-free: a bounded intake queue sheds new arrivals
 with a 503-style rejection once full, and per-unit KV session slots
 throttle prefill dispatch (backpressure, never eviction of live sessions).
 
-Since the cluster refactor the engine is split in two:
+One simulation driver, :func:`repro.cluster.simulate.drive`, serves two
+front ends over this module's engine:
 
 * :class:`Dispatcher` — *one replica's* serving state machine (batcher,
   session table, cost model, idle-unit set) over an externally-owned
   :class:`~repro.hw.system.UnitPool` handle and an externally-owned event
-  heap (a ``push(t, tag, payload)`` sink).  It never owns the pool or the
-  clock of the simulation, so a driver can run one of them (classic
-  single-board serving) or a fleet of them (``repro.cluster``).
-* :func:`simulate` — the historical single-pool driver: builds one pool,
-  one dispatcher, and runs the event loop.  Its output is bit-identical
-  to the pre-refactor monolithic loop for any seed/trace.
+  heap (a ``push(t, tag, payload)`` sink).
+* :func:`simulate` — the single-pool front end: one board as a
+  one-replica cluster, bit-identical to the historical single-pool loop
+  (``tests/serve/test_refactor_golden.py``); ``simulate_cluster`` is the
+  fleet front end.
 
 The whole simulation is deterministic: integer cycle time, a seeded trace,
 and a (time, sequence) event order with no wall-clock reads.
@@ -30,12 +30,11 @@ and a (time, sequence) event order with no wall-clock reads.
 
 from __future__ import annotations
 
-import heapq
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cost import ModeOptions, PolicyCostModel
-from repro.errors import ConfigurationError
 from repro.hw.system import UnitPool
 from repro.models.configs import DEIT_TINY, ViTConfig
 from repro.models.policy import PrecisionPolicy
@@ -130,10 +129,6 @@ class CostModel:
     source of truth for serve, cluster and incident layers alike).
     """
 
-    # Back-compat aliases: bucketing policy now lives in the core model.
-    DECODE_BUCKET = PolicyCostModel.DECODE_BUCKET
-    PREFILL_BUCKET = PolicyCostModel.PREFILL_BUCKET
-
     def __init__(self, cfg: ServeConfig) -> None:
         self.cfg = cfg
         self.core = PolicyCostModel(
@@ -198,15 +193,14 @@ class Dispatcher:
     takes its :class:`~repro.hw.system.UnitPool` and its event sink from
     the driver.  Events it emits through ``push``:
 
-    * ``("finish", (unit, batch))`` at a batch's completion cycle;
-    * ``("wake", None)`` at the next batch-window expiry while units
+    * ``("finish", (self, unit, batch))`` at a batch's completion cycle;
+    * ``("wake", self)`` at the next batch-window expiry while units
       idle on a non-empty queue.
 
     The driver routes those events back into :meth:`on_finish` /
     :meth:`on_wake` and calls :meth:`try_dispatch` + :meth:`observe_queue`
-    after every event it processes for this replica.  A cluster driver
-    wraps ``push`` to tag events with the replica identity; the dispatcher
-    itself is replica-agnostic.
+    after every event it processes for this replica.  Each event names
+    its dispatcher, so one sink serves a whole fleet.
 
     ``track_prefix`` namespaces tracer tracks (``r3.unit7`` in cluster
     runs, bare ``unit7`` in single-pool runs).  ``cost`` lets the cluster
@@ -322,8 +316,7 @@ class Dispatcher:
         return self._ctx.get(req.rid)
 
     def enqueue(self, req: Request, now: int) -> None:
-        """Queue a request's first phase item without an admission check
-        (the cluster edge does its own admission before routing here)."""
+        """Queue a request's first phase item without an admission check."""
         phase = "vit" if req.kind == "vit" else "prefill"
         self.batcher.add(PhaseItem(req, phase, ready=now,
                                    context=req.prompt_tokens))
@@ -389,7 +382,7 @@ class Dispatcher:
                     )
                 if self._ctx:
                     self._record_path(batch, now, finish, u)
-                self.push(finish, "finish", (u, batch))
+                self.push(finish, "finish", (self, u, batch))
                 launched = True
                 break
             if not launched:
@@ -403,7 +396,7 @@ class Dispatcher:
             expiry = self.batcher.next_expiry(now)
             if expiry is not None and expiry not in self._pending_wakes:
                 self._pending_wakes.add(expiry)
-                self.push(expiry, "wake", None)
+                self.push(expiry, "wake", self)
 
     def _record_path(self, batch: Batch, now: int, finish: int, u: int) -> None:
         """Stage-decompose this dispatch for every sampled item in it.
@@ -452,8 +445,9 @@ class Dispatcher:
     def on_wake(self, now: int) -> None:
         self._pending_wakes.discard(now)
 
-    def observe_queue(self, now: int) -> None:
-        """Post-event queue-depth sample (metrics + tracer counter)."""
+    def observe_queue(self, now: int) -> int:
+        """Post-event queue-depth sample (metrics + tracer counter);
+        returns the sampled depth."""
         depth = self.batcher.depth()
         self.metrics.record_queue_depth(now, depth)
         if depth != self._last_depth:
@@ -465,6 +459,7 @@ class Dispatcher:
             self.registry.histogram(
                 f"{self.metric_prefix}serve.queue_depth"
             ).observe(depth)
+        return depth
 
     # -- request lifecycle ----------------------------------------------------
     def _complete_request(self, req: Request, now: int) -> None:
@@ -531,12 +526,13 @@ def simulate(
     slo: SLOTracker = NULL_SLO,
     path: RequestPathConfig | None = None,
     recorder: FlightRecorder = NULL_RECORDER,
-    cost: CostModel | None = None,
+    spike=None,
 ) -> ServeReport:
     """Run the open-loop serving simulation over a request trace.
 
-    The single-pool driver: one :class:`~repro.hw.system.UnitPool`, one
-    :class:`Dispatcher`, one event heap.  ``tracer`` (default: the no-op
+    The single-pool front end of :func:`repro.cluster.simulate.drive`:
+    one board of ``config.clock.n_units`` units as a one-replica cluster,
+    reported as that replica.  ``tracer`` (default: the no-op
     :data:`NULL_TRACER`) records the run as per-unit dispatch spans,
     per-request async spans and a queue-depth counter series, all in
     simulated cycles — export with ``report.tracer.to_json()``.
@@ -545,49 +541,20 @@ def simulate(
     KV pressure).  ``slo`` (default: disabled) adds per-class deadline
     budgets/burn rates to the summary under ``"slo"``; ``path`` (default:
     off) turns on request-path stage decomposition in the trace.
+    ``spike`` is a :class:`~repro.obs.incident_cli.SpikeInjection`, as
+    ``ClusterConfig.spike``.
     """
+    from repro.cluster.simulate import ClusterConfig, ClusterSpec, drive
+
     clock = config.clock
-    pool = UnitPool(clock.n_units)
     reg = get_registry() if registry is None else registry
-
-    events: list[tuple[int, int, str, object]] = []
-    seq = 0
-
-    def push(t: int, tag: str, payload: object = None) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, tag, payload))
-        seq += 1
-
-    d = Dispatcher(config, pool, push, tracer=tracer, registry=reg,
-                   slo=slo, path=path, recorder=recorder, cost=cost)
-
-    for r in sorted(requests, key=lambda r: (r.arrival, r.rid)):
-        push(r.arrival, "arrive", r)
-
-    now = 0
-    rec_on = recorder.enabled
-    n_units = pool.n_units
-    while events:
-        now, _, tag, payload = heapq.heappop(events)
-        if tag == "arrive":
-            d.admit(payload, now)
-        elif tag == "finish":
-            unit, batch = payload
-            d.on_finish(unit, batch, now)
-        elif tag == "wake":
-            d.on_wake(now)
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown event tag {tag!r}")
-        d.try_dispatch(now)
-        d.observe_queue(now)
-        if rec_on and len(d.idle) == n_units and d.batcher.empty():
-            # An idle point — empty batcher, all units free — is the
-            # recorder's capture-epoch boundary (deterministic replay
-            # re-simulates exactly one epoch from its arrival rows).
-            # Non-idle events need no hook at all, so the common busy
-            # case costs two attribute reads and a length check.
-            recorder.end_event(now, True)
-
+    # No edge bound: the dispatcher's own max_queue sheds every 503.
+    one_board = ClusterConfig(
+        serve=config, spec=ClusterSpec(boards=1, units_per_board=clock.n_units),
+        max_cluster_queue=sys.maxsize, spike=spike)
+    run = drive(requests, one_board, tracer=tracer, registry=reg, slo=slo,
+                path=path, recorder=recorder, bare=True)
+    d = run.replicas[0].dispatcher
     busy = d.busy_cycles
     if reg.enabled:
         reg.counter("serve.arrivals").inc(d.metrics.arrivals)
@@ -600,7 +567,7 @@ def simulate(
     if slo.enabled:
         summary["slo"] = slo.snapshot(d.metrics.last_completion)
     if recorder.enabled:
-        summary["recorder"] = recorder.finalize(now)
+        summary["recorder"] = recorder.finalize(run.end)
     plans = None
     if config.compiled:
         total = sum(d.plan_ledger.values())
@@ -614,7 +581,7 @@ def simulate(
                 for (phase, size), count in sorted(d.plan_ledger.items())
             },
         }
-    return ServeReport(summary, config, pool, d.metrics, tracer, plans)
+    return ServeReport(summary, config, d.pool, d.metrics, tracer, plans)
 
 
 # -- config snapshots ---------------------------------------------------------

@@ -1,4 +1,7 @@
-"""End-to-end cluster runs: completion, determinism, scaling, autoscale."""
+"""End-to-end cluster runs: completion, determinism, scaling, autoscale,
+and the single pool as a one-replica cluster."""
+
+import json
 
 import pytest
 
@@ -6,11 +9,21 @@ from repro.cluster import (
     AutoscalerConfig,
     ClusterConfig,
     ClusterSpec,
+    Replica,
     ShardPlan,
     simulate_cluster,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
+from repro.obs.anomaly import AnomalyConfig
+from repro.obs.incident_cli import SpikeInjection, replay_bundle, verify_replay
+from repro.obs.recorder import FlightRecorder, RecorderConfig
 from repro.obs.tracer import Tracer
+from repro.serve.dispatcher import (
+    Dispatcher,
+    ServeConfig,
+    serve_config_to_dict,
+    simulate,
+)
 from repro.serve.request import (
     DiurnalConfig,
     TrafficConfig,
@@ -173,3 +186,77 @@ def test_cluster_tracer_and_registry_outputs():
     snap = registry.to_json()
     assert "cluster.arrivals" in snap
     assert "serve.dispatches.prefill" in snap
+
+
+# ---------------------------------------------------------------------------
+# One driver: the single pool is a one-board, one-replica cluster
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rate", [100, 200, 300, 400, 500])
+def test_single_pool_equals_one_board_cluster(rate):
+    trace = poisson_trace(500, TrafficConfig(rate_rps=rate, vit_fraction=0.1),
+                          seed=rate)
+    cfg = ServeConfig()
+    single = simulate(trace, cfg).summary
+    fleet = simulate_cluster(trace, ClusterConfig(
+        serve=cfg, spec=ClusterSpec(boards=1,
+                                    units_per_board=cfg.clock.n_units),
+    )).summary
+    assert single == {k: fleet[k] for k in single}
+
+
+def test_dispatcher_rejections_match_one_board_cluster():
+    # Rejections come from the dispatcher's own max_queue in both front
+    # ends (the fleet edge bound sits above it).
+    trace = poisson_trace(300, TrafficConfig(rate_rps=5000.0), seed=3)
+    cfg = ServeConfig(max_queue=16)
+    single = simulate(trace, cfg).summary
+    fleet = simulate_cluster(trace, ClusterConfig(
+        serve=cfg, spec=ClusterSpec(boards=1))).summary
+    assert single["rejected"] > 0 and fleet["edge_rejected"] == 0
+    assert single == {k: fleet[k] for k in single}
+
+
+def test_spiked_single_pool_bundle_replays_exactly():
+    cfg = ServeConfig()
+    cyc = cfg.clock.freq_hz
+    spike = SpikeInjection(start_cycle=int(1.0 * cyc),
+                           end_cycle=int(1.2 * cyc),
+                           extra_cycles=int(0.3 * cyc))
+    recorder = FlightRecorder(
+        RecorderConfig(anomaly=AnomalyConfig(warmup=16, latency_z=3.0)),
+        capture={"serve_config": serve_config_to_dict(cfg),
+                 "injection": spike.as_dict()})
+    trace = poisson_trace(300, TrafficConfig(rate_rps=100.0), seed=5)
+    simulate(trace, cfg, recorder=recorder, spike=spike)
+    assert recorder.incidents
+    bundle = json.loads(json.dumps(recorder.incidents[0]))
+    assert bundle["replay"]["supported"], bundle["replay"]
+    assert verify_replay(bundle, replay_bundle(bundle)) == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda trace: simulate(trace, ServeConfig()),
+    lambda trace: simulate_cluster(trace, ClusterConfig(
+        spec=ClusterSpec(boards=2), initial_replicas=2)),
+], ids=["single_pool", "cluster"])
+def test_conservation_check_trips_on_a_lost_completion(monkeypatch, run):
+    original = Dispatcher._complete_request
+    dropped = []
+
+    def lossy(self, req, now):
+        if not dropped:  # the run's first completion never lands
+            dropped.append(req.rid)
+            return
+        original(self, req, now)
+
+    monkeypatch.setattr(Dispatcher, "_complete_request", lossy)
+    with pytest.raises(InvariantError, match=r"replica \d: .* arrivals"):
+        run(_trace(n=40))
+
+
+def test_conservation_check_bounds_busy_cycles(monkeypatch):
+    monkeypatch.setattr(Replica, "active_span", lambda self, horizon: 1)
+    with pytest.raises(InvariantError, match="replica 0: .* busy cycles"):
+        simulate(_trace(n=40), ServeConfig())

@@ -57,7 +57,6 @@ def test_context_bucketing_shared():
     assert cm.bucket_context("prefill", 9) == 2 * cm.PREFILL_BUCKET
     # Buckets saturate at the profile's max context.
     assert cm.bucket_context("decode", 10**6) == ServeConfig().profile.context
-    assert CostModel.DECODE_BUCKET == PolicyCostModel.DECODE_BUCKET
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +67,14 @@ SPIKE = SpikeInjection(start_cycle=0, end_cycle=10**12, extra_cycles=5000)
 COLD = SpikeInjection(start_cycle=10**14, end_cycle=10**15, extra_cycles=5000)
 
 
-def test_spike_wraps_serve_config_compat():
-    # The historical constructor: ServeConfig first argument.
-    spiked = SpikedCostModel(ServeConfig(), SPIKE)
-    assert isinstance(spiked.inner, CostModel)
+def test_spike_wraps_serve_cost_model():
+    serve = CostModel(ServeConfig())
+    spiked = SpikedCostModel(serve, SPIKE)
     batch = make_batch("decode", 8, 128)
-    base = CostModel(ServeConfig()).batch_cycles(batch)
+    base = serve.batch_cycles(batch)
     assert spiked.batch_cycles(batch) == base + 5000
     # Outside the window the wrapper is transparent.
-    assert SpikedCostModel(ServeConfig(), COLD).batch_cycles(batch) == base
+    assert SpikedCostModel(serve, COLD).batch_cycles(batch) == base
 
 
 def test_spike_wraps_sharded_cost_model():

@@ -13,12 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.anomaly import AnomalyConfig
-from repro.obs.incident_cli import (
-    SpikeInjection,
-    SpikedCostModel,
-    replay_bundle,
-    verify_replay,
-)
+from repro.obs.incident_cli import SpikeInjection, replay_bundle, verify_replay
 from repro.obs.recorder import (
     NULL_RECORDER,
     FlightRecorder,
@@ -187,8 +182,7 @@ def _capture(tmp_path, seed=5):
     recorder = FlightRecorder(
         RecorderConfig(anomaly=AnomalyConfig(warmup=16, latency_z=3.0)),
         run=f"t-{seed}", out_dir=tmp_path, capture=capture)
-    simulate(trace, cfg, recorder=recorder,
-             cost=SpikedCostModel(cfg, spike))
+    simulate(trace, cfg, recorder=recorder, spike=spike)
     return recorder
 
 

@@ -1,6 +1,8 @@
 """Tests for dynamic-batcher coalescing and window-timeout edges."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.perf.throughput import DEFAULT_CLOCK
@@ -141,3 +143,33 @@ class TestPrefillSlots:
         assert b.pop_ready(now=0, unit=0, prefill_slots=0) is None
         b.add(vit_item(1, ready=0))
         assert b.pop_ready(now=0, unit=0, prefill_slots=0).phase == "vit"
+
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(("vit", "prefill", "decode", "pop")),
+              st.integers(0, 2),  # unit
+              st.integers(0, 3),  # prefill slots
+              st.integers(0, 2 * WAIT_CYC)),  # cycle of the op
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPS)
+def test_running_depth_matches_queue_lengths(ops):
+    """The O(1) depth counter agrees with the queues after any sequence
+    of adds and pops (including partial, slot-capped and window-gated
+    pops), and so does empty()."""
+    b = DynamicBatcher(BatchPolicy(max_batch=3, max_wait_us=WAIT_US,
+                                   vit_max_batch=2))
+    for rid, (op, unit, slots, now) in enumerate(ops):
+        if op == "vit":
+            b.add(vit_item(rid, ready=now))
+        elif op == "prefill":
+            b.add(prefill_item(rid, ready=now))
+        elif op == "decode":
+            b.add(decode_item(rid, ready=now, unit=unit))
+        else:
+            b.pop_ready(now, unit, prefill_slots=slots, decode_sessions=slots)
+        assert b.depth() == sum(len(q) for q in b._queues.values())
+        assert b.empty() == (b.depth() == 0)
