@@ -8,19 +8,25 @@ The headline number is the cached-vs-uncached decode comparison: the
 prepared-operand cache (:mod:`repro.perf.prepared`) quantizes each weight
 once — the emulation analogue of the hardware's Y-stationary weight
 residency — and its tokens/sec advantage over a ``capacity=0`` cache
-(requantize every call) is recorded in ``results/BENCH_kernels.json``.
+(requantize every call) is recorded in ``results/BENCH_kernels.json``,
+next to the bfp kernel's time on each encode matmul shape.
 Timing uses ``perf_counter`` directly so the numbers exist even under
 ``pytest --benchmark-disable`` (the CI perf-smoke job).
 """
 
+import json
 import time
 
 import numpy as np
 
 from repro.arith.bfp_matmul import (
+    BfpWeight,
+    _emulate_blocks,
+    activation_blocks,
     bfp_batched_tiles,
     bfp_matmul_emulate,
     bfp_matmul_from_tiles,
+    bfp_matmul_prepared,
 )
 from repro.arith.fp_align_add import aligned_add
 from repro.arith.fp_sliced import sliced_multiply
@@ -39,6 +45,16 @@ DECODE_SEED = 7
 DECODE_DIM = 384
 DECODE_DEPTH = 2
 DECODE_TOKENS = 24
+
+# The encode workload's weight matmuls, (M, K, N): DeiT-Tiny (dim 192,
+# MLP 768) over its 197 tokens, and the qkv projection of a 128-token
+# TinyLM (dim 384) prefill.
+ENCODE_SHAPES = {
+    "deit_tiny_qkv": (197, 192, 576),
+    "deit_tiny_fc1": (197, 192, 768),
+    "deit_tiny_fc2": (197, 768, 192),
+    "tinylm_prefill_qkv": (128, 384, 1152),
+}
 
 
 def test_quantize_tiles_throughput(benchmark):
@@ -188,6 +204,41 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
     assert compiled_speedup > 1.2, (
         f"compiled decode speedup only {compiled_speedup:.2f}x"
     )
+
+
+def test_encode_kernel_shapes(results_dir, bench_artifact):
+    """The bfp kernel on each encode matmul shape, against the oracle.
+
+    Times ``bfp_matmul_prepared`` (best of 5) on a prepared weight and
+    compares its output byte for byte with the integer
+    ``_emulate_blocks``.  Both land in ``BENCH_kernels.json``, merged into
+    the decode summary the test above writes.
+    """
+    rng = np.random.default_rng(DECODE_SEED)
+    kernel_ms, identical = {}, True
+    for name, (m, k, n) in ENCODE_SHAPES.items():
+        am = activation_blocks(rng.normal(size=(m, k)))
+        bw = BfpWeight.from_matrix(BfpMatrix.from_dense(rng.normal(size=(k, n))))
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            out = bfp_matmul_prepared(am, bw)
+            best = min(best, time.perf_counter() - t0)
+        kernel_ms[name] = 1e3 * best
+        want = _emulate_blocks(
+            am.mantissas, am.exponents, bw.man64, bw.exp64,
+            exact_accumulate=False,
+        )[:m, :n]
+        identical &= out.tobytes() == want.tobytes()
+
+    path = results_dir / "BENCH_kernels.json"
+    summary = json.loads(path.read_text())["summary"] if path.exists() else {}
+    bench_artifact("kernels", {
+        **summary,
+        "encode_kernel_ms": kernel_ms,
+        "encode_kernel_bit_identical": identical,
+    }, seed=DECODE_SEED)
+    assert identical, "fast bfp kernel diverged from the integer oracle"
 
 
 def test_numerics_monitor_overhead(save_report, bench_artifact):

@@ -12,12 +12,18 @@ The per-block functions (:func:`block_matmul`, :func:`accumulate`,
 simulator in ``repro.hw``.  Model emulation has one bfp kernel,
 :func:`fast_emulate_blocks`: every emulated bfp matmul — eager ViT and
 prefill, the format registry, compiled decode replay — runs it through
-:func:`bfp_matmul_prepared` or :func:`bfp_matmul_from_tiles`.  The
-integer :func:`_emulate_blocks` is its bit-exact reference: the tests
-compare the two, and it still runs in exactly three cases the float64
-kernel does not cover — exact accumulation (the ablation einsum), an
-attached :class:`AlignmentProbe` (the probe lives in the integer loop),
-and a reduction too deep for float64 to stay exact (:func:`_fast_ok`).
+:func:`bfp_matmul_prepared` or :func:`bfp_matmul_from_tiles`.  Like the
+PSU accumulator, it aligns each partial block once to the running PSU
+exponent as the block arrives, rescales the PSU only at K steps where
+some running exponent grows, and streams K in L2-sized chunks, so the
+full ``(Kb, M, N)`` tensor of block products never exists.  It computes
+in float64 and stays exact, because every intermediate is an integer
+below 2^52 and every scaling is a power of two.  The integer
+:func:`_emulate_blocks` is its bit-exact reference: the tests compare
+the two, and it still runs in exactly three cases the float64 kernel
+does not cover — exact accumulation (the ablation einsum), an attached
+:class:`AlignmentProbe` (the probe lives in the integer loop), and a
+reduction too deep for float64 to stay exact (:func:`_fast_ok`).
 """
 
 from __future__ import annotations
@@ -476,6 +482,13 @@ def _fast_ok(depth: int) -> bool:
     return depth * MAN_MAX * MAN_MAX < 1 << 52
 
 
+#: Float64 block products :func:`fast_emulate_blocks` holds at once: 1 MiB,
+#: half the 2 MiB per-core L2 of the x86 benchmark host.  K streams
+#: through in chunks of this many elements, or one K block at a time
+#: when a single block is larger.
+_CHUNK_ELEMS = 2**17
+
+
 def fast_emulate_blocks(
     a_man: np.ndarray,
     a_exp: np.ndarray,
@@ -483,73 +496,73 @@ def fast_emulate_blocks(
     b_exp: np.ndarray,
 ) -> np.ndarray:
     """The bfp kernel: ``_emulate_blocks(..., exact_accumulate=False)``
-    computed in float64.
+    computed in float64, bit for bit.
 
-    Same operands, same result to the bit, different machine: mantissa
-    products run as one batched float64 BLAS matmul (exact — bounded
-    integers), and the truncating alignment ``x >> d`` becomes
-    ``floor(x * 2^-d)`` (identical for integer-valued f64, including the
-    ``d = 63`` sign saturation).  Maximal runs of alignment steps where
-    every PSU keeps its exponent are summed in one vectorized pass —
-    integer-valued f64 adds at a common scale are order-independent —
-    so the sequential Python loop only walks the exponent *changes*.
-    Callers gate on :func:`_fast_ok` so every intermediate stays below
-    2^52.
+    Mantissa products run as float64 BLAS matmuls, one per K block over
+    every row block, and the truncating alignment ``x >> d`` becomes
+    ``floor(x * 2^-d)``.  With ``run_k`` the running PSU exponent after K
+    step ``k`` (the prefix max of the product exponents ``e_k``), the
+    oracle's keep/grow branches are one update, as in the PSU datapath::
+
+        psu_k = floor(psu_{k-1} * 2^(run_{k-1} - run_k))
+              + floor(prod_k * 2^(e_k - run_k))
+
+    so each block product is aligned once, in place, to its step's
+    running exponent, and the PSU is rescaled only at steps where some
+    block's running exponent grows; elsewhere the update is a plain sum.
+    K streams through one reused slab of at most ``_CHUNK_ELEMS``
+    products, so the full ``(Kb, M, N)`` product tensor never exists.
+
+    Exact: every intermediate is an integer below ``depth * 127^2 < 2^52``
+    (the :func:`_fast_ok` gate), scalings are powers of two, float64 sums
+    of such integers do not depend on order, and the bound makes a floor
+    by ``2^-d``, ``d >= 52``, the sign, like the oracle's ``>> 63``.
     """
     a_exp = np.asarray(a_exp, dtype=np.int64)
     b_exp = np.asarray(b_exp, dtype=np.int64)
-    rb, kb, r = a_man.shape[-4], a_man.shape[-3], a_man.shape[-2]
+    rb, kb, r, h = a_man.shape[-4:]
     cb = b_exp.shape[-1]
     nc = b_flat.shape[-1]
     lead = np.broadcast_shapes(a_man.shape[:-4], b_flat.shape[:-3])
     if kb == 0 or cb == 0:
         return np.zeros((*lead, rb * r, nc), dtype=np.float64)
-    c = nc // cb
-    a_sw = np.asarray(a_man, dtype=np.float64).swapaxes(-4, -3)
+    a_k = np.ascontiguousarray(
+        np.swapaxes(a_man, -4, -3), dtype=np.float64
+    ).reshape(*a_man.shape[:-4], kb, rb * r, h)  # (..., Kb, Rb*r, h)
     b_flat = np.asarray(b_flat, dtype=np.float64)
-    prods = np.matmul(a_sw, b_flat[..., :, None, :, :])
     exps = a_exp.swapaxes(-2, -1)[..., None] + b_exp[..., None, :]
-    run = np.maximum.accumulate(exps, axis=-3)
-    pv = prods.reshape(*prods.shape[:-1], cb, c)  # (..., Kb, Rb, r, Cb, c)
-    psu = np.ascontiguousarray(pv[..., 0, :, :, :, :])
-    if kb > 1:
-        keeps = run[..., :-1, :, :] >= exps[..., 1:, :, :]
-        ds = np.minimum(np.abs(run[..., :-1, :, :] - exps[..., 1:, :, :]), 63)
-        sc = np.exp2(-ds.astype(np.float64))
-        kb_axis = keeps.ndim - 3
-        uniform = keeps.all(
-            axis=tuple(i for i in range(keeps.ndim) if i != kb_axis)
-        )
-        bk = 1
-        while bk < kb:
-            if uniform[bk - 1]:
-                end = bk + 1
-                while end < kb and uniform[end - 1]:
-                    end += 1
-                # ``prods`` is this kernel's own buffer: scale in place.
-                seg = pv[..., bk:end, :, :, :, :]
-                np.multiply(
-                    seg, sc[..., bk - 1 : end - 1, :, None, :, None], out=seg
-                )
-                np.floor(seg, out=seg)
-                psu += seg.sum(axis=-5)
-                bk = end
-            else:
-                d = sc[..., bk - 1, :, None, :, None]
-                keep = keeps[..., bk - 1, :, None, :, None]
-                prod = pv[..., bk, :, :, :, :]
-                psu = np.where(
-                    keep, psu + np.floor(prod * d), prod + np.floor(psu * d)
-                )
-                bk += 1
+    run = np.maximum.accumulate(exps, axis=-3)  # (..., Kb, Rb, Cb)
+    growth = np.diff(run, axis=-3, prepend=run[..., :1, :, :])
+    grows = np.moveaxis(growth, -3, 0).reshape(kb, -1).any(axis=1)
+
+    def pow2(e: np.ndarray) -> np.ndarray:
+        # Block exponents (..., Rb, Cb) -> factors 2^e repeated over each
+        # block's columns, so every ufunc inner loop spans an output row.
+        f = np.exp2(e.astype(np.float64))
+        return np.repeat(f, nc // cb, axis=-1)[..., None, :]
+
+    psu = np.zeros((*lead, rb, r, nc))
+    kc = min(kb, max(1, _CHUNK_ELEMS // max(psu.size, 1)))
+    slab = np.empty((*lead, kc, rb * r, nc))  # reused: no fresh pages per chunk
+    for k0 in range(0, kb, kc):
+        k1 = min(k0 + kc, kb)
+        pv = np.matmul(a_k[..., k0:k1, :, :], b_flat[..., k0:k1, :, :],
+                       out=slab[..., : k1 - k0, :, :])
+        pv = pv.reshape(*lead, k1 - k0, rb, r, nc)
+        np.multiply(pv, pow2(exps[..., k0:k1, :, :] - run[..., k0:k1, :, :]),
+                    out=pv)
+        np.floor(pv, out=pv)
+        for k in range(k0, k1):
+            if grows[k]:
+                np.multiply(psu, pow2(-growth[..., k, :, :]), out=psu)
+                np.floor(psu, out=psu)
+            psu += pv[..., k - k0, :, :, :]
     limit = float(1 << (PSU_WIDTH - 1))
     if psu.size and (psu.min() < -limit or psu.max() >= limit):
         raise HardwareContractError("emulated PSU overflowed 48 bits")
     # +0.0 normalizes any -0.0 from all-zero f64 products: the integer
     # oracle decodes those lanes to +0.0.
-    dense = (psu + 0.0) * np.exp2(run[..., -1, :, :].astype(np.float64))[
-        ..., :, None, :, None
-    ]
+    dense = (psu + 0.0) * pow2(run[..., -1, :, :])
     return dense.reshape(*lead, rb * r, nc)
 
 

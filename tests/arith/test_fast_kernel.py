@@ -5,11 +5,13 @@ production bfp kernel; the integer ``_emulate_blocks`` is its reference.
 The two must agree bit for bit — raw bytes, so a ``-0.0`` where the
 oracle has ``+0.0`` is a failure — over every block geometry and
 exponent regime, including the ``d >= 63`` sign saturation of the
-truncating alignment and all-zero blocks.  The dispatch tests pin which
-kernel each entry point runs.
+truncating alignment and all-zero blocks, and wherever the kernel's K
+chunks end.  The dispatch tests pin which kernel each entry point runs.
 """
 
 import importlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,13 +20,16 @@ from hypothesis import strategies as st
 
 from repro.arith.bfp_matmul import (
     AlignmentProbe,
+    BfpWeight,
     _emulate_blocks,
     _fast_ok,
     _flatten_cols,
+    activation_blocks,
     fast_emulate_blocks,
     set_alignment_probe,
 )
 from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, EXP_MIN
+from repro.formats.blocking import BfpMatrix
 from repro.formats.registry import BfpFormat, get_format
 
 # The module itself: ``repro.arith`` re-exports a *function* named
@@ -58,27 +63,76 @@ def _operands(rng, lead_a, lead_b, rb, kb, cb, r, man_bits, spread, zero_frac):
     lead=st.lists(st.integers(1, 3), max_size=2),
     broadcast_b=st.booleans(),
     rb=st.integers(1, 3),
-    kb=st.integers(1, 6),
+    kb=st.integers(1, 16),
     cb=st.integers(1, 3),
     r=st.integers(1, BLOCK_ROWS),
     man_bits=st.integers(2, 8),
     spread=st.integers(0, 70),
     zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    chunk_kb=st.sampled_from([None, 1, 2, 3, 5]),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_fast_kernel_matches_integer_oracle_bytewise(
-    lead, broadcast_b, rb, kb, cb, r, man_bits, spread, zero_frac, seed
+    lead, broadcast_b, rb, kb, cb, r, man_bits, spread, zero_frac, chunk_kb,
+    seed,
 ):
+    """``chunk_kb`` sets how many K blocks one chunk holds: ``None`` keeps
+    the default chunk, 1 forces ``_CHUNK_ELEMS = 1`` (every K block its
+    own chunk), and 2, 3 or 5 cut K at chunk edges that fall between the
+    steps where running exponents grow."""
     rng = np.random.default_rng(seed)
     lead_b = () if broadcast_b else tuple(lead)
     args = _operands(
         rng, tuple(lead), lead_b, rb, kb, cb, r, man_bits, spread, zero_frac
     )
     want = _emulate_blocks(*args, exact_accumulate=False)
-    got = fast_emulate_blocks(*args)
+    chunk = bm._CHUNK_ELEMS
+    if chunk_kb is not None:
+        # One K block's product slab: the output's element count.
+        chunk = chunk_kb * want.size if chunk_kb > 1 else 1
+    with mock.patch.object(bm, "_CHUNK_ELEMS", chunk):
+        got = fast_emulate_blocks(*args)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def _deep_k_operands():
+    """DeiT-Tiny fc2 operands, 197x768 @ 768x192 (Kb = 96): power-of-two
+    scales on every K row of both sides spread the block exponents."""
+    rng = np.random.default_rng(14)
+    k_scale = np.exp2(rng.integers(0, 4, size=768))
+    x = rng.normal(size=(197, 768)) * k_scale
+    w = rng.normal(size=(768, 192)) * k_scale[::-1, None]
+    am = activation_blocks(x)
+    bw = BfpWeight.from_matrix(BfpMatrix.from_dense(w))
+    return am.mantissas, am.exponents, bw.man64, bw.exp64
+
+
+def test_deep_k_matches_oracle_at_default_chunk():
+    """A 96-block K spans many default chunks with growth steps inside."""
+    args = _deep_k_operands()
+    assert args[0].shape[-3] == 96
+    exps = args[1].astype(np.int64)[:, :, None] + args[3][None, :, :]
+    assert np.ptp(exps) >= 3
+    want = _emulate_blocks(*args, exact_accumulate=False)
+    got = fast_emulate_blocks(*args)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_never_holds_the_product_tensor():
+    """Streaming K keeps the kernel's peak allocation (tracemalloc sees
+    NumPy buffers) under a quarter of the ``(Kb, M, N)`` float64 product
+    tensor, 29.5 MB on this shape."""
+    args = _deep_k_operands()
+    kb, m, n = args[0].shape[-3], 8 * args[0].shape[-4], args[2].shape[-1]
+    tracemalloc.start()
+    try:
+        fast_emulate_blocks(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kb * m * n * 8 / 4
 
 
 def test_sign_saturation_is_exercised():
