@@ -32,7 +32,7 @@ from repro.arith.fp_align_add import aligned_add
 from repro.arith.fp_sliced import sliced_multiply
 from repro.formats.bfp8 import quantize_tiles
 from repro.formats.blocking import BfpMatrix
-from repro.models.backend import BFP8MixedBackend
+from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.perf.prepared import PreparedOperandCache, get_cache, set_cache
 
@@ -109,7 +109,7 @@ def _decode_tokens_per_sec(
     step — where the compiled path traces its plan — runs before the
     clock starts, matching the trace-once/replay-many deployment shape.
     """
-    backend = BFP8MixedBackend()
+    backend = get_backend("bfp8-mixed")
     caches = model.init_cache()
     logits = model.forward_step(1, 0, caches, backend, compiled=compiled)
     t0 = time.perf_counter()
@@ -226,8 +226,7 @@ def test_encode_kernel_shapes(results_dir, bench_artifact):
             best = min(best, time.perf_counter() - t0)
         kernel_ms[name] = 1e3 * best
         want = _emulate_blocks(
-            am.mantissas, am.exponents, bw.man64, bw.exp64,
-            exact_accumulate=False,
+            am.mantissas, am.exponents, bw.man64, bw.exp64
         )[:m, :n]
         identical &= out.tobytes() == want.tobytes()
 

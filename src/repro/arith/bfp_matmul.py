@@ -20,10 +20,10 @@ full ``(Kb, M, N)`` tensor of block products never exists.  It computes
 in float64 and stays exact, because every intermediate is an integer
 below 2^52 and every scaling is a power of two.  The integer
 :func:`_emulate_blocks` is its bit-exact reference: the tests compare
-the two, and it still runs in exactly three cases the float64 kernel
-does not cover — exact accumulation (the ablation einsum), an attached
-:class:`AlignmentProbe` (the probe lives in the integer loop), and a
-reduction too deep for float64 to stay exact (:func:`_fast_ok`).
+the two, and it still runs in exactly two cases the float64 kernel does
+not cover — an attached :class:`AlignmentProbe` (the probe lives in the
+integer loop), and a reduction too deep for float64 to stay exact
+(:func:`_fast_ok`).
 """
 
 from __future__ import annotations
@@ -365,8 +365,6 @@ def _emulate_blocks(
     a_exp: np.ndarray,
     b_flat: np.ndarray,
     b_exp: np.ndarray,
-    *,
-    exact_accumulate: bool,
 ) -> np.ndarray:
     """Integer block-grid matmul: the reference for the float64 kernel.
 
@@ -377,10 +375,8 @@ def _emulate_blocks(
     dimensions are optional and broadcast-compatible.  Returns the dense
     padded result ``(..., Rb*r, Cb*c)`` in float64.
 
-    The sequential-truncation path keeps the per-K-block Python loop — the
-    running PSU exponent makes each alignment depend on the previous step,
-    exactly as in hardware.  The exact-accumulate path has no such
-    dependency and contracts every K block in a single einsum.
+    It keeps the per-K-block Python loop: the running PSU exponent makes
+    each alignment depend on the previous step, exactly as in hardware.
     """
     a_man = np.asarray(a_man, dtype=np.int64)
     a_exp = np.asarray(a_exp, dtype=np.int64)
@@ -394,12 +390,6 @@ def _emulate_blocks(
         return np.zeros((*lead, rb * r, nc), dtype=np.float64)
     c = nc // cb
     a_sw = a_man.swapaxes(-4, -3)  # (..., Kb, Rb, r, h)
-
-    if exact_accumulate:
-        sa = a_sw * np.exp2(a_exp.swapaxes(-2, -1))[..., None, None]
-        sb = b_flat * np.exp2(np.repeat(b_exp, c, axis=-1))[..., None, :]
-        acc = np.einsum("...kiab,...kbn->...ian", sa, sb)
-        return acc.reshape(*lead, rb * r, nc)
 
     # Mantissa products are independent of accumulation order, so compute
     # them for every K block in one batched matmul up front — one gufunc
@@ -495,8 +485,8 @@ def fast_emulate_blocks(
     b_flat: np.ndarray,
     b_exp: np.ndarray,
 ) -> np.ndarray:
-    """The bfp kernel: ``_emulate_blocks(..., exact_accumulate=False)``
-    computed in float64, bit for bit.
+    """The bfp kernel: :func:`_emulate_blocks` computed in float64, bit
+    for bit.
 
     Mantissa products run as float64 BLAS matmuls, one per K block over
     every row block, and the truncating alignment ``x >> d`` becomes
@@ -571,24 +561,17 @@ def _emulate(
     a_exp: np.ndarray,
     b_flat: np.ndarray,
     b_exp: np.ndarray,
-    *,
-    exact_accumulate: bool,
 ) -> np.ndarray:
     """Run :func:`fast_emulate_blocks`, or the integer oracle where the
     float64 kernel does not apply (see the module docstring)."""
     depth = a_man.shape[-3] * a_man.shape[-1]
-    if exact_accumulate or _ALIGN_PROBE is not None or not _fast_ok(depth):
-        return _emulate_blocks(
-            a_man, a_exp, b_flat, b_exp, exact_accumulate=exact_accumulate
-        )
+    if _ALIGN_PROBE is not None or not _fast_ok(depth):
+        return _emulate_blocks(a_man, a_exp, b_flat, b_exp)
     return fast_emulate_blocks(a_man, a_exp, b_flat, b_exp)
 
 
 def bfp_matmul_prepared(
-    am: BfpMatrix,
-    bm: BfpMatrix | BfpWeight,
-    *,
-    exact_accumulate: bool = False,
+    am: BfpMatrix, bm: BfpMatrix | BfpWeight
 ) -> np.ndarray:
     """Emulated bfp matmul of two *already quantized* operands.
 
@@ -611,19 +594,12 @@ def bfp_matmul_prepared(
             f"{am.block_shape} @ {bm.block_shape}"
         )
     bw = bm if isinstance(bm, BfpWeight) else BfpWeight.from_matrix(bm)
-    dense = _emulate(
-        am.mantissas, am.exponents, bw.man64, bw.exp64,
-        exact_accumulate=exact_accumulate,
-    )
+    dense = _emulate(am.mantissas, am.exponents, bw.man64, bw.exp64)
     return dense[: am.shape[0], : bm.shape[1]]
 
 
 def bfp_matmul_emulate(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    exact_accumulate: bool = False,
-    man_bits: int = 8,
+    a: np.ndarray, b: np.ndarray, *, man_bits: int = 8
 ) -> np.ndarray:
     """Fast vectorized emulation of bfp8 matmul on dense fp inputs.
 
@@ -631,10 +607,7 @@ def bfp_matmul_emulate(
     aligned-truncating accumulation as the hardware, vectorized over the
     whole output block grid.  A thin wrapper over
     :func:`bfp_matmul_prepared`; pre-quantized operands (cached weights)
-    enter there directly.  With ``exact_accumulate=True`` the truncating
-    alignment is replaced by exact float64 accumulation (one einsum over
-    all K blocks) — useful to isolate how much error the alignment
-    truncation itself contributes.
+    enter there directly.
 
     This is the workhorse of the Transformer accuracy experiments: a
     DeiT-Small layer is thousands of blocks, far too many for the
@@ -646,7 +619,7 @@ def bfp_matmul_emulate(
         raise ConfigurationError(f"bad matmul shapes: {a.shape} @ {b.shape}")
     am = activation_blocks(a, man_bits=man_bits)
     bm = BfpMatrix.from_dense(b, man_bits=man_bits)
-    return bfp_matmul_prepared(am, bm, exact_accumulate=exact_accumulate)
+    return bfp_matmul_prepared(am, bm)
 
 
 def bfp_batched_tiles(
@@ -678,8 +651,6 @@ def bfp_matmul_from_tiles(
     b_exp: np.ndarray,
     m: int,
     n: int,
-    *,
-    exact_accumulate: bool = False,
 ) -> np.ndarray:
     """Finish a batched emulated matmul from pre-quantized tiles.
 
@@ -688,8 +659,5 @@ def bfp_matmul_from_tiles(
     quantization grids and alignment decisions are per-block and blocks
     never span slices.
     """
-    dense = _emulate(
-        a_man, a_exp, _flatten_cols(b_man), b_exp,
-        exact_accumulate=exact_accumulate,
-    )
+    dense = _emulate(a_man, a_exp, _flatten_cols(b_man), b_exp)
     return dense[:, :m, :n]

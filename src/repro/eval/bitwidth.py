@@ -24,7 +24,6 @@ from repro.formats.metrics import (
     intn_sqnr_db,
     sample_distribution,
 )
-from repro.models.backend import BFP8MixedBackend, INT8AllBackend
 from repro.models.data import majority_task
 from repro.models.quantized import evaluate_regimes
 from repro.models.training import train_classifier
@@ -78,14 +77,10 @@ def model_sweep(
         vocab=8, seq_len=12, dim=dim, depth=depth, n_heads=4, seed=seed + 1
     )
     result = train_classifier(model, train, test, epochs=epochs, seed=seed + 2)
-    factories = {}
+    names = ["fp32"]
     for b in bits:
-        factories[f"bfp{b}-mixed"] = lambda b=b: BFP8MixedBackend(man_bits=b)
-        factories[f"int{b}-all"] = lambda b=b: INT8AllBackend(bits=b)
-    regimes = {
-        r.backend: r
-        for r in evaluate_regimes(model, test, backends=["fp32"], factories=factories)
-    }
+        names += [f"bfp{b}-mixed", f"int{b}-all"]
+    regimes = {r.backend: r for r in evaluate_regimes(model, test, backends=names)}
     rows = []
     for b in bits:
         bf, it = regimes[f"bfp{b}-mixed"], regimes[f"int{b}-all"]

@@ -1,10 +1,11 @@
 """Quantization-format registry: one protocol for every arithmetic regime.
 
-Historically each number format lived in its own ``ComputeBackend``
-subclass, with format knowledge duplicated as string labels across
-``formats/``, ``arith/``, the numerics monitor and the cost model.  This
-module centralizes it: a :class:`QuantFormat` bundles everything one
-format needs —
+Every number format the simulator knows lives here, not in the backend
+or as string labels scattered across ``formats/``, ``arith/``, the
+numerics monitor and the cost model: a :class:`QuantFormat` bundles
+everything one format needs, and
+:class:`~repro.models.backend.PolicyBackend` picks one per (layer, tensor
+role) —
 
 * **kernels** — :meth:`~QuantFormat.matmul` /
   :meth:`~QuantFormat.matmul_batched` (quantize operands, run the
@@ -30,8 +31,7 @@ guarded against duplicates with :class:`~repro.errors.RegistryError`.
 Parametric families (``bfp4``, ``int6``, ...) materialize on first lookup.
 The registered set covers the paper's regimes (fp32, bfp8, int8, the
 I-BERT integer non-linear package), the 16-bit vector-extension formats
-(bf16, fp16) and the minifloat fp8 pair (e4m3/e5m2) — the
-proof-of-extensibility members that none of the legacy backends had.
+(bf16, fp16) and the minifloat fp8 pair (e4m3/e5m2).
 """
 
 from __future__ import annotations
@@ -138,18 +138,12 @@ class FP32Format(QuantFormat):
 
 class BfpFormat(QuantFormat):
     """Block floating point: 8x8 blocks, shared exponent, ``man_bits``
-    mantissas — the paper's systolic-array number format.
-
-    ``exact_accumulate`` replaces the hardware's truncating cross-block
-    alignment with exact accumulation (ablation knob; such instances are
-    constructed directly, not through the registry).
-    """
+    mantissas — the paper's systolic-array number format."""
 
     array_mode = "bfp8_mac"
 
-    def __init__(self, man_bits: int = 8, *, exact_accumulate: bool = False) -> None:
+    def __init__(self, man_bits: int = 8) -> None:
         self.man_bits = int(man_bits)
-        self.exact_accumulate = bool(exact_accumulate)
         self.name = f"bfp{self.man_bits}"
         self.precision = f"bfp{self.man_bits}"
 
@@ -195,9 +189,7 @@ class BfpFormat(QuantFormat):
         mon = get_monitor()
         if mon.enabled:
             mon.observe_bfp("activation", x, am, man_bits=self.man_bits)
-        return bfp_matmul_prepared(
-            am, wm, exact_accumulate=self.exact_accumulate
-        ).astype(np.float32)
+        return bfp_matmul_prepared(am, wm).astype(np.float32)
 
     def matmul_batched(self, a, b, record: Recorder | None = None) -> np.ndarray:
         from repro.arith.bfp_matmul import bfp_batched_tiles, bfp_matmul_from_tiles
@@ -214,9 +206,7 @@ class BfpFormat(QuantFormat):
                 "activation", a, a_man, a_exp, man_bits=self.man_bits
             )
             mon.observe_bfp_tiles("kv", b, b_man, b_exp, man_bits=self.man_bits)
-        return bfp_matmul_from_tiles(
-            *tiles, exact_accumulate=self.exact_accumulate
-        ).astype(np.float32)
+        return bfp_matmul_from_tiles(*tiles).astype(np.float32)
 
     def nonlinear(self, kind, fn, x) -> np.ndarray:
         return self.snap(fn(self.snap(x)))

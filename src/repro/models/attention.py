@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import PolicyBackend, get_backend
 from repro.models.layers import Linear, Module, Softmax
 
 __all__ = ["MultiHeadSelfAttention"]
@@ -40,8 +40,8 @@ class MultiHeadSelfAttention(Module):
         self.attn_softmax = Softmax()
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         b, n, d = x.shape
         h, hd = self.n_heads, self.head_dim
         qkv = self.qkv.forward(x, backend)  # (b, n, 3d)
@@ -63,7 +63,7 @@ class MultiHeadSelfAttention(Module):
         return out
 
     @staticmethod
-    def _bmm(backend: ComputeBackend, a: np.ndarray, b_: np.ndarray) -> np.ndarray:
+    def _bmm(backend: PolicyBackend, a: np.ndarray, b_: np.ndarray) -> np.ndarray:
         """Batched matmul routed through the backend as ONE kernel call.
 
         Both operands are activation/KV-derived, so they bypass the
@@ -80,7 +80,7 @@ class MultiHeadSelfAttention(Module):
         self,
         x: np.ndarray,
         kv_cache: dict,
-        backend: ComputeBackend | None = None,
+        backend: PolicyBackend | None = None,
     ) -> np.ndarray:
         """Incremental decode: one new token attends over the KV cache.
 
@@ -90,7 +90,7 @@ class MultiHeadSelfAttention(Module):
         """
         if not self.causal:
             raise ConfigurationError("forward_step requires causal attention")
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         b, n, d = x.shape
         if n != 1:
             raise ConfigurationError("forward_step consumes exactly one token")

@@ -1,68 +1,61 @@
-"""Compute backends: the arithmetic regimes a Transformer can run under.
+"""Compute backend: the arithmetic regimes a Transformer can run under.
 
 The paper's deployment story is *mixed precision*: linear layers in bfp8 on
 the systolic array, non-linear layers in fp32 on the vector personality,
 no retraining.  The comparison points are conventional int8 quantization
 (which needs retraining to recover accuracy) and full fp32.
 
-A backend supplies two primitives:
+A backend supplies the primitives a model forward calls:
 
-* ``matmul(x, w)`` — how linear layers multiply;
+* ``matmul(x, w)`` / ``matmul_batched(a, b)`` — how linear layers and the
+  per-head attention products multiply;
 * ``nonlinear(kind, fn, x)`` — how a non-linear function (softmax / gelu /
   layernorm internals) is evaluated: exactly, or squeezed through a
-  quantization grid first.
+  quantization grid first;
+* ``requantize(x)`` — how the residual stream is stored between sublayers.
 
-Since the format-registry refactor there is a single arithmetic engine:
-:class:`PolicyBackend` resolves every operation through a
-:class:`~repro.models.policy.PrecisionPolicy` — (layer scope path,
-tensor role) -> a :class:`~repro.formats.registry.QuantFormat` — so one
-model forward can run attention in bfp8, the MLP in minifloat fp8 and
-the non-linear functions in exact fp32.  The historical one-class-per-
-format backends survive as thin aliases that construct the equivalent
-single-format policies, bit-identical to their pre-refactor behaviour:
+There is one engine, :class:`PolicyBackend`: it resolves every operation
+through a :class:`~repro.models.policy.PrecisionPolicy` — (layer scope
+path, tensor role) -> a :class:`~repro.formats.registry.QuantFormat` — so
+one model forward can run attention in bfp8, the MLP in minifloat fp8 and
+the non-linear functions in exact fp32.  A regime is a policy name, and
+:func:`get_backend` builds the engine for it.  :data:`BACKENDS` lists the
+six regimes the results tables compare:
 
-``FP32Backend``        float32 everywhere (reference).
-``BFP8MixedBackend``   the paper's regime: bfp8 linear + fp32 non-linear.
-``BFP8AllBackend``     ablation: non-linear inputs/outputs also pass
-                       through the bfp8 grid.
-``INT8LinearBackend``  int8 per-tensor linear + fp32 non-linear.
-``INT8AllBackend``     conventional int8 inference: non-linear tensors are
-                       also snapped to the int8 grid (what an integer-only
-                       accelerator without retraining does).
-``IBERTBackend``       int8 linear + I-BERT integer non-linear programs.
+``fp32``          float32 everywhere (reference).
+``bfp8-mixed``    the paper's regime: bfp8 linear + fp32 non-linear.
+``bfp8-all``      ablation: non-linear inputs/outputs also pass through
+                  the bfp8 grid.
+``int8-linear``   int8 per-tensor linear + fp32 non-linear.
+``int8-all``      conventional int8 inference: non-linear tensors are also
+                  snapped to the int8 grid (what an integer-only
+                  accelerator without retraining does).
+``ibert``         int8 linear + I-BERT integer non-linear programs.
+
+Other widths are names too (``bfp4-mixed``, ``int6-all``, ...; see
+:func:`~repro.models.policy.get_policy`).
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.cost.modes import ModeOptions, resolve_unit_mode
-from repro.errors import RegistryError
-from repro.formats.registry import BfpFormat, IBertFormat, QuantFormat, get_format
-from repro.models.policy import (
-    PolicyRule,
-    PrecisionPolicy,
-    get_policy,
-)
+from repro.errors import ConfigurationError
+from repro.formats.registry import QuantFormat, get_format
+from repro.models.policy import PrecisionPolicy, get_policy
 from repro.obs.numerics import get_monitor
 from repro.obs.profile import Profiler
 from repro.perf.prepared import PreparedTensor
 
 __all__ = [
-    "ComputeBackend",
     "PolicyBackend",
     "FP32Backend",
     "BFP8MixedBackend",
-    "BFP8AllBackend",
-    "INT8LinearBackend",
-    "INT8AllBackend",
-    "IBERTBackend",
     "BACKENDS",
-    "register_backend",
     "get_backend",
 ]
 
@@ -83,9 +76,16 @@ class _ScopeGuard:
         return False
 
 
-@dataclass
-class ComputeBackend:
-    """Base backend: exact float32 arithmetic, with op statistics.
+class PolicyBackend:
+    """The arithmetic engine: a policy decides each operation's format.
+
+    Every matmul / batched matmul / non-linear evaluation / residual
+    requantization resolves ``(layer_path, role)`` through the
+    :class:`~repro.models.policy.PrecisionPolicy` into a registry
+    :class:`~repro.formats.registry.QuantFormat`, whose kernel then runs
+    — with profiler attribution under the format's precision label and
+    its unit mode (``modes`` overrides a format's default mode), and
+    numerics-monitor taps keyed the same way.
 
     ``matmul_count`` counts weight passes (streams of Y through the
     array) and ``matmul_rows`` the activation rows they served — their
@@ -95,34 +95,65 @@ class ComputeBackend:
     Attaching a :class:`~repro.obs.profile.Profiler` makes every matmul
     and non-linear evaluation land in the profiler's current scope with
     its hardware cycle cost; models push scopes via :meth:`scope`.  The
-    scope stack is always maintained (it is also the layer path a
-    :class:`PolicyBackend` resolves precision against).
-    ``matmul_precision``/``nonlinear_precision`` label the attribution.
+    scope stack is always maintained: it is also the layer path the
+    policy resolves against.
     """
 
-    name: str = "fp32"
-    matmul_count: int = 0
-    matmul_macs: int = 0
-    matmul_rows: int = 0
-    profiler: Profiler | None = field(default=None, repr=False, compare=False)
-    matmul_precision: str = "fp32"
-    nonlinear_precision: str = "fp32"
-    _scopes: list[str] = field(
-        default_factory=list, repr=False, compare=False
-    )
+    def __init__(
+        self, policy: PrecisionPolicy, *, modes: ModeOptions | None = None
+    ) -> None:
+        self.policy = policy
+        self.name = policy.name
+        self.profiler: Profiler | None = None
+        self.modes = modes
+        self.matmul_count = self.matmul_macs = self.matmul_rows = 0
+        self._scopes: list[str] = []
+        self._fmt_cache: dict[tuple[str, str], QuantFormat] = {}
+        self._mode_cache: dict[str, str] = {}
 
+    def _fmt_at(self, layer: str, role: str) -> QuantFormat:
+        key = (layer, role)
+        fmt = self._fmt_cache.get(key)
+        if fmt is None:
+            fmt = get_format(self.policy.resolve_name(layer, role))
+            self._fmt_cache[key] = fmt
+        return fmt
+
+    def _fmt(self, role: str) -> QuantFormat:
+        return self._fmt_at(self.layer_path, role)
+
+    def _unit_mode(self, fmt: QuantFormat) -> str:
+        """Profiler costing handle: the registry name of the unit mode the
+        format's matmuls execute under (``"fp32_vector"`` for formats with
+        no array mapping)."""
+        mode = self._mode_cache.get(fmt.name)
+        if mode is None:
+            mode = resolve_unit_mode(fmt.name, self.modes).name
+            self._mode_cache[fmt.name] = mode
+        return mode
+
+    def _quantize_recorder(self, fmt: QuantFormat):
+        if self.profiler is None:
+            return None
+        profiler = self.profiler
+        return lambda n: profiler.record_quantize(
+            int(n), precision=fmt.precision
+        )
+
+    # -- primitives ----------------------------------------------------------
     def matmul(
         self, x: np.ndarray, w: "np.ndarray | PreparedTensor"
     ) -> np.ndarray:
+        fmt = self._fmt("linear")
         self.matmul_count += 1
         self.matmul_macs += x.shape[0] * x.shape[1] * w.shape[1]
         self.matmul_rows += x.shape[0]
         if self.profiler is not None:
             self.profiler.record_matmul(
                 x.shape[0], x.shape[1], w.shape[1],
-                precision=self.matmul_precision,
+                precision=fmt.precision, mode=self._unit_mode(fmt),
             )
-        return self._matmul(x, w)
+        return fmt.matmul(x, w, record=self._quantize_recorder(fmt))
 
     def matmul_batched(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Stack of independent matmuls: ``(B, m, k) @ (B, k, n)``.
@@ -135,44 +166,58 @@ class ComputeBackend:
         """
         a = np.asarray(a)
         b = np.asarray(b)
-        self._check_batched(a, b)
+        if (
+            a.ndim != 3 or b.ndim != 3
+            or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]
+        ):
+            raise ConfigurationError(
+                f"bad batched matmul shapes: {a.shape} @ {b.shape}"
+            )
+        fmt = self._fmt("attention")
         n_slices, m, k = a.shape
         n = b.shape[2]
         self.matmul_count += n_slices
         self.matmul_macs += n_slices * m * k * n
         self.matmul_rows += n_slices * m
         if self.profiler is not None:
+            mode = self._unit_mode(fmt)
             for _ in range(n_slices):
                 self.profiler.record_matmul(
-                    m, k, n, precision=self.matmul_precision
+                    m, k, n, precision=fmt.precision, mode=mode,
                 )
-        return self._matmul_batched(a, b)
-
-    @staticmethod
-    def _check_batched(a: np.ndarray, b: np.ndarray) -> None:
-        if (
-            a.ndim != 3 or b.ndim != 3
-            or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]
-        ):
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"bad batched matmul shapes: {a.shape} @ {b.shape}"
-            )
+        return fmt.matmul_batched(a, b, record=self._quantize_recorder(fmt))
 
     def prepare_weight(
         self, w: "np.ndarray | PreparedTensor"
     ) -> "np.ndarray | PreparedTensor":
         """Quantize-once handle for a weight matrix (Y-stationary residency).
 
-        Quantizing backends return a cached :class:`PreparedTensor`
-        (quantizing on first sight, reusing afterwards); the exact-fp32
-        base needs no preparation and returns the array unchanged.
-        Activation and KV-derived tensors must NOT pass through here —
-        they change every call and would churn the cache.
+        Quantizing formats return a cached :class:`PreparedTensor`
+        (quantizing on first sight, reusing afterwards); exact fp32 needs
+        no preparation and returns the array unchanged.  Activation and
+        KV-derived tensors must NOT pass through here — they change
+        every call and would churn the cache.
         """
-        return w
+        fmt = self._fmt("linear")
+        return fmt.prepare_weight(w, record=self._quantize_recorder(fmt))
 
+    def nonlinear(
+        self, kind: str, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
+    ) -> np.ndarray:
+        """Evaluate a non-linear function under this regime."""
+        fmt = self._fmt("nonlinear")
+        if self.profiler is not None:
+            self.profiler.record_nonlinear(
+                kind, int(x.size), precision=fmt.precision
+            )
+        return fmt.nonlinear(kind, fn, x)
+
+    def requantize(self, x: np.ndarray) -> np.ndarray:
+        """Snap an intermediate tensor (e.g. the residual stream) to the
+        regime's storage grid.  Exact-fp32 regimes return it unchanged."""
+        return self._fmt("residual").requantize(x)
+
+    # -- statistics ----------------------------------------------------------
     def stats(self) -> dict[str, int]:
         return {
             "matmuls": self.matmul_count,
@@ -183,6 +228,7 @@ class ComputeBackend:
     def reset_stats(self) -> None:
         self.matmul_count = self.matmul_macs = self.matmul_rows = 0
 
+    # -- scopes --------------------------------------------------------------
     def scope(self, name: str):
         """Profiling/policy scope for a model component.
 
@@ -219,300 +265,23 @@ class ComputeBackend:
         """Dotted scope path of the component currently executing."""
         return ".".join(self._scopes)
 
-    def _matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return (x.astype(np.float32) @ w.astype(np.float32)).astype(np.float32)
 
-    def _matmul_batched(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-slice fallback so subclasses overriding only ``_matmul``
-        (e.g. the sensitivity backend) keep their exact semantics."""
-        return np.stack([self._matmul(a[i], b[i]) for i in range(a.shape[0])])
-
-    def _record_quantize(self, elements: int) -> None:
-        """Attribute quantization work the emulation actually performed."""
-        if self.profiler is not None:
-            self.profiler.record_quantize(
-                int(elements), precision=self.matmul_precision
-            )
-
-    def nonlinear(
-        self, kind: str, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
-    ) -> np.ndarray:
-        """Evaluate a non-linear function under this regime."""
-        if self.profiler is not None:
-            self.profiler.record_nonlinear(
-                kind, int(x.size), precision=self.nonlinear_precision
-            )
-        return self._nonlinear(kind, fn, x)
-
-    def _nonlinear(
-        self, kind: str, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
-    ) -> np.ndarray:
-        """Regime-specific non-linear evaluation (override point)."""
-        return fn(x).astype(np.float32)
-
-    def requantize(self, x: np.ndarray) -> np.ndarray:
-        """Snap an intermediate tensor (e.g. the residual stream) to the
-        regime's storage grid.  Exact-fp32 regimes return it unchanged."""
-        return x.astype(np.float32)
+#: The regimes the results tables compare (paper Section IV-A).
+BACKENDS = ("fp32", "bfp8-mixed", "bfp8-all", "int8-linear", "int8-all", "ibert")
 
 
-class PolicyBackend(ComputeBackend):
-    """The arithmetic engine: a policy decides each operation's format.
-
-    Every matmul / batched matmul / non-linear evaluation / residual
-    requantization resolves ``(layer_path, role)`` through the
-    :class:`~repro.models.policy.PrecisionPolicy` into a registry
-    :class:`~repro.formats.registry.QuantFormat`, whose kernel then runs
-    — with profiler attribution under the format's precision label and
-    its array-vs-vector cost mapping, and numerics-monitor taps keyed the
-    same way.  ``formats`` optionally overrides name -> format instances
-    (how the legacy aliases inject ``exact_accumulate`` bfp variants
-    without registering new global names).
-    """
-
-    def __init__(
-        self,
-        policy: PrecisionPolicy,
-        *,
-        name: str | None = None,
-        profiler: Profiler | None = None,
-        formats: dict[str, QuantFormat] | None = None,
-        modes: "ModeOptions | None" = None,
-    ) -> None:
-        super().__init__(name=name or policy.name, profiler=profiler)
-        self.policy = policy
-        self.modes = modes
-        self._formats: dict[str, QuantFormat] = dict(formats or {})
-        self._fmt_cache: dict[tuple[str, str], QuantFormat] = {}
-        self._mode_cache: dict[str, str | bool] = {}
-        # Legacy attribution labels, resolved at the model root — purely
-        # informational for policy backends (per-call labels come from
-        # the resolved format).
-        self.matmul_precision = self._fmt_at("", "linear").precision
-        self.nonlinear_precision = self._fmt_at("", "nonlinear").precision
-
-    def _format(self, fmt_name: str) -> QuantFormat:
-        fmt = self._formats.get(fmt_name)
-        return fmt if fmt is not None else get_format(fmt_name)
-
-    def _fmt_at(self, layer: str, role: str) -> QuantFormat:
-        key = (layer, role)
-        fmt = self._fmt_cache.get(key)
-        if fmt is None:
-            fmt = self._format(self.policy.resolve_name(layer, role))
-            self._fmt_cache[key] = fmt
-        return fmt
-
-    def _fmt(self, role: str) -> QuantFormat:
-        return self._fmt_at(self.layer_path, role)
-
-    def _unit_mode(self, fmt: QuantFormat) -> str | bool:
-        """Profiler costing handle: the executing array mode's registry
-        name, or ``False`` for the fp32 vector fallback."""
-        cached = self._mode_cache.get(fmt.name)
-        if cached is None:
-            mode = resolve_unit_mode(fmt.name, self.modes)
-            cached = mode.name if mode.kind == "array" else False
-            self._mode_cache[fmt.name] = cached
-        return cached
-
-    def _quantize_recorder(self, fmt: QuantFormat):
-        if self.profiler is None:
-            return None
-        profiler = self.profiler
-        return lambda n: profiler.record_quantize(
-            int(n), precision=fmt.precision
-        )
-
-    # -- primitives ----------------------------------------------------------
-    def matmul(
-        self, x: np.ndarray, w: "np.ndarray | PreparedTensor"
-    ) -> np.ndarray:
-        fmt = self._fmt("linear")
-        self.matmul_count += 1
-        self.matmul_macs += x.shape[0] * x.shape[1] * w.shape[1]
-        self.matmul_rows += x.shape[0]
-        if self.profiler is not None:
-            self.profiler.record_matmul(
-                x.shape[0], x.shape[1], w.shape[1],
-                precision=fmt.precision, array=self._unit_mode(fmt),
-            )
-        return fmt.matmul(x, w, record=self._quantize_recorder(fmt))
-
-    def matmul_batched(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
-        b = np.asarray(b)
-        self._check_batched(a, b)
-        fmt = self._fmt("attention")
-        n_slices, m, k = a.shape
-        n = b.shape[2]
-        self.matmul_count += n_slices
-        self.matmul_macs += n_slices * m * k * n
-        self.matmul_rows += n_slices * m
-        if self.profiler is not None:
-            for _ in range(n_slices):
-                self.profiler.record_matmul(
-                    m, k, n, precision=fmt.precision,
-                    array=self._unit_mode(fmt),
-                )
-        return fmt.matmul_batched(a, b, record=self._quantize_recorder(fmt))
-
-    def prepare_weight(
-        self, w: "np.ndarray | PreparedTensor"
-    ) -> "np.ndarray | PreparedTensor":
-        fmt = self._fmt("linear")
-        return fmt.prepare_weight(w, record=self._quantize_recorder(fmt))
-
-    def nonlinear(
-        self, kind: str, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
-    ) -> np.ndarray:
-        fmt = self._fmt("nonlinear")
-        if self.profiler is not None:
-            self.profiler.record_nonlinear(
-                kind, int(x.size), precision=fmt.precision
-            )
-        return fmt.nonlinear(kind, fn, x)
-
-    def requantize(self, x: np.ndarray) -> np.ndarray:
-        return self._fmt("residual").requantize(x)
+def get_backend(name: str) -> PolicyBackend:
+    """The engine for a regime: any :func:`~repro.models.policy.get_policy`
+    name (a preset or a width name such as ``bfp4-mixed``)."""
+    return PolicyBackend(get_policy(name))
 
 
-# ---------------------------------------------------------------------------
-# Legacy single-format aliases (bit-identical to the pre-registry classes)
-# ---------------------------------------------------------------------------
+def FP32Backend() -> PolicyBackend:
+    """``get_backend("fp32")``, under the name the benchmark harness imports."""
+    return get_backend("fp32")
 
 
-class FP32Backend(PolicyBackend):
-    def __init__(self) -> None:
-        super().__init__(get_policy("fp32"), name="fp32")
-
-
-class BFP8MixedBackend(PolicyBackend):
-    """The paper's regime: block-fp MatMul + exact fp32 non-linear.
-
-    ``man_bits`` selects the block-fp mantissa width (8 = the paper's bfp8;
-    lower widths feed the bitwidth-sweep experiment).  ``exact_accumulate``
-    replaces the hardware's truncating cross-block alignment with exact
-    accumulation (ablation knob).
-    """
-
-    def __init__(self, *, exact_accumulate: bool = False, man_bits: int = 8) -> None:
-        fmt = BfpFormat(man_bits=man_bits, exact_accumulate=exact_accumulate)
-        name = "bfp8-mixed" if man_bits == 8 else f"bfp{man_bits}-mixed"
-        policy = PrecisionPolicy(
-            name=name,
-            rules=(
-                PolicyRule("*", "linear", fmt.name),
-                PolicyRule("*", "attention", fmt.name),
-            ),
-            default="fp32",
-        )
-        super().__init__(policy, name=name, formats={fmt.name: fmt})
-        self.exact_accumulate = exact_accumulate
-        self.man_bits = man_bits
-
-
-class BFP8AllBackend(BFP8MixedBackend):
-    """Ablation: non-linear tensors also snap to the block-fp grid."""
-
-    def __init__(self, *, man_bits: int = 8) -> None:
-        fmt = BfpFormat(man_bits=man_bits)
-        name = "bfp8-all" if man_bits == 8 else f"bfp{man_bits}-all"
-        policy = PrecisionPolicy(name=name, rules=(), default=fmt.name)
-        PolicyBackend.__init__(
-            self, policy, name=name, formats={fmt.name: fmt}
-        )
-        self.exact_accumulate = False
-        self.man_bits = man_bits
-
-
-class INT8LinearBackend(PolicyBackend):
-    """Per-tensor integer linear layers, exact fp32 non-linear."""
-
-    def __init__(self, *, bits: int = 8) -> None:
-        name = "int8-linear" if bits == 8 else f"int{bits}-linear"
-        policy = PrecisionPolicy(
-            name=name,
-            rules=(
-                PolicyRule("*", "linear", f"int{bits}"),
-                PolicyRule("*", "attention", f"int{bits}"),
-            ),
-            default="fp32",
-        )
-        super().__init__(policy, name=name)
-        self.bits = bits
-
-
-class INT8AllBackend(INT8LinearBackend):
-    """Conventional integer inference: non-linear tensors quantized too.
-
-    This is the regime that, without quantization-aware retraining, loses
-    accuracy on Transformers (paper Section I / IV-A): activations with
-    outliers force a coarse per-tensor grid, and softmax inputs span a huge
-    dynamic range.
-    """
-
-    def __init__(self, *, bits: int = 8) -> None:
-        name = "int8-all" if bits == 8 else f"int{bits}-all"
-        policy = PrecisionPolicy(name=name, rules=(), default=f"int{bits}")
-        PolicyBackend.__init__(self, policy, name=name)
-        self.bits = bits
-
-
-class IBERTBackend(INT8LinearBackend):
-    """Integer-only inference with I-BERT non-linear approximations.
-
-    The competing design point of the paper's related work (ref [4]):
-    int8 linear layers plus *integer-arithmetic* softmax/GELU/LayerNorm
-    (second-order polynomial exp/erf, Newton integer sqrt) instead of the
-    fp32 vector personality.  Published results require quantization-aware
-    retraining to reach parity; here it is evaluated post-training, like
-    every other regime.
-    """
-
-    def __init__(self, *, bits: int = 8, act_bits: int = 8) -> None:
-        fmt = IBertFormat(bits=bits, act_bits=act_bits)
-        policy = PrecisionPolicy(
-            name="ibert",
-            rules=(
-                PolicyRule("*", "linear", f"int{bits}"),
-                PolicyRule("*", "attention", f"int{bits}"),
-            ),
-            default="ibert",
-        )
-        PolicyBackend.__init__(
-            self, policy, name="ibert", formats={"ibert": fmt}
-        )
-        self.bits = bits
-        self.act_bits = act_bits
-
-
-BACKENDS: dict[str, Callable[[], ComputeBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ComputeBackend]) -> None:
-    """Register a backend factory; duplicate names raise (no silent
-    overwrite — resolution must not depend on import order)."""
-    if name in BACKENDS:
-        raise RegistryError(f"backend {name!r} is already registered")
-    BACKENDS[name] = factory
-
-
-for _name, _factory in (
-    ("fp32", FP32Backend),
-    ("bfp8-mixed", BFP8MixedBackend),
-    ("bfp8-all", BFP8AllBackend),
-    ("int8-linear", INT8LinearBackend),
-    ("int8-all", INT8AllBackend),
-    ("ibert", IBERTBackend),
-):
-    register_backend(_name, _factory)
-
-
-def get_backend(name: str) -> ComputeBackend:
-    try:
-        return BACKENDS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; available: {sorted(BACKENDS)}"
-        ) from None
+def BFP8MixedBackend() -> PolicyBackend:
+    """``get_backend("bfp8-mixed")``, under the name the benchmark harness
+    imports."""
+    return get_backend("bfp8-mixed")

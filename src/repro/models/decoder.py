@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.models.attention import MultiHeadSelfAttention
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import PolicyBackend, get_backend
 from repro.models.layers import Embedding, Linear, Module
 
 __all__ = ["RMSNorm", "SwiGLUMLP", "DecoderBlock", "TinyLM"]
@@ -32,8 +32,8 @@ class RMSNorm(Module):
         self.params["gamma"] = np.ones(dim, dtype=np.float32)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         gamma = self.params["gamma"]
 
         def fn(v: np.ndarray) -> np.ndarray:
@@ -77,8 +77,8 @@ class SwiGLUMLP(Module):
     def _silu(z: np.ndarray) -> np.ndarray:
         return z / (1.0 + np.exp(-z))
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         g = self.gate.forward(x, backend)
         u = self.up.forward(x, backend)
 
@@ -124,7 +124,7 @@ class DecoderBlock(Module):
         hidden = int(dim * mlp_ratio)
         self.mlp = SwiGLUMLP(dim, hidden, rng=rng)
 
-    def prepare(self, backend: ComputeBackend) -> None:
+    def prepare(self, backend: PolicyBackend) -> None:
         # Warm under the same scope names forward() pushes, so prepare-time
         # weight quantization is attributed to the layer that owns it.
         with backend.scope("attn"):
@@ -132,8 +132,8 @@ class DecoderBlock(Module):
         with backend.scope("mlp"):
             self.mlp.prepare(backend)
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         with backend.scope("attn"):
             x = backend.requantize(
                 x + self.attn.forward(self.norm1.forward(x, backend), backend)
@@ -145,10 +145,10 @@ class DecoderBlock(Module):
         return x.astype(np.float32)
 
     def forward_step(
-        self, x: np.ndarray, kv_cache: dict, backend: ComputeBackend | None = None
+        self, x: np.ndarray, kv_cache: dict, backend: PolicyBackend | None = None
     ) -> np.ndarray:
         """Incremental decode through the block with a shared KV cache."""
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         with backend.scope("attn"):
             x = backend.requantize(
                 x + self.attn.forward_step(self.norm1.forward(x, backend), kv_cache, backend)
@@ -193,16 +193,16 @@ class TinyLM(Module):
         self.norm = RMSNorm(dim)
         self.head = Linear(dim, vocab, bias=False, rng=rng)
 
-    def prepare(self, backend: ComputeBackend) -> None:
+    def prepare(self, backend: PolicyBackend) -> None:
         for i, blk in enumerate(self.blocks):
             with backend.scope(f"block{i}"):
                 blk.prepare(backend)
         with backend.scope("head"):
             self.head.prepare(backend)
 
-    def forward(self, tokens: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
+    def forward(self, tokens: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
         """Logits for every position: shape ``(batch, seq, vocab)``."""
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         tokens = np.asarray(tokens)
         if tokens.shape[-1] > self.seq_len:
             raise ConfigurationError(
@@ -237,7 +237,7 @@ class TinyLM(Module):
         self,
         prompt: np.ndarray,
         n_tokens: int,
-        backend: ComputeBackend | None = None,
+        backend: PolicyBackend | None = None,
     ) -> np.ndarray:
         """Greedy decoding from a 1-D prompt (full-context recompute)."""
         seq = list(np.asarray(prompt).reshape(-1))
@@ -274,7 +274,7 @@ class TinyLM(Module):
         token: int,
         position: int,
         caches: list[dict],
-        backend: ComputeBackend | None = None,
+        backend: PolicyBackend | None = None,
         *,
         compiled: bool | None = None,
     ) -> np.ndarray:
@@ -295,7 +295,7 @@ class TinyLM(Module):
         tokens: list[int],
         positions: list[int],
         caches_batch: list[list[dict]],
-        backend: ComputeBackend | None = None,
+        backend: PolicyBackend | None = None,
         *,
         compiled: bool | None = None,
     ) -> np.ndarray:
@@ -312,7 +312,7 @@ class TinyLM(Module):
         own cache.  Each session's ``caches`` list is updated in place,
         and the returned logits have shape ``(B, vocab)`` in input order.
         Per-head attention matmuls likewise run as one batched 3-D kernel
-        per group (``ComputeBackend.matmul_batched``) instead of a
+        per group (``PolicyBackend.matmul_batched``) instead of a
         Python-level loop over heads and sessions.
 
         Equivalent to ``B`` :meth:`forward_step` calls under exact fp32;
@@ -328,7 +328,7 @@ class TinyLM(Module):
         from repro.runtime import plan as _plan
 
         if backend is None:
-            backend = FP32Backend()
+            backend = get_backend("fp32")
             if compiled is None:
                 # A throwaway default backend gains nothing from a plan
                 # (the plan cache is keyed by backend identity).
@@ -381,7 +381,7 @@ class TinyLM(Module):
         self,
         prompt: np.ndarray,
         n_tokens: int,
-        backend: ComputeBackend | None = None,
+        backend: PolicyBackend | None = None,
         *,
         compiled: bool | None = None,
     ) -> np.ndarray:

@@ -3,7 +3,7 @@
 Everything is built from scratch on NumPy: no autograd.  Each layer caches
 what its backward pass needs; gradients accumulate into ``grads`` keyed like
 ``params``.  Forward passes take an optional
-:class:`~repro.models.backend.ComputeBackend` so the same model definition
+:class:`~repro.models.backend.PolicyBackend` so the same model definition
 runs under fp32, bfp8-mixed, or int8 arithmetic regimes (backward is fp32
 only — the paper's whole point is *no retraining*, so only inference runs
 quantized).
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import PolicyBackend, get_backend
 
 __all__ = [
     "Module",
@@ -89,7 +89,7 @@ class Module:
     def matmul_weights(self) -> list[np.ndarray]:
         """Weight matrices this module (and children) feed to matmul.
 
-        Only these benefit from :meth:`ComputeBackend.prepare_weight`;
+        Only these benefit from :meth:`PolicyBackend.prepare_weight`;
         biases, norms and embeddings never enter the systolic array.
         """
         out: list[np.ndarray] = []
@@ -97,7 +97,7 @@ class Module:
             out.extend(child.matmul_weights())
         return out
 
-    def prepare(self, backend: ComputeBackend) -> None:
+    def prepare(self, backend: PolicyBackend) -> None:
         """Warm the backend's prepared-operand cache with every matmul
         weight — the emulation analogue of loading Y BRAM before serving."""
         for w in self.matmul_weights():
@@ -121,12 +121,12 @@ class Linear(Module):
     def matmul_weights(self) -> list[np.ndarray]:
         return [self.params["w"]]
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
         if x.shape[-1] != self.d_in:
             raise ConfigurationError(
                 f"Linear expected trailing dim {self.d_in}, got {x.shape}"
             )
-        backend = backend or FP32Backend()
+        backend = backend or get_backend("fp32")
         self._x = x
         flat = x.reshape(-1, self.d_in)
         y = backend.matmul(flat, backend.prepare_weight(self.params["w"]))
@@ -155,8 +155,8 @@ class LayerNorm(Module):
         self.params["beta"] = np.zeros(dim, dtype=np.float32)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         gamma, beta = self.params["gamma"], self.params["beta"]
 
         def fn(v: np.ndarray) -> np.ndarray:
@@ -194,8 +194,8 @@ class GELU(Module):
         super().__init__()
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         self._x = x
         return backend.nonlinear("gelu", gelu, x.astype(np.float32))
 
@@ -211,8 +211,8 @@ class Softmax(Module):
         super().__init__()
         self._y: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         y = backend.nonlinear("softmax", softmax, x.astype(np.float32))
         self._y = y
         return y

@@ -20,14 +20,18 @@ Roles
 Policies are frozen (hashable — they key ``lru_cache``'d cost lookups)
 and serializable: :meth:`PrecisionPolicy.to_json` /
 :meth:`PrecisionPolicy.from_json` round-trip through the ``--policy``
-CLI flag.  Named presets in :data:`POLICY_PRESETS` reproduce every legacy
-``BACKENDS`` regime exactly, plus the mixed bfp8/fp8 demonstration policy
-the CI smoke job runs.
+CLI flag.  Named presets in :data:`POLICY_PRESETS` cover the regimes the
+results tables compare (:data:`repro.models.backend.BACKENDS`), fp16
+linear algebra and the mixed bfp8/fp8 demonstration policy the CI smoke
+job runs; :func:`get_policy` also resolves width names (``bfp4-mixed``,
+``int6-all``, ...) the way :func:`~repro.formats.registry.get_format`
+resolves ``bfp4``/``int6``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import lru_cache
@@ -264,15 +268,28 @@ for _name, _factory in (
     register_policy_preset(_name, _factory)
 
 
+#: Width names: ``bfpN-mixed`` / ``intN-linear`` quantize the array-mapped
+#: algebra only, ``bfpN-all`` / ``intN-all`` every role.
+_WIDTH_NAME = re.compile(r"(bfp\d+)-(mixed|all)|(int\d+)-(linear|all)")
+
+
 def get_policy(name: str) -> PrecisionPolicy:
-    """Construct a preset policy by name."""
-    try:
-        return POLICY_PRESETS[name]()
-    except KeyError:
+    """Construct a policy by name: a preset, or a width name
+    (``bfpN-mixed``, ``bfpN-all``, ``intN-linear``, ``intN-all``)."""
+    factory = POLICY_PRESETS.get(name)
+    if factory is not None:
+        return factory()
+    m = _WIDTH_NAME.fullmatch(name)
+    if m is None:
         raise RegistryError(
             f"unknown policy preset {name!r}; available: "
-            f"{sorted(POLICY_PRESETS)}"
-        ) from None
+            f"{sorted(POLICY_PRESETS)} (plus bfpN-mixed / bfpN-all / "
+            "intN-linear / intN-all)"
+        )
+    fmt = m.group(1) or m.group(3)
+    if (m.group(2) or m.group(4)) == "all":
+        return _uniform(name, fmt)
+    return _linear_only(name, fmt)
 
 
 def load_policy(spec: str | Path) -> PrecisionPolicy:

@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.arith.bfp_matmul import bfp_matmul_emulate
-from repro.formats.int8q import quantize_intn
-from repro.models.backend import ComputeBackend
+from repro.models.backend import PolicyBackend
+from repro.models.policy import PolicyRule, PrecisionPolicy
 from repro.models.quantized import logit_deviation
 from repro.models.vit import SequenceClassifier
 
@@ -27,16 +26,17 @@ __all__ = ["SelectiveBackend", "COMPONENT_CLASSES", "component_sensitivity"]
 COMPONENT_CLASSES = ("linear", "softmax", "gelu", "layernorm", "residual")
 
 
-class SelectiveBackend(ComputeBackend):
+class SelectiveBackend(PolicyBackend):
     """Quantize exactly one component class, leave the rest exact fp32.
 
-    ``scheme`` is ``("bfp", man_bits)`` or ``("int", bits)``; quantization
-    applies to the selected class only:
+    ``scheme`` is ``("bfp", man_bits)`` or ``("int", bits)``, i.e. the
+    registry format ``bfpN`` / ``intN``.  The policy applies it to the
+    selected class only:
 
-    * ``linear``: matmul operands through the scheme's grid;
-    * ``softmax``/``gelu``/``layernorm``: that function's input and output
-      tensors snapped to the grid;
-    * ``residual``: the residual-stream tensors snapped to the grid.
+    * ``linear``: every matmul (the ``linear`` and ``attention`` roles);
+    * ``softmax``/``gelu``/``layernorm``: the ``nonlinear`` role, and the
+      override below keeps the other non-linear kinds exact;
+    * ``residual``: the ``residual`` role.
     """
 
     def __init__(self, target: str, scheme: tuple[str, int]) -> None:
@@ -45,50 +45,25 @@ class SelectiveBackend(ComputeBackend):
         kind, bits = scheme
         if kind not in ("bfp", "int"):
             raise ValueError(f"unknown scheme kind {kind!r}")
-        super().__init__(name=f"{kind}{bits}@{target}")
+        if target == "linear":
+            roles = ("linear", "attention")
+        elif target == "residual":
+            roles = ("residual",)
+        else:
+            roles = ("nonlinear",)
+        fmt = f"{kind}{bits}"
+        super().__init__(PrecisionPolicy(
+            name=f"{fmt}@{target}",
+            rules=tuple(PolicyRule("*", role, fmt) for role in roles),
+        ))
         self.target = target
-        self.kind = kind
-        self.bits = bits
 
-    # -- grids ----------------------------------------------------------------
-    def _snap(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "int":
-            return (
-                quantize_intn(x, self.bits).decode().reshape(x.shape).astype(np.float32)
-            )
-        from repro.formats.blocking import BfpMatrix
-
-        flat = x.reshape(-1, x.shape[-1]) if x.ndim != 2 else x
-        return (
-            BfpMatrix.from_dense(flat, man_bits=self.bits)
-            .to_dense()
-            .reshape(x.shape)
-            .astype(np.float32)
-        )
-
-    # -- hooks ----------------------------------------------------------------
-    def _matmul(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if self.target != "linear":
-            return super()._matmul(x, w)
-        if self.kind == "bfp":
-            return bfp_matmul_emulate(x, w, man_bits=self.bits).astype(np.float32)
-        from repro.formats.int8q import int8_matmul
-
-        return int8_matmul(
-            quantize_intn(x, self.bits), quantize_intn(w, self.bits)
-        ).astype(np.float32)
-
-    def _nonlinear(
+    def nonlinear(
         self, kind: str, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
     ) -> np.ndarray:
         if kind != self.target:
             return fn(x).astype(np.float32)
-        return self._snap(fn(self._snap(x)))
-
-    def requantize(self, x: np.ndarray) -> np.ndarray:
-        if self.target != "residual":
-            return x.astype(np.float32)
-        return self._snap(x)
+        return super().nonlinear(kind, fn, x)
 
 
 @dataclass(frozen=True)

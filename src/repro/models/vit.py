@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.models.attention import MultiHeadSelfAttention
-from repro.models.backend import ComputeBackend, FP32Backend
+from repro.models.backend import PolicyBackend, get_backend
 from repro.models.layers import GELU, Embedding, LayerNorm, Linear, Module
 
 __all__ = ["MLP", "TransformerBlock", "PatchEmbed", "VisionTransformer",
@@ -37,7 +37,7 @@ class MLP(Module):
         self.act = GELU()
         self.fc2 = Linear(hidden, dim, rng=rng)
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
         return self.fc2.forward(
             self.act.forward(self.fc1.forward(x, backend), backend), backend
         )
@@ -62,7 +62,7 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.mlp = MLP(dim, int(dim * mlp_ratio), rng=rng)
 
-    def prepare(self, backend: ComputeBackend) -> None:
+    def prepare(self, backend: PolicyBackend) -> None:
         # Warm under the same scope names forward() pushes, so prepare-time
         # weight quantization resolves the same per-layer policy format.
         with backend.scope("attn"):
@@ -70,8 +70,8 @@ class TransformerBlock(Module):
         with backend.scope("mlp"):
             self.mlp.prepare(backend)
 
-    def forward(self, x: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         # The residual stream lives in the regime's storage format: a real
         # integer pipeline keeps these tensors quantized too.
         with backend.scope("attn"):
@@ -109,7 +109,7 @@ class PatchEmbed(Module):
         self.n_patches = (image_size // patch_size) ** 2
         self.proj = Linear(patch_size * patch_size * in_chans, dim, rng=rng)
 
-    def forward(self, images: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
+    def forward(self, images: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
         b, c, h, w = images.shape
         p = self.patch_size
         if (c, h, w) != (self.in_chans, self.image_size, self.image_size):
@@ -150,7 +150,7 @@ class VisionTransformer(Module):
         self.norm = LayerNorm(dim)
         self.head = Linear(dim, n_classes, rng=rng)
 
-    def prepare(self, backend: ComputeBackend) -> None:
+    def prepare(self, backend: PolicyBackend) -> None:
         with backend.scope("patch_embed"):
             self.patch_embed.prepare(backend)
         for i, blk in enumerate(self.blocks):
@@ -159,8 +159,8 @@ class VisionTransformer(Module):
         with backend.scope("head"):
             self.head.prepare(backend)
 
-    def forward(self, images: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, images: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         with backend.scope("patch_embed"):
             x = self.patch_embed.forward(images, backend)
         b = x.shape[0]
@@ -209,8 +209,8 @@ class SequenceClassifier(Module):
         self.head = Linear(dim, n_classes, rng=rng)
         self._n: int | None = None
 
-    def forward(self, tokens: np.ndarray, backend: ComputeBackend | None = None) -> np.ndarray:
-        backend = backend or FP32Backend()
+    def forward(self, tokens: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
+        backend = backend or get_backend("fp32")
         if tokens.shape[-1] != self.seq_len:
             raise ConfigurationError(
                 f"expected sequences of length {self.seq_len}, got {tokens.shape}"

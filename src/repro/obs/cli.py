@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 __all__ = [
@@ -400,13 +401,14 @@ def add_numerics_report_parser(subparsers) -> argparse.ArgumentParser:
 
 
 def _numerics_backend(name: str, man_bits: int):
-    from repro.models.backend import BFP8MixedBackend, get_backend
+    from repro.models.backend import get_backend
 
     backend = get_backend(name)
     if man_bits != 8:
-        if not isinstance(backend, BFP8MixedBackend):
+        bfp = re.fullmatch(r"bfp\d+-(mixed|all)", name)
+        if bfp is None:
             raise SystemExit(f"--man-bits applies to bfp backends, not {name}")
-        backend = type(backend)(man_bits=man_bits)
+        backend = get_backend(f"bfp{man_bits}-{bfp.group(1)}")
     return backend
 
 

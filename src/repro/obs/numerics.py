@@ -14,7 +14,7 @@ A :class:`NumericsMonitor` accumulates exactly those quantities, keyed by
 
 * ``layer`` — the model scope (``block0.attn``, ``head``, ...) pushed via
   :meth:`scope`, shared with the cycle profiler through
-  :meth:`repro.models.backend.ComputeBackend.scope`;
+  :meth:`repro.models.backend.PolicyBackend.scope`;
 * ``precision`` — the quantization grid (``bfp8``, ``int8``, ``fp16``...);
 * ``role`` — ``weight`` (prepared once, Y-stationary), ``activation``
   (streamed per call), or ``kv`` (KV-cache-derived attention operands).

@@ -1,17 +1,20 @@
 """Layer-level profiler: per-layer, per-precision cycle and op attribution.
 
 A :class:`Profiler` attaches to a :class:`repro.models.backend.
-ComputeBackend`; the model pushes named scopes (``block0``, ``block0.attn``,
+PolicyBackend`; the model pushes named scopes (``block0``, ``block0.attn``,
 ...) while it runs, and every backend primitive — a linear-layer matmul, a
 non-linear evaluation — lands in the current scope with the operation count
-it performed and the unit cycles the hardware cost model charges for it:
+it performed and the unit cycles the hardware cost model charges for it.
+Matmuls are costed by the :mod:`repro.cost.modes` unit mode they execute
+under (:func:`mode_matmul_unit_cycles`):
 
-* **bfp8 / int8 matmuls** are costed with the Eqn-9 stream schedule of
+* **bfp8 / int8 matmuls** (``bfp8_mac``) with the Eqn-9 stream schedule of
   :func:`repro.runtime.compiler.plan_matmul` plus the AXI/HBM memory model
   (the same accounting the compiler's ``_matmul_stage`` uses);
-* **fp32 matmuls** have no array mapping — they are charged through the
-  4-lane vector personality, which is exactly the cliff the paper's bfp8
-  slicing avoids (expect the fp32 backend's matmul cycles to dwarf bfp8's);
+* **fp32 matmuls** (``fp32_vector``) have no array mapping — they are
+  charged through the 4-lane vector personality, which is exactly the
+  cliff the paper's bfp8 slicing avoids (expect the fp32 backend's matmul
+  cycles to dwarf bfp8's);
 * **non-linear functions** are charged per element from their compiled
   vector program's static op count (Eqn-10 streams), with host escapes
   (division, max) counted separately.
@@ -30,7 +33,6 @@ from math import ceil
 __all__ = [
     "ProfileEntry",
     "Profiler",
-    "bfp_matmul_unit_cycles",
     "mode_matmul_unit_cycles",
     "fp32_elementwise_cycles",
     "nonlinear_op_counts",
@@ -39,24 +41,12 @@ __all__ = [
 _FP32_STREAM_ELEMS = 4 * 128  # one full (lanes x L) fp32 stream
 
 
-def bfp_matmul_unit_cycles(m: int, k: int, n: int) -> int:
-    """Unit-occupancy cycles of ``(m,k) @ (k,n)`` on the bfp8 array.
-
-    Stream schedule from :func:`plan_matmul`, memory-inclusive per-stream
-    cost from the perf layer — matching the compiler's stage costing.
-    """
-    from repro.perf.latency import measured_bfp_stream_cycles
-    from repro.runtime.compiler import plan_matmul
-
-    plan = plan_matmul(m, k, n)
-    return plan.streams * measured_bfp_stream_cycles(plan.stream_len)
-
-
 @lru_cache(maxsize=4096)
 def mode_matmul_unit_cycles(m: int, k: int, n: int, mode: str) -> int:
     """Unit-occupancy cycles of ``(m,k) @ (k,n)`` under a registered
-    unit mode (the trans-precision generalization of
-    :func:`bfp_matmul_unit_cycles`)."""
+    unit mode: the stream schedule and memory-inclusive per-stream cost
+    of :meth:`repro.cost.modes.UnitMode.matmul_cost`, matching the
+    compiler's stage costing."""
     from repro.cost.modes import get_mode
 
     return get_mode(mode).matmul_cost(m, k, n).total_cycles
@@ -149,31 +139,14 @@ class Profiler:
         e.host_ops += host_ops
 
     def record_matmul(
-        self, m: int, k: int, n: int, *, precision: str,
-        array: bool | str | None = None,
+        self, m: int, k: int, n: int, *, precision: str, mode: str
     ) -> None:
-        """One linear-layer matmul under the backend's matmul precision.
-
-        ``array`` names the :mod:`repro.cost.modes` unit mode the matmul
-        executes under (a string such as ``"bfp8_mac"`` / ``"fp16_dot"``).
-        The boolean spellings survive for compatibility: ``True`` is the
-        historical bfp8 array costing, ``False`` the MAC-by-MAC vector
-        fallback, and ``None`` infers from the precision label (bfp/int
-        map to the array — the legacy heuristic, which knows nothing of
-        the minifloat formats).
-        """
-        macs = m * k * n
-        if array is None:
-            array = precision.startswith(("bfp", "int"))
-        if isinstance(array, str):
-            cycles = mode_matmul_unit_cycles(m, k, n, array)
-        elif array:
-            cycles = bfp_matmul_unit_cycles(m, k, n)
-        else:
-            # No array mapping: every MAC goes through the vector unit.
-            cycles = fp32_elementwise_cycles(2 * macs)
-        self.record(kind="matmul", precision=precision, ops=2.0 * macs,
-                    cycles=cycles)
+        """One matmul under a format's precision label, costed in the
+        :mod:`repro.cost.modes` unit mode it executes under (``"bfp8_mac"``,
+        ``"fp16_dot"``, or ``"fp32_vector"`` — every MAC through the
+        vector unit)."""
+        self.record(kind="matmul", precision=precision, ops=2.0 * m * k * n,
+                    cycles=mode_matmul_unit_cycles(m, k, n, mode))
 
     def record_quantize(self, elements: int, *, precision: str) -> None:
         """Operand quantization the *emulation* performed for a matmul.

@@ -372,11 +372,7 @@ class DecodePlan:
             lin_m = backend._fmt_at(mpath, "linear")
             h, hd = attn.n_heads, attn.head_dim
             hidden = mlp.gate.d_out
-            fuse = (
-                isinstance(lin_m, BfpFormat)
-                and not lin_m.exact_accumulate
-                and hidden % BLOCK_COLS == 0
-            )
+            fuse = isinstance(lin_m, BfpFormat) and hidden % BLOCK_COLS == 0
             self.blocks.append(_BlockOps(
                 norm1=blk.norm1,
                 norm2=blk.norm2,
@@ -540,11 +536,14 @@ def compiled_active(backend, override: bool | None = None) -> bool:
     default (:func:`set_compiled_default`) but defers to eager whenever
     something wants full per-op observation: an attached profiler, a
     non-empty scope stack (outer scopes change policy layer paths), an
-    enabled numerics monitor, or a non-policy backend.
+    enabled numerics monitor, or a backend that is not a plain
+    :class:`PolicyBackend` (a subclass such as
+    :class:`~repro.models.sensitivity.SelectiveBackend` may override the
+    per-op dispatch the plan resolves ahead of time).
     """
     if override is False:
         return False
-    if not isinstance(backend, PolicyBackend):
+    if type(backend) is not PolicyBackend:
         return False
     if backend.profiler is not None or backend._scopes:
         return False

@@ -49,8 +49,6 @@ def add_serve_sim_parser(subparsers) -> argparse.ArgumentParser:
                         "models the eager per-step path")
     p.add_argument("--compare-batch1", action="store_true",
                    help="also replay the trace with batching disabled")
-    p.add_argument("--json", type=Path, default=None, metavar="FILE",
-                   help="deprecated alias for --json-out")
     p.add_argument("--json-out", type=Path, default=None, metavar="FILE",
                    help="write the summary dict as JSON")
     p.add_argument("--trace-out", type=Path, default=None, metavar="FILE",
@@ -360,9 +358,8 @@ def _write_slo_out(args, summary: dict) -> None:
 def _write_outputs(args, report, tracer, registry, recorder) -> None:
     """The artifact flags both front ends share (JSON, trace, metrics,
     SLO snapshot, recorder summary)."""
-    json_out = args.json_out if args.json_out is not None else args.json
-    if json_out is not None:
-        json_out.write_text(report.to_json() + "\n")
+    if args.json_out is not None:
+        args.json_out.write_text(report.to_json() + "\n")
     if args.trace_out is not None:
         args.trace_out.write_text(tracer.to_json() + "\n")
         print(f"trace written to {args.trace_out} "

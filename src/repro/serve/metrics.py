@@ -146,7 +146,7 @@ class MetricsCollector:
         }
         # Serving-level weight-pass amortization: one decode dispatch is one
         # weight pass through the array serving `size` tokens — the same
-        # matmuls-vs-rows ratio `ComputeBackend.stats()` reports for the
+        # matmuls-vs-rows ratio `PolicyBackend.stats()` reports for the
         # functional batched step (TinyLM.forward_step_batch).
         decode = self.batch_sizes.get("decode", [])
         out["decode_weight_passes"] = len(decode)

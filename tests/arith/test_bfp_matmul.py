@@ -138,14 +138,6 @@ class TestTiledMatmul:
         rel = np.abs(out - ref).max() / np.abs(ref).max()
         assert rel < 0.05  # bfp8 keeps matmuls to a few percent
 
-    def test_exact_accumulate_at_least_as_accurate(self, rng):
-        a = rng.normal(size=(24, 80))
-        b = rng.normal(size=(80, 24))
-        ref = a @ b
-        trunc = np.abs(bfp_matmul_emulate(a, b) - ref).max()
-        exact = np.abs(bfp_matmul_emulate(a, b, exact_accumulate=True) - ref).max()
-        assert exact <= trunc * 1.5  # alignment truncation only adds error
-
     def test_requantized_output_blocks(self, rng):
         a = rng.normal(size=(16, 16))
         b = rng.normal(size=(16, 16))
@@ -183,11 +175,9 @@ class TestPreparedMatmul:
         am = activation_blocks(a)
         bm = BfpMatrix.from_dense(b)
         bw = BfpWeight.from_matrix(bm)
-        for exact in (False, True):
-            assert np.array_equal(
-                bfp_matmul_prepared(am, bw, exact_accumulate=exact),
-                bfp_matmul_prepared(am, bm, exact_accumulate=exact),
-            )
+        assert np.array_equal(
+            bfp_matmul_prepared(am, bw), bfp_matmul_prepared(am, bm)
+        )
 
     def test_bfp_weight_roundtrip(self, rng):
         bm = BfpMatrix.from_dense(rng.normal(size=(24, 20)))
@@ -235,17 +225,6 @@ class TestBatchedEmulate:
         assert out.shape == (batch, m, n)
         for i in range(batch):
             assert np.array_equal(out[i], bfp_matmul_emulate(a[i], b[i]))
-
-    def test_exact_accumulate_slices_match(self, rng):
-        a = rng.normal(size=(3, 9, 24))
-        b = rng.normal(size=(3, 24, 10))
-        out = bfp_matmul_from_tiles(
-            *bfp_batched_tiles(a, b), exact_accumulate=True
-        )
-        for i in range(3):
-            assert np.array_equal(
-                out[i], bfp_matmul_emulate(a[i], b[i], exact_accumulate=True)
-            )
 
     def test_narrow_mantissa_slices_match(self, rng):
         a = rng.normal(size=(2, 8, 16))

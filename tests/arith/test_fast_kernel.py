@@ -30,7 +30,7 @@ from repro.arith.bfp_matmul import (
 )
 from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, EXP_MIN
 from repro.formats.blocking import BfpMatrix
-from repro.formats.registry import BfpFormat, get_format
+from repro.formats.registry import get_format
 
 # The module itself: ``repro.arith`` re-exports a *function* named
 # ``bfp_matmul``, which shadows the submodule as a package attribute.
@@ -86,7 +86,7 @@ def test_fast_kernel_matches_integer_oracle_bytewise(
     args = _operands(
         rng, tuple(lead), lead_b, rb, kb, cb, r, man_bits, spread, zero_frac
     )
-    want = _emulate_blocks(*args, exact_accumulate=False)
+    want = _emulate_blocks(*args)
     chunk = bm._CHUNK_ELEMS
     if chunk_kb is not None:
         # One K block's product slab: the output's element count.
@@ -115,7 +115,7 @@ def test_deep_k_matches_oracle_at_default_chunk():
     assert args[0].shape[-3] == 96
     exps = args[1].astype(np.int64)[:, :, None] + args[3][None, :, :]
     assert np.ptp(exps) >= 3
-    want = _emulate_blocks(*args, exact_accumulate=False)
+    want = _emulate_blocks(*args)
     got = fast_emulate_blocks(*args)
     assert got.tobytes() == want.tobytes()
 
@@ -142,7 +142,7 @@ def test_sign_saturation_is_exercised():
     a_exp = np.array([[70, 0]], dtype=np.int16)
     b_flat = _flatten_cols(np.ones((2, 1, 8, 8), dtype=np.int16))
     b_exp = np.zeros((2, 1), dtype=np.int16)
-    want = _emulate_blocks(a_man, a_exp, b_flat, b_exp, exact_accumulate=False)
+    want = _emulate_blocks(a_man, a_exp, b_flat, b_exp)
     got = fast_emulate_blocks(a_man, a_exp, b_flat, b_exp)
     assert got.tobytes() == want.tobytes()
     # -40 >> 63 == -1: the second block contributes exactly one ulp down.
@@ -208,11 +208,6 @@ def test_probe_routes_to_oracle(calls, rng):
         set_alignment_probe(prev)
     assert calls == {"fast": 0, "oracle": 2}
     assert probe.steps > 0
-
-
-def test_exact_accumulate_routes_to_oracle(calls, rng):
-    _run_both(BfpFormat(8, exact_accumulate=True), rng)
-    assert calls == {"fast": 0, "oracle": 2}
 
 
 def test_inexact_depth_routes_to_oracle(calls, monkeypatch, rng):

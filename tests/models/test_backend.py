@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arith.bfp_matmul import bfp_matmul_emulate
+from repro.errors import RegistryError
 from repro.models.backend import BACKENDS, get_backend
 from repro.models.layers import softmax
 
@@ -14,7 +15,7 @@ class TestRegistry:
             assert get_backend(name).name == name
 
     def test_unknown_backend(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(RegistryError):
             get_backend("fp64")
 
     def test_expected_regimes_present(self):

@@ -1,16 +1,12 @@
-"""PolicyBackend equivalence: legacy regimes are policies, bit-identically.
+"""PolicyBackend pins: every regime is a policy name, bit-identically.
 
 The registry/policy refactor replaced the class-per-format backend zoo
-with :class:`~repro.models.backend.PolicyBackend`; the legacy ``BACKENDS``
-names survive as thin aliases that construct the equivalent
-:class:`~repro.models.policy.PrecisionPolicy`.  These tests pin that
-equivalence two ways:
-
-* the SHA-256 of the TinyLM logits under every legacy backend name equals
-  the value recorded on the pre-refactor tree (bit-identity across the
-  refactor), and
-* a ``PolicyBackend`` built from the matching policy preset reproduces
-  the alias bit-for-bit (aliases add no arithmetic of their own).
+with :class:`~repro.models.backend.PolicyBackend`, and a regime is now
+just a :func:`~repro.models.policy.get_policy` name.  These tests pin the
+SHA-256 of the TinyLM logits under every ``BACKENDS`` name to the value
+recorded on the pre-refactor tree, and under the width names
+(``bfp4-mixed``, ``int4-all``, ...) to the values the width-argument
+backend classes produced before the names replaced them.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import pytest
 
 from repro.models.backend import BACKENDS, PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
-from repro.models.policy import get_policy
 
 # Recorded on the pre-refactor tree: TinyLM(seed=0), tokens from
 # default_rng(0) with shape (2, seq_len), forward logits hashed raw.
@@ -39,6 +34,21 @@ PRE_REFACTOR_LOGITS_SHA256 = {
         "6dce73506fad90e2435675bc0e3ddfc809b893b7242dc9e7efbeea058d9bc31a",
     "int8-linear":
         "fb07e81e89814ef8053055a409ef8cdd6d15e76f5d56ed800ba225327300df0c",
+}
+
+# Recorded on the tree whose backends took width arguments
+# (``man_bits``/``bits``), same fixture.
+WIDTH_LOGITS_SHA256 = {
+    "bfp4-mixed":
+        "4a5a1c53437310aab124efa951b27968bf0facf6a092d76b237f3d386ff266c7",
+    "bfp7-mixed":
+        "9ede298f08786b44597df2dae68dc7c90c68f97a103ed8b4487f04089bd009da",
+    "bfp6-all":
+        "385def9e9dd7ad940e4ae771020c8e85970bd8daeca918d49270b0bb39be6d1b",
+    "int4-linear":
+        "2a86d871ae0ece00eda22fa38b436cc639918908fbf77bc617f2e35333c68a30",
+    "int4-all":
+        "f05637209fbb7595245eabfc9f5270ab85fa0fec4e5b516da90345d75057f55d",
 }
 
 # Greedy decode from tokens[0, :4] for 6 steps (prompt + generated).
@@ -69,34 +79,37 @@ def test_legacy_backend_bit_identical_to_pre_refactor(name):
     assert list(gen) == PRE_REFACTOR_GENERATION[name]
 
 
-@pytest.mark.parametrize("name", sorted(PRE_REFACTOR_LOGITS_SHA256))
-def test_policy_backend_matches_legacy_alias(name):
+@pytest.mark.parametrize("name", sorted(WIDTH_LOGITS_SHA256))
+def test_width_name_bit_identical(name):
     model, tokens = _fixture()
-    via_alias = model.forward(tokens, get_backend(name))
-    via_policy = model.forward(tokens, PolicyBackend(get_policy(name)))
-    np.testing.assert_array_equal(via_alias, via_policy)
+    backend = get_backend(name)
+    assert backend.name == name
+    logits = model.forward(tokens, backend)
+    assert _sha256(logits) == WIDTH_LOGITS_SHA256[name]
 
 
 def test_backends_registry_unchanged():
-    # The legacy regime set is a public contract (results tables, CLI);
-    # new policies belong in POLICY_PRESETS, not BACKENDS.
+    # The regime set is a public contract (results tables, CLI); new
+    # policies belong in POLICY_PRESETS, not BACKENDS.
     assert sorted(BACKENDS) == sorted(PRE_REFACTOR_LOGITS_SHA256)
 
 
-def test_alias_attributes_preserved():
-    from repro.models.backend import (
-        BFP8AllBackend,
-        BFP8MixedBackend,
-        IBERTBackend,
-        INT8LinearBackend,
-    )
+def test_strict_policy_covering_every_layer_builds():
+    """``default=None`` with rules for every TinyLM layer but not the
+    empty root path: the backend builds and matches ``bfp8-all``."""
+    from repro.models.policy import PolicyRule, PrecisionPolicy
 
-    b = BFP8MixedBackend(man_bits=4)
-    assert b.man_bits == 4 and not b.exact_accumulate
-    assert isinstance(BFP8AllBackend(), BFP8MixedBackend)
-    assert BFP8MixedBackend(exact_accumulate=True).exact_accumulate
-    assert INT8LinearBackend(bits=6).bits == 6
-    assert IBERTBackend().act_bits == 8
+    policy = PrecisionPolicy(
+        name="strict-bfp8",
+        rules=tuple(
+            PolicyRule(layer, "*", "bfp8")
+            for layer in ("block*", "final_norm", "head")
+        ),
+        default=None,
+    )
+    model, tokens = _fixture()
+    logits = model.forward(tokens, PolicyBackend(policy))
+    assert _sha256(logits) == PRE_REFACTOR_LOGITS_SHA256["bfp8-all"]
 
 
 def test_policy_backend_strict_policy_raises_on_unmatched_layer():

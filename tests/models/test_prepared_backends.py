@@ -8,14 +8,7 @@ bitwidth, and an in-place weight update must never be served stale.
 import numpy as np
 import pytest
 
-from repro.models.backend import (
-    BFP8AllBackend,
-    BFP8MixedBackend,
-    FP32Backend,
-    IBERTBackend,
-    INT8AllBackend,
-    INT8LinearBackend,
-)
+from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.models.layers import Linear
 from repro.obs.profile import Profiler
@@ -27,18 +20,11 @@ from repro.perf.prepared import (
 )
 
 FACTORIES = [
-    pytest.param(lambda: BFP8MixedBackend(), id="bfp8-mixed"),
-    pytest.param(lambda: BFP8MixedBackend(man_bits=4), id="bfp4-mixed"),
-    pytest.param(lambda: BFP8MixedBackend(man_bits=6), id="bfp6-mixed"),
-    pytest.param(
-        lambda: BFP8MixedBackend(exact_accumulate=True), id="bfp8-exact"
-    ),
-    pytest.param(lambda: BFP8AllBackend(), id="bfp8-all"),
-    pytest.param(lambda: INT8LinearBackend(), id="int8-linear"),
-    pytest.param(lambda: INT8LinearBackend(bits=4), id="int4-linear"),
-    pytest.param(lambda: INT8LinearBackend(bits=6), id="int6-linear"),
-    pytest.param(lambda: INT8AllBackend(), id="int8-all"),
-    pytest.param(lambda: IBERTBackend(), id="ibert"),
+    pytest.param(lambda name=name: get_backend(name), id=name)
+    for name in (
+        "bfp8-mixed", "bfp4-mixed", "bfp6-mixed", "bfp8-all", "int8-linear",
+        "int4-linear", "int6-linear", "int8-all", "ibert",
+    )
 ]
 
 
@@ -85,7 +71,7 @@ class TestBitExactness:
         assert np.array_equal(dense_out, prepared_out)
 
     def test_fp32_prepare_is_identity(self, rng):
-        be = FP32Backend()
+        be = get_backend("fp32")
         w = rng.normal(size=(8, 8)).astype(np.float32)
         assert be.prepare_weight(w) is w
 
@@ -117,12 +103,12 @@ class TestBatchedMatmul:
     def test_fp32_batched_close_to_per_slice(self, rng):
         a = rng.normal(size=(3, 5, 8)).astype(np.float32)
         b = rng.normal(size=(3, 8, 4)).astype(np.float32)
-        be = FP32Backend()
+        be = get_backend("fp32")
         out = be.matmul_batched(a, b)
         assert np.allclose(out, a @ b, atol=1e-6)
 
     def test_batched_stats_count_logical_passes(self, rng):
-        be = BFP8MixedBackend()
+        be = get_backend("bfp8-mixed")
         a = rng.normal(size=(4, 3, 16))
         b = rng.normal(size=(4, 16, 8))
         be.matmul_batched(a, b)
@@ -133,7 +119,7 @@ class TestBatchedMatmul:
     def test_batched_shape_validation(self):
         from repro.errors import ConfigurationError
 
-        be = BFP8MixedBackend()
+        be = get_backend("bfp8-mixed")
         with pytest.raises(ConfigurationError):
             be.matmul_batched(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
         with pytest.raises(ConfigurationError):
@@ -143,7 +129,7 @@ class TestBatchedMatmul:
 class TestQuantizeAttribution:
     def test_weight_quantization_counted_once(self, rng):
         prof = Profiler()
-        be = BFP8MixedBackend()
+        be = get_backend("bfp8-mixed")
         be.profiler = prof
         x = rng.normal(size=(4, 16))
         w = rng.normal(size=(16, 8))
@@ -161,9 +147,9 @@ class TestQuantizeAttribution:
 
     def test_cache_hit_skips_weight_quantization(self, rng):
         w = rng.normal(size=(16, 8))
-        BFP8MixedBackend().prepare_weight(w)  # warm the shared cache
+        get_backend("bfp8-mixed").prepare_weight(w)  # warm the shared cache
         prof = Profiler()
-        be = BFP8MixedBackend()
+        be = get_backend("bfp8-mixed")
         be.profiler = prof
         be.matmul(rng.normal(size=(2, 16)), be.prepare_weight(w))
         total_ops = sum(
@@ -175,7 +161,7 @@ class TestQuantizeAttribution:
 class TestModelWarming:
     def test_linear_prepares_through_cache(self, fresh_cache, rng):
         lin = Linear(16, 8, rng=rng)
-        be = BFP8MixedBackend()
+        be = get_backend("bfp8-mixed")
         lin.prepare(be)
         assert len(fresh_cache) == 1
         lin.forward(rng.normal(size=(3, 16)).astype(np.float32), be)
@@ -187,7 +173,7 @@ class TestModelWarming:
         )
 
         def decode():
-            be = BFP8MixedBackend()
+            be = get_backend("bfp8-mixed")
             caches = model.init_cache()
             logits = model.forward_step(1, 0, caches, be)
             for pos in range(1, 5):
@@ -196,7 +182,7 @@ class TestModelWarming:
             return logits
 
         uncached = _uncached(decode)
-        model.prepare(BFP8MixedBackend())
+        model.prepare(get_backend("bfp8-mixed"))
         assert len(get_cache()) > 0
         cached = decode()
         assert np.array_equal(uncached, cached)

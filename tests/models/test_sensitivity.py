@@ -1,5 +1,7 @@
 """Tests for the component-sensitivity analysis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestSelectiveBackend:
         be = SelectiveBackend("residual", ("bfp", 4))
         x = rng.normal(size=(4, 8)).astype(np.float32)
         assert not np.array_equal(be.requantize(x), x)
+
+    def test_logits_bit_identical_to_dedicated_engine(self, model, tokens):
+        """SHA-256 of the raw logits for every scheme x component class,
+        recorded when SelectiveBackend still ran its own matmul and grid
+        code instead of a one-class policy."""
+        h = hashlib.sha256()
+        for scheme in [("bfp", 8), ("int", 8), ("bfp", 4), ("int", 4)]:
+            for comp in COMPONENT_CLASSES:
+                logits = model.forward(tokens, SelectiveBackend(comp, scheme))
+                h.update(np.ascontiguousarray(logits).tobytes())
+        assert h.hexdigest() == (
+            "dd7f143686c55629ec613218b3fe0c865e295326e755ca27f5b63e6a82485ac2"
+        )
 
 
 class TestComponentSensitivity:

@@ -6,8 +6,8 @@ from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.obs.profile import (
     Profiler,
-    bfp_matmul_unit_cycles,
     fp32_elementwise_cycles,
+    mode_matmul_unit_cycles,
     nonlinear_op_counts,
 )
 from repro.perf.latency import measured_bfp_stream_cycles
@@ -17,7 +17,7 @@ from repro.runtime.compiler import plan_matmul
 def test_bfp_matmul_cycles_match_plan():
     plan = plan_matmul(64, 64, 64)
     expected = plan.streams * measured_bfp_stream_cycles(plan.stream_len)
-    assert bfp_matmul_unit_cycles(64, 64, 64) == expected
+    assert mode_matmul_unit_cycles(64, 64, 64, "bfp8_mac") == expected
 
 
 def test_fp32_elementwise_cycles():
@@ -38,7 +38,7 @@ def test_scope_nesting_and_attribution():
     p = Profiler()
     with p.scope("block0"):
         with p.scope("attn"):
-            p.record_matmul(8, 16, 16, precision="bfp8")
+            p.record_matmul(8, 16, 16, precision="bfp8", mode="bfp8_mac")
         p.record_nonlinear("softmax", 64, precision="fp32")
     assert p.current_scope == "<root>"
     scopes = {k[0] for k in p.entries}
@@ -53,8 +53,8 @@ def test_scope_nesting_and_attribution():
 def test_fp32_matmul_charged_through_vector_unit():
     """No array mapping for fp32: far more cycles than the bfp8 array."""
     p = Profiler()
-    p.record_matmul(32, 32, 32, precision="fp32")
-    p.record_matmul(32, 32, 32, precision="bfp8")
+    p.record_matmul(32, 32, 32, precision="fp32", mode="fp32_vector")
+    p.record_matmul(32, 32, 32, precision="bfp8", mode="bfp8_mac")
     fp32 = next(e for (_, prec, _), e in p.entries.items() if prec == "fp32")
     bfp = next(e for (_, prec, _), e in p.entries.items() if prec == "bfp8")
     assert fp32.cycles > 10 * bfp.cycles
@@ -62,9 +62,9 @@ def test_fp32_matmul_charged_through_vector_unit():
 
 def test_as_dict_rows_sorted_by_cycles():
     p = Profiler()
-    p.record_matmul(64, 64, 64, precision="bfp8")
+    p.record_matmul(64, 64, 64, precision="bfp8", mode="bfp8_mac")
     with p.scope("small"):
-        p.record_matmul(8, 8, 8, precision="bfp8")
+        p.record_matmul(8, 8, 8, precision="bfp8", mode="bfp8_mac")
     doc = p.as_dict()
     cycles = [r["cycles"] for r in doc["entries"]]
     assert cycles == sorted(cycles, reverse=True)
