@@ -12,7 +12,8 @@ The per-block functions (:func:`block_matmul`, :func:`accumulate`,
 simulator in ``repro.hw``.  Model emulation has one bfp kernel,
 :func:`fast_emulate_blocks`: every emulated bfp matmul — eager ViT and
 prefill, the format registry, compiled decode replay — runs it through
-:func:`bfp_matmul_prepared` or :func:`bfp_matmul_from_tiles`.  Like the
+:func:`bfp_matmul_prepared`, :func:`bfp_matmul_from_tiles` or
+:func:`bfp_matmul_resident`.  Like the
 PSU accumulator, it aligns each partial block once to the running PSU
 exponent as the block arrives, rescales the PSU only at K steps where
 some running exponent grows, and streams K in L2-sized chunks, so the
@@ -59,6 +60,9 @@ __all__ = [
     "bfp_matmul_prepared",
     "bfp_batched_tiles",
     "bfp_matmul_from_tiles",
+    "bfp_matmul_resident",
+    "stream_tiles",
+    "resident_tiles",
     "fast_emulate_blocks",
     "activation_blocks",
 ]
@@ -360,6 +364,32 @@ def _tile_batch(
     return quantize_tiles(tiles, man_bits=man_bits)
 
 
+def stream_tiles(
+    a: np.ndarray, *, man_bits: int = 8
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize the streamed (left) operand ``(B, M, K)`` of a batched
+    matmul into ``(B, Mb, Kb, r, 8)`` block-grid tiles, with row blocks
+    trimmed to ``M`` rows below one tile (see :func:`activation_blocks`)."""
+    m = a.shape[-2]
+    rows = BLOCK_ROWS if m >= BLOCK_ROWS else max(1, m)
+    return _tile_batch(a, rows, BLOCK_COLS, man_bits=man_bits)
+
+
+def resident_tiles(
+    b: np.ndarray, *, man_bits: int = 8
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize the resident (right) operand ``(B, K, N)`` of a batched
+    matmul into the kernel's layout: ``(B, Kb, 8, Cb*8)`` float64
+    mantissas and ``(B, Kb, Cb)`` int64 exponents, the layout a
+    :class:`BfpWeight` holds for a weight (see :func:`_flatten_cols`).
+
+    Quantization is per 8x8 block, so the tiles of a slab of whole K (or
+    N) blocks are exactly those blocks' tiles in the whole operand.
+    """
+    man, exp = _tile_batch(b, BLOCK_ROWS, BLOCK_COLS, man_bits=man_bits)
+    return _flatten_cols(man), exp.astype(np.int64)
+
+
 def _emulate_blocks(
     a_man: np.ndarray,
     a_exp: np.ndarray,
@@ -637,11 +667,9 @@ def bfp_batched_tiles(
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ConfigurationError(f"bad batched matmul shapes: {a.shape} @ {b.shape}")
-    m, n = a.shape[1], b.shape[2]
-    rows = BLOCK_ROWS if m >= BLOCK_ROWS else max(1, m)
-    a_man, a_exp = _tile_batch(a, rows, BLOCK_COLS, man_bits=man_bits)
+    a_man, a_exp = stream_tiles(a, man_bits=man_bits)
     b_man, b_exp = _tile_batch(b, BLOCK_ROWS, BLOCK_COLS, man_bits=man_bits)
-    return a_man, a_exp, b_man, b_exp, m, n
+    return a_man, a_exp, b_man, b_exp, a.shape[1], b.shape[2]
 
 
 def bfp_matmul_from_tiles(
@@ -659,5 +687,18 @@ def bfp_matmul_from_tiles(
     quantization grids and alignment decisions are per-block and blocks
     never span slices.
     """
-    dense = _emulate(a_man, a_exp, _flatten_cols(b_man), b_exp)
-    return dense[:, :m, :n]
+    return bfp_matmul_resident(a_man, a_exp, _flatten_cols(b_man), b_exp, m, n)
+
+
+def bfp_matmul_resident(
+    a_man: np.ndarray,
+    a_exp: np.ndarray,
+    b_flat: np.ndarray,
+    b_exp: np.ndarray,
+    m: int,
+    n: int,
+) -> np.ndarray:
+    """Finish a batched emulated matmul whose right operand is already in
+    the kernel's layout (:func:`resident_tiles`): the decode plan's
+    attention against the bfp K/V tiles a KV arena keeps."""
+    return _emulate(a_man, a_exp, b_flat, b_exp)[:, :m, :n]

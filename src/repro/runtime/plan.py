@@ -18,7 +18,14 @@ taps and KV re-stacking.  This module hoists all of it out of the loop:
   (re-exported here under its historical path).
 * :class:`KvArena` keeps a batch group's K/V in one preallocated buffer
   with capacity-doubling in-place appends — no per-token
-  ``np.concatenate`` re-stack/copy.
+  ``np.concatenate`` re-stack/copy.  For block-fp attention it also keeps
+  the bfp tiles of K^T and V, so replay quantizes each 8-token K/V block
+  once, as the hardware's output quantizer does, instead of the whole
+  cache every step: a step re-quantizes only the open tail block, plus
+  whatever an eager step, a regroup or a width change left stale.  The
+  tiles are float64, twice the float32 K/V bytes when ``head_dim`` is a
+  multiple of 8 (about 6 MB for the repository benchmark's batch-8
+  ``dim=384`` decode at a 64-token context).
 * Numerics-monitor taps become *sampled*: 1-in-N replay steps (default
   ``DEFAULT_TAP_SAMPLE``) re-run the full eager path with every tap live,
   recorded in a small ring buffer, so quantization health survives
@@ -37,10 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Re-exported under its historical path, which profiling span lists name.
-from repro.arith.bfp_matmul import fast_emulate_blocks
+from repro.arith.bfp_matmul import (
+    bfp_matmul_resident,
+    # Re-exported under its historical path, which profiling span lists name.
+    fast_emulate_blocks,
+    resident_tiles,
+    stream_tiles,
+)
 from repro.errors import ConfigurationError
-from repro.formats.bfp8 import BLOCK_COLS
+from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS
 from repro.formats.registry import BfpFormat
 from repro.models.attention import MultiHeadSelfAttention
 from repro.models.backend import PolicyBackend
@@ -82,6 +94,11 @@ class PlanUnsupported(Exception):
 # ---------------------------------------------------------------------------
 
 
+#: Tokens per K/V block: bfp blocks are 8x8, so a K^T column block and a
+#: V row block each span 8 tokens.
+_KV_BLOCK = BLOCK_ROWS
+
+
 class KvArena:
     """A batch group's K/V cache in one preallocated, growable buffer.
 
@@ -91,12 +108,24 @@ class KvArena:
     ``max_capacity``, the context window) so a decode of T tokens does
     O(log T) copies instead of T re-stacks.  ``grow_*``/``stack_*``
     counters make the no-copy property testable.
+
+    For block-fp attention the arena also keeps the bfp tiles of K^T and
+    V beside the float values (:meth:`bfp_tiles`), in the float64 layout
+    the kernel multiplies against
+    (:func:`~repro.arith.bfp_matmul.resident_tiles`), and grows them with
+    the float buffers.  A request brings them up to date by quantizing
+    from the first 8-token block that is not yet final through the open
+    tail block: one block per step in a stable group, and a catch-up
+    over every block that eager appends, a fresh arena (a regroup) or a
+    change of mantissa width left stale.  ``quantized_tokens`` counts the
+    tokens quantized.  The tiles are float64: twice the float32 K/V bytes
+    when ``head_dim`` is a multiple of 8.
     """
 
     __slots__ = (
         "n_heads", "head_dim", "length", "capacity", "max_capacity",
         "_k", "_v", "grow_events", "grow_copied", "stack_events",
-        "stack_copied",
+        "stack_copied", "_tiles", "_tile_bits", "_tiled", "quantized_tokens",
     )
 
     def __init__(
@@ -120,6 +149,10 @@ class KvArena:
         self.grow_copied = 0
         self.stack_events = 0
         self.stack_copied = 0
+        self._tiles: tuple[np.ndarray, ...] | None = None
+        self._tile_bits = 0  # mantissa width of the tiles
+        self._tiled = 0  # arena length the tiles were last brought up to
+        self.quantized_tokens = 0
 
     @property
     def rows(self) -> int:
@@ -137,8 +170,28 @@ class KvArena:
             v[:, :, : self.length] = self._v[:, :, : self.length]
             self.grow_copied += 2 * self._k[:, :, : self.length].size
         self._k, self._v = k, v
+        if self._tiles is not None:
+            kt_man, kt_exp, v_man, v_exp = self._tiles
+            self._tiles = self._new_tiles(new_cap)
+            self._tiles[0][..., : kt_man.shape[-1]] = kt_man
+            self._tiles[1][..., : kt_exp.shape[-1]] = kt_exp
+            self._tiles[2][:, : v_man.shape[1]] = v_man
+            self._tiles[3][:, : v_exp.shape[1]] = v_exp
         self.capacity = new_cap
         self.grow_events += 1
+
+    def _new_tiles(self, capacity: int) -> tuple[np.ndarray, ...]:
+        """Zeroed K^T and V tiles for ``capacity`` tokens: ``(kt_man,
+        kt_exp, v_man, v_exp)``, K^T as ``(hd, t)`` and V as ``(t, hd)``
+        right operands per (row, head)."""
+        r, bl = self.rows * self.n_heads, _KV_BLOCK
+        tb, hb = -(-capacity // bl), -(-self.head_dim // bl)
+        return (
+            np.zeros((r, hb, bl, tb * bl)),
+            np.zeros((r, hb, tb), dtype=np.int64),
+            np.zeros((r, tb, bl, hb * bl)),
+            np.zeros((r, tb, hb), dtype=np.int64),
+        )
 
     def append(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
         """Write one new position in place: operands are ``(rows, h, 1, hd)``."""
@@ -151,6 +204,41 @@ class KvArena:
     def views(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(rows, h, t, hd)`` K/V views of the filled prefix."""
         return self._k[:, :, : self.length], self._v[:, :, : self.length]
+
+    def bfp_tiles(self, man_bits: int) -> tuple[np.ndarray, ...]:
+        """The filled prefix's K^T and V as ``man_bits`` bfp tiles.
+
+        Returns ``(kt_man, kt_exp, v_man, v_exp)``: views equal to
+        :func:`~repro.arith.bfp_matmul.resident_tiles` of the whole
+        ``(rows*h, hd, t)`` K^T and ``(rows*h, t, hd)`` V, the right
+        operands of Q.K^T and P.V.  Only blocks from the first one not
+        yet final through the open tail block are quantized.  That is
+        exact: quantization is per 8x8 block, a finished block covers 8
+        fixed tokens, and positions at or past ``length`` are zero, so
+        the tail block quantizes as the zero-padded whole tensor's does.
+        """
+        if man_bits != self._tile_bits:
+            self._tile_bits, self._tiled = man_bits, 0
+        if self._tiles is None:
+            self._tiles = self._new_tiles(self.capacity)
+        kt_man, kt_exp, v_man, v_exp = self._tiles
+        end = -(-self.length // _KV_BLOCK)
+        if self._tiled < self.length:
+            start = self._tiled // _KV_BLOCK
+            lo, hi = start * _KV_BLOCK, end * _KV_BLOCK
+            r, hd = self.rows * self.n_heads, self.head_dim
+            kt = self._k[:, :, lo:hi].transpose(0, 1, 3, 2).reshape(r, hd, -1)
+            man, exp = resident_tiles(kt, man_bits=man_bits)
+            kt_man[..., lo:hi], kt_exp[..., start:end] = man, exp
+            v = self._v[:, :, lo:hi].reshape(r, -1, hd)
+            man, exp = resident_tiles(v, man_bits=man_bits)
+            v_man[:, start:end], v_exp[:, start:end] = man, exp
+            self.quantized_tokens += hi - lo
+            self._tiled = self.length
+        return (
+            kt_man[..., : end * _KV_BLOCK], kt_exp[..., :end],
+            v_man[:, :end], v_exp[:, :end],
+        )
 
     def row_kv(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """One session's ``(1, h, t, hd)`` K/V views."""
@@ -256,10 +344,10 @@ class _LinearOp:
 class _FusedLinearOp(_LinearOp):
     """Gate+up projections fused into one weight pass.
 
-    Valid only for non-exact block-fp with ``hidden % 8 == 0``: column
-    blocks are independent and the kernel is integer-exact, so the fused
-    result's column halves are bit-identical to the two split matmuls
-    (the concatenation the eager SwiGLU path builds anyway).
+    Valid only for block-fp with ``hidden % 8 == 0``: column blocks are
+    independent and the kernel is integer-exact, so the fused result's
+    column halves are bit-identical to the two split matmuls (the
+    concatenation the eager SwiGLU path builds anyway).
     """
 
     def __init__(self, fmt, gate: Linear, up: Linear) -> None:
@@ -268,6 +356,57 @@ class _FusedLinearOp(_LinearOp):
         self.prepared = fmt.prepare_weight(fused)
         self.bias = None
         self.d_in, self.d_out = gate.d_in, gate.d_out + up.d_out
+
+
+class _AttentionOp:
+    """Q.K^T and P.V against a group's KV arena, resolved at trace time.
+
+    Runs the attention format's own batched kernel on the arena's float
+    K/V views: the path for int, minifloat and fp32 attention, whose
+    quantization of K and V is not per fixed block of tokens.
+    """
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt) -> None:
+        self.fmt = fmt
+
+    def scores(self, q: np.ndarray, arena: KvArena) -> np.ndarray:
+        """``(B, 1, hd) @ K^T``: ``(B, 1, t)`` for ``B = rows * h``."""
+        k, _ = arena.views()
+        kt = k.transpose(0, 1, 3, 2).reshape(len(q), arena.head_dim, -1)
+        return self.fmt.matmul_batched(q, kt)
+
+    def context(self, p: np.ndarray, arena: KvArena) -> np.ndarray:
+        """``(B, 1, t) @ V``: ``(B, 1, hd)``."""
+        _, v = arena.views()
+        return self.fmt.matmul_batched(p, v.reshape(len(p), -1, arena.head_dim))
+
+
+class _BfpAttentionOp(_AttentionOp):
+    """Block-fp attention against the arena's K^T and V tiles.
+
+    Only q and the softmax row quantize per step; the right operands come
+    from :meth:`KvArena.bfp_tiles`, equal to the tiles
+    :meth:`~repro.formats.registry.BfpFormat.matmul_batched` would
+    quantize from the whole cache, so the result is bit-identical.
+    """
+
+    __slots__ = ()
+
+    def scores(self, q: np.ndarray, arena: KvArena) -> np.ndarray:
+        kt_man, kt_exp, _, _ = arena.bfp_tiles(self.fmt.man_bits)
+        return self._matmul(q, kt_man, kt_exp, arena.length)
+
+    def context(self, p: np.ndarray, arena: KvArena) -> np.ndarray:
+        _, _, v_man, v_exp = arena.bfp_tiles(self.fmt.man_bits)
+        return self._matmul(p, v_man, v_exp, arena.head_dim)
+
+    def _matmul(self, a, b_man, b_exp, n: int) -> np.ndarray:
+        a_man, a_exp = stream_tiles(a, man_bits=self.fmt.man_bits)
+        return bfp_matmul_resident(
+            a_man, a_exp, b_man, b_exp, a.shape[1], n
+        ).astype(np.float32)
 
 
 class _NonlinearShim:
@@ -316,7 +455,7 @@ class _BlockOps:
     gate_up: _LinearOp  # fused or gate (with .up set) — see build
     up: _LinearOp | None
     down: _LinearOp
-    attn: object  # the attention-role format (Q.K^T, P.V)
+    attn: _AttentionOp  # Q.K^T and P.V in the attention-role format
     swiglu: object
 
 
@@ -373,6 +512,11 @@ class DecodePlan:
             h, hd = attn.n_heads, attn.head_dim
             hidden = mlp.gate.d_out
             fuse = isinstance(lin_m, BfpFormat) and hidden % BLOCK_COLS == 0
+            attn_fmt = backend._fmt_at(apath, "attention")
+            attn_op = (
+                _BfpAttentionOp if isinstance(attn_fmt, BfpFormat)
+                else _AttentionOp
+            )
             self.blocks.append(_BlockOps(
                 norm1=blk.norm1,
                 norm2=blk.norm2,
@@ -390,7 +534,7 @@ class DecodePlan:
                 ),
                 up=None if fuse else _LinearOp(lin_m, mlp.up),
                 down=_LinearOp(lin_m, mlp.down),
-                attn=backend._fmt_at(apath, "attention"),
+                attn=attn_op(attn_fmt),
                 swiglu=_swiglu_fn(mlp),
             ))
             self.n_heads, self.head_dim = h, hd
@@ -456,17 +600,11 @@ class DecodePlan:
             qkv = qkv.reshape(b, 1, 3, h, hd).transpose(2, 0, 3, 1, 4)
             q, k_new, v_new = qkv[0], qkv[1], qkv[2]
             arena.append(k_new, v_new)
-            k, v = arena.views()
             t = arena.length
-            s = ops.attn.matmul_batched(
-                q.reshape(b * h, 1, hd),
-                k.transpose(0, 1, 3, 2).reshape(b * h, hd, t),
-            )
+            s = ops.attn.scores(q.reshape(b * h, 1, hd), arena)
             scores = s.reshape(b, h, 1, t) * self.scale
             probs = ops.softmax.forward(scores.astype(np.float32), ops.nl_attn)
-            ctx = ops.attn.matmul_batched(
-                probs.reshape(b * h, 1, t), v.reshape(b * h, t, hd)
-            )
+            ctx = ops.attn.context(probs.reshape(b * h, 1, t), arena)
             ctx = ctx.reshape(b, h, 1, hd).transpose(0, 2, 1, 3).reshape(b, 1, d)
             x = ops.res_attn.requantize(
                 x + ops.proj(ctx.astype(np.float32))

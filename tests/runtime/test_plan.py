@@ -11,7 +11,9 @@ The contract under test (:mod:`repro.runtime.plan`):
 * with a live numerics monitor the compiled path samples 1-in-N steps
   through the full eager tap path and replays the rest tap-free;
 * KV arenas append in place — a stable batch group pays zero per-token
-  copies.
+  copies — and keep bfp K/V tiles that a step brings up to date by
+  quantizing one 8-token block, or catching up on every block an eager
+  step, a regroup or a width change left stale.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ import importlib
 import numpy as np
 import pytest
 
+from repro.arith.bfp_matmul import resident_tiles
 from repro.errors import ConfigurationError
 from repro.models.backend import PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
@@ -316,6 +319,110 @@ class TestSampledTaps:
             assert np.array_equal(le, lc)
 
 
+def _decode_schedule(model, schedule, backends, *, compiled, seed=23):
+    """Decode a step schedule; return the logits of every step, stacked.
+
+    ``schedule`` lists one entry per step: the session indices stepped
+    together (grouped by position as ``forward_step_batch`` does) and the
+    backend index to run them under.  Session ``i`` decodes token
+    ``toks[i, p]`` at its own position ``p``.
+    """
+    n = 1 + max(i for idxs, _ in schedule for i in idxs)
+    toks = np.random.default_rng(seed).integers(0, model.vocab, size=(n, 64))
+    caches = [model.init_cache() for _ in range(n)]
+    pos = [0] * n
+    outs = []
+    for idxs, which in schedule:
+        outs.append(model.forward_step_batch(
+            [int(toks[i, pos[i]]) for i in idxs], [pos[i] for i in idxs],
+            [caches[i] for i in idxs], backends[which], compiled=compiled,
+        ))
+        for i in idxs:
+            pos[i] += 1
+    return np.concatenate(outs), caches
+
+
+def _compiled_matches_eager(model, policies, schedule):
+    """Run ``schedule`` eager and compiled on fresh backends; assert the
+    logits are SHA-identical and return the compiled run's caches."""
+    eager, _ = _decode_schedule(
+        model, schedule, [PolicyBackend(p) for p in policies], compiled=False
+    )
+    compiled, caches = _decode_schedule(
+        model, schedule, [PolicyBackend(p) for p in policies], compiled=True
+    )
+    assert _sha(compiled) == _sha(eager)
+    return caches
+
+
+class TestKvTileStaleness:
+    """Compiled decode keeps bfp K/V tiles in the arena; every way they can
+    go stale must still give eager's logits, to the bit."""
+
+    @pytest.mark.parametrize(
+        "policy_name, dim, heads",
+        [
+            ("bfp2-mixed", 48, 4), ("bfp3-mixed", 64, 2), ("bfp4-mixed", 40, 5),
+            ("bfp5-mixed", 48, 4), ("bfp6-mixed", 64, 2), ("bfp7-mixed", 40, 5),
+            ("bfp8-mixed", 48, 4), ("bfp8-all", 64, 2), ("mixed-fp8", 40, 5),
+        ],
+    )
+    def test_long_staggered_schedule(self, policy_name, dim, heads):
+        """Sessions 0 and 1 decode 42 steps as one group; session 2 starts
+        5 steps later in its own group.  Finished blocks are reused many
+        times, across arena growths, on head_dim 12, 32 and 8."""
+        model = _model(dim=dim, heads=heads, depth=1, seq_len=64)
+        steps, lag = 42, 5
+        schedule = [
+            ([i for i, start in enumerate((0, 0, lag))
+              if 0 <= s - start < steps], 0)
+            for s in range(steps + lag)
+        ]
+        caches = _compiled_matches_eager(
+            model, [get_policy(policy_name)], schedule
+        )
+        arena = caches[0][0]["arena"]
+        assert arena.rows == 2 and arena.length == steps
+        assert arena.length // 8 >= 4 and arena.grow_events >= 3
+
+    def test_width_switch_mid_block(self):
+        """One group's live caches decoded by a bfp8 and a bfp4 backend in
+        turn, switching every 5 steps: the tiles must re-quantize at each
+        switch, none of which falls on a block edge."""
+        model = _model(depth=1, seq_len=32)
+        schedule = [([0, 1], (s // 5) % 2) for s in range(30)]
+        _compiled_matches_eager(
+            model, [get_policy("bfp8-mixed"), get_policy("bfp4-mixed")],
+            schedule,
+        )
+
+    def test_sampled_eager_steps_between_replays(self):
+        """With the monitor on, every third step runs eagerly and appends
+        K/V without tiling them; the next replay must catch up."""
+        set_tap_sampling(3)
+        set_monitor(NumericsMonitor())
+        model = _model(depth=1, seq_len=32)
+        caches = _compiled_matches_eager(
+            model, [get_policy("bfp8-mixed")], [([0, 1], 0)] * 30
+        )
+        (stats,) = plan_stats(model)
+        assert stats["sampled_taps"] == 10 and stats["replays"] == 20
+        assert caches[0][0]["arena"].length == 30
+
+    def test_regroup_after_solo_decode(self):
+        """Two sessions decode alone for 13 steps, then one batch for 17:
+        the regrouped arena starts with no tiles."""
+        model = _model(depth=1, seq_len=32)
+        schedule = [([i], 0) for _ in range(13) for i in (0, 1)]
+        schedule += [([0, 1], 0)] * 17
+        caches = _compiled_matches_eager(
+            model, [get_policy("bfp8-mixed")], schedule
+        )
+        arena = caches[0][0]["arena"]
+        assert arena.rows == 2 and arena.stack_events == 1
+        assert arena.length == 30
+
+
 class TestKvArena:
     def test_append_matches_stacking(self, rng):
         arena = KvArena(2, 4, 8, capacity=1, max_capacity=16)
@@ -362,6 +469,53 @@ class TestKvArena:
         assert arena.grow_events <= 5
         assert arena.length == 10
 
+    def test_bfp_tiles_match_whole_cache_quantization(self, rng):
+        """Tiles kept across appends, growths and width changes equal the
+        tiles of the whole zero-padded K^T and V, quantized afresh."""
+        rows, h, hd = 2, 3, 12
+        arena = KvArena(rows, h, hd, capacity=3, max_capacity=40)
+        for t in range(1, 38):
+            kv = rng.normal(size=(2, rows, h, 1, hd)).astype(np.float32)
+            arena.append(kv[0], kv[1])
+            if t % 3 and t % 7:
+                continue  # appends in between leave blocks to catch up
+            bits = 4 if t % 2 else 8
+            k, v = arena.views()
+            want = (
+                *resident_tiles(
+                    k.transpose(0, 1, 3, 2).reshape(rows * h, hd, t),
+                    man_bits=bits,
+                ),
+                *resident_tiles(v.reshape(rows * h, t, hd), man_bits=bits),
+            )
+            for got, ref in zip(arena.bfp_tiles(bits), want):
+                assert np.array_equal(got, ref)
+        assert arena.grow_events >= 3
+
+    def test_quantize_work_per_step_is_constant(self):
+        """A compiled step quantizes one 8-token K/V block per arena, not
+        the whole cache; an eager step quantizes none, and the first replay
+        after a regroup catches up on the finished block and the tail."""
+        model = _model(seq_len=32)
+        backend = PolicyBackend(get_policy("bfp8-mixed"))
+        caches = [model.init_cache() for _ in range(3)]
+
+        def step(s, idxs, *, compiled=True):
+            model.forward_step_batch(
+                [1 + i for i in idxs], [s] * len(idxs),
+                [caches[i] for i in idxs], backend, compiled=compiled,
+            )
+            return [entry["arena"].quantized_tokens for entry in caches[0]]
+
+        assert step(0, [0, 1, 2]) == [8, 8]
+        for s in range(1, 12):
+            assert step(s, [0, 1, 2]) == [8 * (s + 1)] * 2
+        assert step(12, [0, 1, 2], compiled=False) == [96, 96]
+        # Session 2 leaves: a fresh two-row arena at length 13.
+        assert step(13, [0, 1]) == [16, 16]
+        for s in range(14, 20):
+            assert step(s, [0, 1]) == [16 + 8 * (s - 13)] * 2
+
     def test_unequal_lengths_rejected(self):
         model = _model(depth=1)
         backend = PolicyBackend(get_policy("bfp8-mixed"))
@@ -401,7 +555,7 @@ class TestPlanStats:
 
     def test_replay_runs_the_fast_kernel(self, monkeypatch):
         """Replayed bfp matmuls run the float64 kernel, never the integer
-        oracle (no probe attached, no exact accumulation)."""
+        oracle (no probe attached): one call per matmul of the step."""
         bm = importlib.import_module("repro.arith.bfp_matmul")
 
         calls = {"fast": 0, "oracle": 0}
@@ -426,4 +580,6 @@ class TestPlanStats:
         model.forward_step(2, 1, cache, backend, compiled=True)
         (stats,) = plan_stats(model)
         assert stats["replays"] == 2
-        assert calls["fast"] > 0 and calls["oracle"] == 0
+        # Per block qkv, proj, fused gate/up and down, plus the head: 9
+        # linear; per block Q.K^T and P.V: 4 attention.
+        assert calls["fast"] == 13 and calls["oracle"] == 0
