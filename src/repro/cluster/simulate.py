@@ -42,7 +42,8 @@ from repro.serve.dispatcher import Dispatcher, ServeConfig
 from repro.serve.metrics import MetricsCollector, percentiles
 from repro.serve.request import Request
 
-__all__ = ["ClusterConfig", "ClusterReport", "simulate_cluster"]
+__all__ = ["ClusterConfig", "ClusterReport", "simulate_cluster",
+           "publish_metrics"]
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,6 @@ def drive(
     config: ClusterConfig,
     *,
     tracer: Tracer,
-    registry: MetricsRegistry,
     slo: SLOTracker,
     path: RequestPathConfig | None,
     recorder: FlightRecorder,
@@ -165,8 +165,9 @@ def drive(
     ``spawn`` (a provisioning replica becoming routable) and
     ``autoscale`` (a periodic policy sample).  ``bare`` is the single
     pool's naming: its one replica, reached without the router, exports
-    bare ``unitN`` tracks and ``serve.*`` metrics and no fleet series.
-    The run ends in an O(replicas) conservation check.
+    bare ``unitN`` tracks and no fleet series.  The loop writes no
+    registry metrics (the front ends call :func:`publish_metrics` on the
+    finished run).  The run ends in an O(replicas) conservation check.
     """
     spec = config.spec
     router = None if bare else Router(config.router_seed, slo=slo)
@@ -231,12 +232,10 @@ def drive(
             push,
             cost=dispatch_cost,
             tracer=tracer,
-            registry=registry,
             track_prefix="" if bare else f"r{rid}.",
             slo=slo,
             path=path,
             processes=None if bare else lane_procs,
-            metric_prefix="" if bare else f"cluster.r{rid}.",
             recorder=recorder,
         )
         owner[r.dispatcher] = r
@@ -348,8 +347,6 @@ def drive(
         note_active(now)
         if recorder.enabled:
             recorder.record_scale(now, ev.as_dict())
-        if registry.enabled:
-            registry.counter(f"cluster.{ev.action}").inc()
         if tracer.enabled:
             tracer.span(
                 f"{ev.action} r{ev.rid}",
@@ -382,10 +379,6 @@ def drive(
                     slo.record_rejection(req, now)
                 if recorder.enabled:
                     recorder.record_rejection(req, now)
-                    if slo.enabled:
-                        recorder.observe_burn(now, slo.fleet_burn(now))
-                if registry.enabled:
-                    registry.counter("cluster.edge_rejections").inc()
             else:  # min_replicas >= 1 keeps a routable replica
                 target = (replicas[0] if router is None
                           else router.route(req, replicas, now))
@@ -449,6 +442,43 @@ def drive(
                     now)
 
 
+def publish_metrics(registry: MetricsRegistry, run: FleetRun, *,
+                    bare: bool = False) -> None:
+    """Publish a finished run's serving counts and samples to ``registry``.
+
+    Each replica's :class:`~repro.serve.metrics.MetricsCollector` and
+    plan ledger, plus the run's edge rejections and scale events, are
+    the one record of what happened; this copies them out once.  Names
+    carry a ``cluster.r<rid>.`` prefix unless ``bare``; a metric is
+    created only when it has something to count, and histogram samples
+    keep event order.
+    """
+    counts: dict[str, int] = {"cluster.edge_rejections": run.edge_rejected}
+    for ev in run.scaler.events if run.scaler else ():
+        name = f"cluster.{ev.action}"
+        counts[name] = counts.get(name, 0) + 1
+    for r in run.replicas:
+        d, m = r.dispatcher, r.dispatcher.metrics
+        pre = "" if bare else f"cluster.r{r.rid}."
+        traces = len(d.plan_ledger)
+        counts[f"{pre}serve.rejections"] = m.rejections
+        counts[f"{pre}serve.plan.traces"] = traces
+        counts[f"{pre}serve.plan.replays"] = sum(d.plan_ledger.values()) - traces
+        for phase, sizes in m.batch_sizes.items():
+            counts[f"{pre}serve.dispatches.{phase}"] = len(sizes)
+            limit = d.config.policy.batch_limit(phase)
+            fill = registry.histogram(f"{pre}serve.batch_fill.{phase}")
+            for size in sizes:
+                fill.observe(size / limit)
+        if m.queue_samples:
+            depth = registry.histogram(f"{pre}serve.queue_depth")
+            for _, n in m.queue_samples:
+                depth.observe(n)
+    for name, n in counts.items():
+        if n:
+            registry.counter(name).inc(n)
+
+
 def simulate_cluster(
     requests: list[Request],
     config: ClusterConfig = ClusterConfig(),
@@ -481,8 +511,8 @@ def simulate_cluster(
     spec = config.spec
     clock = config.serve.clock
     reg = get_registry() if registry is None else registry
-    run = drive(requests, config, tracer=tracer, registry=reg, slo=slo,
-                path=path, recorder=recorder)
+    run = drive(requests, config, tracer=tracer, slo=slo, path=path,
+                recorder=recorder)
     replicas, router, scaler = run.replicas, run.router, run.scaler
     edge_rejected = run.edge_rejected
 
@@ -587,14 +617,16 @@ def simulate_cluster(
         )
 
     if reg.enabled:
+        publish_metrics(reg, run)
         reg.counter("cluster.arrivals").inc(summary["arrivals"])
         reg.counter("cluster.tokens_out").inc(merged.tokens_out)
         reg.gauge("cluster.replicas_spawned").set(len(replicas))
         reg.gauge("cluster.horizon_cycles").set(horizon)
-        # Per-replica/board-labeled fleet metrics: the dispatcher already
-        # namespaces its live counters under ``cluster.r<rid>.``; these
-        # summary gauges make per-replica utilization (and which boards
-        # backed it) verifiable straight from a --metrics-out dump.
+        # Per-replica/board-labeled fleet metrics: publish_metrics
+        # namespaces each replica's serving counters under
+        # ``cluster.r<rid>.``; these summary gauges make per-replica
+        # utilization (and which boards backed it) verifiable straight
+        # from a --metrics-out dump.
         for r, row in zip(replicas, per_replica):
             base = f"cluster.r{r.rid}"
             reg.gauge(f"{base}.utilization").set(row["utilization"])

@@ -33,13 +33,13 @@ summary as span arguments on a ``numerics`` track of a cycle-domain
 :class:`~repro.obs.tracer.Tracer`.
 
 The disabled path mirrors ``NULL_TRACER``/``NULL_REGISTRY``:
-:data:`NULL_MONITOR` — a true null-object subclass whose observation
-methods are bare returns and whose ``scope`` is a shared reusable no-op
-context manager — is installed process-wide by default.  Instrumentation
-sites fetch it through the module-level :func:`get_monitor` (no per-call
-imports) and check the single ``enabled`` attribute before doing any
-work: quantizing kernels pay one function call and one attribute read,
-nothing else (see ``results/BENCH_numerics_overhead.json``).
+:data:`NULL_MONITOR`, a ``NumericsMonitor(enabled=False)`` whose
+observation methods return at once, is installed process-wide by
+default.  Instrumentation sites fetch it through the module-level
+:func:`get_monitor` (no per-call imports) and check the single
+``enabled`` attribute before doing any work: quantizing kernels pay one
+function call and one attribute read, nothing else (see
+``results/BENCH_numerics_overhead.json``).
 """
 
 from __future__ import annotations
@@ -530,58 +530,7 @@ class NumericsMonitor:
         self.alignment.clear()
 
 
-class _NullScope:
-    """Reusable no-op context manager (no generator frame per entry)."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class _NullMonitor(NumericsMonitor):
-    """Disabled monitor with zero per-call work beyond the method call.
-
-    Every observation entry point is a bare return — no ``enabled``
-    branch, no argument inspection — and :meth:`scope` hands back one
-    shared no-op context manager instead of building a generator frame.
-    Call sites still guard on ``enabled`` (it stays ``False`` here) so
-    they skip argument marshalling entirely; these overrides are the
-    backstop that keeps an unguarded site nearly free too.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def scope(self, name: str):
-        return _NULL_SCOPE
-
-    def observe_bfp(self, *args, **kwargs) -> None:
-        return None
-
-    def observe_bfp_tiles(self, *args, **kwargs) -> None:
-        return None
-
-    def observe_int(self, *args, **kwargs) -> None:
-        return None
-
-    def observe_int_sliced(self, *args, **kwargs) -> None:
-        return None
-
-    def observe_half(self, *args, **kwargs) -> None:
-        return None
-
-    def observe_alignment(self, *args, **kwargs) -> None:
-        return None
-
-
-NULL_MONITOR = _NullMonitor()
+NULL_MONITOR = NumericsMonitor(enabled=False)
 
 _default_monitor: NumericsMonitor = NULL_MONITOR
 

@@ -1,10 +1,10 @@
 """Flight recorder: bounded ring buffers + triggered incident capture.
 
-The recorder rides along a serving simulation the way NULL_MONITOR /
-NULL_SLO peers do: the dispatcher calls one guarded hook per event kind
+The recorder rides along a serving simulation as the tracer and the SLO
+tracker do: the dispatcher calls one guarded hook per event kind
 (``if recorder.enabled: ...``), each hook is a deque append plus a few
-EWMA float ops, and the disabled :data:`NULL_RECORDER` path costs one
-attribute read.  What it buys:
+EWMA float ops, and the disabled :data:`NULL_RECORDER`
+(``enabled=False``) costs one attribute read.  What it buys:
 
 * **ring buffers of recent activity** — completed request summaries,
   queue-depth samples, batcher/plan/autoscaler decisions, numerics taps
@@ -50,7 +50,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 __all__ = [
     "RecorderConfig",
     "FlightRecorder",
-    "NullFlightRecorder",
     "NULL_RECORDER",
     "BUNDLE_SCHEMA_VERSION",
     "canonical_sha256",
@@ -140,10 +139,9 @@ class FlightRecorder:
     ``out_dir`` of ``None`` keeps bundles in :attr:`incidents` only
     (tests); otherwise each bundle lands at ``out_dir/run/<id>.json``.
     ``replayable=False`` (cluster captures) marks every bundle
-    replay-unsupported up front.
+    replay-unsupported up front.  With ``enabled=False`` every hook
+    returns at once and :meth:`finalize` reports nothing.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -155,7 +153,9 @@ class FlightRecorder:
         tracer: Tracer = NULL_TRACER,
         replayable: bool = True,
         replayable_reason: str | None = None,
+        enabled: bool = True,
     ) -> None:
+        self.enabled = enabled
         self.config = config
         self.run = run
         self.out_dir = out_dir
@@ -166,8 +166,7 @@ class FlightRecorder:
         self.engine = AnomalyEngine(config.anomaly)
         # Direct detector refs (None = stream disabled): the hot hooks
         # skip the engine's dict lookup and only build a Trigger on the
-        # rare firing path.  The arithmetic and field order must match
-        # AnomalyEngine.observe exactly — replays compare bit-for-bit.
+        # rare firing path (see _observe).
         det = self.engine.detectors
         self._lat_det = det.get("latency_cycles")
         self._queue_det = det.get("queue_depth")
@@ -198,12 +197,15 @@ class FlightRecorder:
         self._last_depth = -1
         self._snap_depth = -1
         self._policy = None  # set by bind_policy() when wired to a dispatcher
+        self._slo = None  # set by bind_slo() when the run tracks SLOs
 
     # -- hot-path hooks (caller guards on ``recorder.enabled``) ---------------
     # Hot appends store *references* to the (frozen, immutable) Request
     # objects; the serializable rows are expanded only at bundle close —
     # tuple construction per event is the dominant steady-state cost.
     def record_arrival(self, req, now: int) -> None:
+        if not self.enabled:
+            return
         ep = self._epoch_arrivals
         if len(ep) >= self.config.max_epoch_requests:
             self._epoch_overflow = True
@@ -211,22 +213,23 @@ class FlightRecorder:
         ep.append(req)
 
     def record_rejection(self, req, now: int) -> None:
+        if not self.enabled:
+            return
         self.ring_requests.append(("reject", req, now))
         self._epoch_rejections += 1
+        self._observe_burn(now)
 
     def record_completion(self, req, now: int, missed: bool) -> None:
+        if not self.enabled:
+            return
         self.ring_requests.append(("done", req, now, missed))
         self._epoch_completions.append((req, now, missed))
         if missed:
             self._epoch_misses += 1
-        det = self._lat_det
-        if det is not None:
-            self.engine.n_obs += 1
-            value = float(now - req.arrival)
-            z = det.observe(value)
-            if z is not None:
-                self._on_trigger(self.engine.make_trigger(
-                    det, "latency_cycles", now, value, z))
+        if self._lat_det is not None:
+            self._observe(self._lat_det, "latency_cycles", now,
+                          float(now - req.arrival))
+        self._observe_burn(now)
 
     def observe_queue(self, now: int, depth: int) -> None:
         # Sampled once per admitted arrival (see Dispatcher.admit) —
@@ -234,62 +237,58 @@ class FlightRecorder:
         # depth sequence; decode re-queue oscillation between arrivals
         # never reaches the detector.  Consecutive equal samples are
         # still deduplicated so the ring holds transitions only.
-        if depth == self._last_depth:
+        if not self.enabled or depth == self._last_depth:
             return
         self.ring_metrics.append((now, "queue_depth", depth))
         self._last_depth = depth
-        det = self._queue_det
-        if det is not None:
-            self.engine.n_obs += 1
-            z = det.observe(float(depth))
-            if z is not None:
-                self._on_trigger(self.engine.make_trigger(
-                    det, "queue_depth", now, float(depth), z))
+        if self._queue_det is not None:
+            self._observe(self._queue_det, "queue_depth", now, float(depth))
 
     def bind_policy(self, policy) -> None:
         """Give record_dispatch the batch policy so it can compute batch
         fill lazily — only when the occupancy detector is enabled."""
         self._policy = policy
 
+    def bind_slo(self, slo) -> None:
+        """Observe ``slo``'s fleet burn after every completion and
+        rejection this recorder records (the SLO tracker records the
+        same event first)."""
+        self._slo = slo if slo.enabled else None
+
     def record_dispatch(self, now: int, batch, unit: int,
                         plan_new: bool = False) -> None:
+        if not self.enabled:
+            return
         self.ring_decisions.append(("dispatch", now, batch, unit))
         if plan_new:
             self.ring_decisions.append(
                 ("plan_trace", now, f"{batch.phase}x{batch.size}"))
-        det = self._occ_det
-        if det is not None:
+        if self._occ_det is not None:
             if self._policy is None:
                 raise ConfigurationError(
                     "batch-occupancy detector requires bind_policy() "
                     "before record_dispatch()")
-            fill = batch.size / self._policy.batch_limit(batch.phase)
-            self.engine.n_obs += 1
-            z = det.observe(fill)
-            if z is not None:
-                self._on_trigger(self.engine.make_trigger(
-                    det, "batch_occupancy", now, fill, z))
-
-    def observe_burn(self, now: int, burn: float) -> None:
-        self._on_trigger(self.engine.observe_burn(now, burn))
+            self._observe(self._occ_det, "batch_occupancy", now,
+                          batch.size / self._policy.batch_limit(batch.phase))
 
     def record_numerics(self, now: int, layer: str, precision: str,
                         role: str, sqnr_db: float) -> None:
+        if not self.enabled:
+            return
         self.ring_numerics.append((now, layer, precision, role, sqnr_db))
-        det = self._sqnr_det
-        if det is not None:
-            self.engine.n_obs += 1
-            z = det.observe(sqnr_db)
-            if z is not None:
-                self._on_trigger(self.engine.make_trigger(
-                    det, "sqnr_db", now, sqnr_db, z))
+        if self._sqnr_det is not None:
+            self._observe(self._sqnr_det, "sqnr_db", now, sqnr_db)
 
     def record_scale(self, now: int, event: dict) -> None:
+        if not self.enabled:
+            return
         self.ring_decisions.append(("scale", now, dict(event)))
 
     def external_trigger(self, now: int, source: str, signal: str,
                          value: float, threshold: float = 0.0,
                          details: dict | None = None) -> None:
+        if not self.enabled:
+            return
         self._on_trigger(self.engine.external(
             now, source, signal, value, threshold, details))
 
@@ -297,11 +296,27 @@ class FlightRecorder:
         """Driver hook after each processed event; ``idle`` marks an
         idle point (empty batcher, all units idle) — the epoch boundary
         replay relies on."""
-        if not idle:
+        if not (self.enabled and idle):
             return
         if self._active is not None:
             self._close(now)
         self._mark_epoch(now)
+
+    def _observe(self, det, signal: str, now: int, value: float) -> None:
+        """Score one sample on a detector held by direct reference.
+
+        The arithmetic and field order match AnomalyEngine.observe
+        exactly — replays compare bit-for-bit."""
+        self.engine.n_obs += 1
+        z = det.observe(value)
+        if z is not None:
+            self._on_trigger(self.engine.make_trigger(det, signal, now,
+                                                      value, z))
+
+    def _observe_burn(self, now: int) -> None:
+        if self._slo is not None:
+            self._on_trigger(self.engine.observe_burn(
+                now, self._slo.fleet_burn(now)))
 
     # -- incident lifecycle ---------------------------------------------------
     def active_incident_id(self) -> str | None:
@@ -467,6 +482,8 @@ class FlightRecorder:
 
     def finalize(self, now: int) -> dict:
         """Close any open incident and return the run-level summary."""
+        if not self.enabled:
+            return {}
         if self._active is not None:
             self._close(now)
         return {
@@ -495,55 +512,4 @@ class FlightRecorder:
         self._snap_obs = self.engine.n_obs
 
 
-class NullFlightRecorder(FlightRecorder):
-    """Disabled recorder: every hook is a no-op behind one attr read."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # no rings, no engine
-        self.incidents = []
-        self.incident_paths = []
-        self.suppressed = 0
-
-    def record_arrival(self, req, now) -> None:
-        pass
-
-    def record_rejection(self, req, now) -> None:
-        pass
-
-    def record_completion(self, req, now, missed) -> None:
-        pass
-
-    def observe_queue(self, now, depth) -> None:
-        pass
-
-    def bind_policy(self, policy) -> None:
-        pass
-
-    def record_dispatch(self, now, batch, unit, plan_new=False) -> None:
-        pass
-
-    def observe_burn(self, now, burn) -> None:
-        pass
-
-    def record_numerics(self, now, layer, precision, role, sqnr_db) -> None:
-        pass
-
-    def record_scale(self, now, event) -> None:
-        pass
-
-    def external_trigger(self, now, source, signal, value, threshold=0.0,
-                         details=None) -> None:
-        pass
-
-    def end_event(self, now, idle) -> None:
-        pass
-
-    def active_incident_id(self) -> None:
-        return None
-
-    def finalize(self, now) -> dict:
-        return {}
-
-
-NULL_RECORDER = NullFlightRecorder()
+NULL_RECORDER = FlightRecorder(enabled=False)

@@ -18,8 +18,8 @@ into:
 
 Everything is recorded in integer cycles of the simulated clock, so
 tracker output is a pure function of (trace, config, seed).
-:data:`NULL_SLO` is the zero-overhead disabled path, following the same
-null-object discipline as :data:`~repro.obs.tracer.NULL_TRACER`.
+:data:`NULL_SLO` is the shared disabled tracker (``enabled=False``), the
+same disabled path as :data:`~repro.obs.tracer.NULL_TRACER`.
 
 The second half of this module reconstructs per-request records from an
 exported Chrome trace *alone* (:func:`requests_from_trace`) and builds
@@ -44,7 +44,6 @@ __all__ = [
     "SLOClass",
     "SLOConfig",
     "SLOTracker",
-    "NullSLOTracker",
     "NULL_SLO",
     "requests_from_trace",
     "slo_report_from_trace",
@@ -154,12 +153,16 @@ class _ClassState:
 
 
 class SLOTracker:
-    """Accumulates per-class deadline outcomes into budgets and burns."""
+    """Accumulates per-class deadline outcomes into budgets and burns.
 
-    enabled = True
+    With ``enabled=False`` the tracker holds no class state: recording
+    returns at once, every burn reads 0.0 and the snapshot is empty.
+    """
 
     def __init__(self, config: SLOConfig = SLOConfig(), *,
-                 clock: ClockConfig = DEFAULT_CLOCK) -> None:
+                 clock: ClockConfig = DEFAULT_CLOCK,
+                 enabled: bool = True) -> None:
+        self.enabled = enabled
         self.config = config
         self.clock = clock
         self._short_cycles = max(1, int(config.short_window_ms * 1e-3
@@ -169,7 +172,7 @@ class SLOTracker:
         self._classes: dict[str, _ClassState] = {
             c.name: _ClassState(c, self._short_cycles, self._long_cycles)
             for c in config.classes
-        }
+        } if enabled else {}
 
     def _state(self, kind: str) -> _ClassState:
         st = self._classes.get(kind)
@@ -190,6 +193,8 @@ class SLOTracker:
     # -- recording -----------------------------------------------------------
     def record_completion(self, req, now: int) -> bool:
         """Record one completion; returns ``True`` when it missed."""
+        if not self.enabled:
+            return False
         st = self._state(req.kind)
         missed = req.deadline is not None and now > req.deadline
         st.completed += 1
@@ -199,6 +204,8 @@ class SLOTracker:
         return missed
 
     def record_rejection(self, req, now: int) -> None:
+        if not self.enabled:
+            return
         st = self._state(req.kind)
         st.rejected += 1
         if self.config.count_rejections:
@@ -213,6 +220,8 @@ class SLOTracker:
         computed without inventing requests it never served.  Call in
         non-decreasing cycle order.
         """
+        if not self.enabled:
+            return
         st = self._state(kind)
         st.short.add(cycle, is_bad)
         st.long.add(cycle, is_bad)
@@ -240,6 +249,8 @@ class SLOTracker:
 
     def snapshot(self, now: int) -> dict:
         """JSON-ready run summary: budgets, misses, burns per class."""
+        if not self.enabled:
+            return {}
         classes: dict[str, dict] = {}
         for name, st in sorted(self._classes.items()):
             total_bad = st.misses + (st.rejected
@@ -272,33 +283,7 @@ class SLOTracker:
         }
 
 
-class NullSLOTracker(SLOTracker):
-    """Disabled SLO path: records nothing, costs (almost) nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # no per-class state at all
-        self.config = SLOConfig()
-        self.clock = DEFAULT_CLOCK
-        self._classes = {}
-
-    def record_completion(self, req, now) -> bool:
-        return False
-
-    def record_rejection(self, req, now) -> None:
-        pass
-
-    def class_burn(self, kind, now) -> float:
-        return 0.0
-
-    def fleet_burn(self, now) -> float:
-        return 0.0
-
-    def snapshot(self, now) -> dict:
-        return {}
-
-
-NULL_SLO = NullSLOTracker()
+NULL_SLO = SLOTracker(enabled=False)
 
 
 # -- trace reconstruction ----------------------------------------------------

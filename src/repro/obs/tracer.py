@@ -23,10 +23,10 @@ a request carries across router/replica/shard boundaries; it enforces a
 per-request span budget so a traced run stays bounded even for
 pathological requests.
 
-:class:`NullTracer` is the zero-overhead disabled path: every recording
-method is a no-op and ``enabled`` is ``False`` so hot loops can skip even
-argument construction.  Simulation code should accept a tracer argument
-defaulting to :data:`NULL_TRACER`.
+:data:`NULL_TRACER` is the shared disabled tracer (``enabled=False``):
+every recording method returns before doing anything, and hot loops check
+``enabled`` to skip even argument construction.  Simulation code should
+accept a tracer argument defaulting to :data:`NULL_TRACER`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "RequestPathConfig",
     "SpanContext",
     "Tracer",
-    "NullTracer",
     "NULL_TRACER",
     "validate_chrome_trace",
 ]
@@ -145,7 +144,8 @@ class Tracer:
     ids are allocated per process; the default process is pid 0 so a
     single-process trace exports exactly as it did before boards existed.
     ``meta`` lands in the export's ``otherData`` (put the seed and
-    workload shape there, never wall-clock values).
+    workload shape there, never wall-clock values).  With
+    ``enabled=False`` every recording method returns at once.
     """
 
     enabled: bool = True
@@ -191,6 +191,8 @@ class Tracer:
         args: dict | None = None,
         process: str = DEFAULT_PROCESS,
     ) -> None:
+        if not self.enabled:
+            return
         if end < start:
             raise ConfigurationError(
                 f"span {name!r} ends before it starts ({end} < {start})"
@@ -201,6 +203,8 @@ class Tracer:
         )
 
     def counter(self, name: str, *, cycle: int, value: float) -> None:
+        if not self.enabled:
+            return
         self.counters.append(CounterSample(name, cycle, value))
 
     def async_span(
@@ -214,6 +218,8 @@ class Tracer:
         args: dict | None = None,
         process: str = DEFAULT_PROCESS,
     ) -> None:
+        if not self.enabled:
+            return
         if end < start:
             raise ConfigurationError(
                 f"async span {name!r} ends before it starts ({end} < {start})"
@@ -234,6 +240,8 @@ class Tracer:
         name: str = "request",
     ) -> None:
         """Record one flow arrow endpoint (``"s"``/``"t"``/``"f"``)."""
+        if not self.enabled:
+            return
         if phase not in ("s", "t", "f"):
             raise ConfigurationError(f"unknown flow phase {phase!r}")
         self.track_id(track, process)
@@ -352,29 +360,7 @@ class Tracer:
         )
 
 
-class NullTracer(Tracer):
-    """Disabled tracer: records nothing, costs (almost) nothing."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def span(self, name, *, track, start, end, cat="sim", args=None,
-             process=DEFAULT_PROCESS) -> None:
-        pass
-
-    def counter(self, name, *, cycle, value) -> None:
-        pass
-
-    def async_span(self, name, *, span_id, start, end, cat="request",
-                   args=None, process=DEFAULT_PROCESS) -> None:
-        pass
-
-    def flow(self, phase, *, flow_id, cycle, track,
-             process=DEFAULT_PROCESS, name="request") -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
+NULL_TRACER = Tracer(enabled=False)
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ def _modes(args):
 
 
 def _slo_tracker(args):
-    """The run's SLO tracker (the null object unless --slo/--slo-out)."""
+    """The run's SLO tracker (the disabled NULL_SLO unless --slo/--slo-out)."""
     from repro.obs.slo import NULL_SLO, SLOClass, SLOConfig, SLOTracker
 
     if not (args.slo or args.slo_out is not None):

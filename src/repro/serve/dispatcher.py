@@ -206,16 +206,20 @@ class Dispatcher:
     runs, bare ``unit7`` in single-pool runs).  ``cost`` lets the cluster
     layer substitute a sharded cost model without subclassing.
 
-    ``slo`` (default: the no-op :data:`~repro.obs.slo.NULL_SLO`) receives
-    every completion/rejection for burn-rate accounting.  ``path``
-    (default ``None`` = off) turns on request-path stage decomposition:
-    sampled requests carry a :class:`~repro.obs.tracer.SpanContext` from
-    admission to completion, and every dispatch records the named stage
-    children (``queue``/``batch_wait``/``shard_compute``/...) that tile
-    the request's latency.  ``processes`` maps unit index -> tracer
-    process (board) name, so cluster traces show boards as processes;
-    ``metric_prefix`` namespaces this replica's registry metrics
-    (``cluster.r3.serve.dispatches.decode``).
+    ``slo`` (default: the disabled :data:`~repro.obs.slo.NULL_SLO`)
+    receives every completion/rejection for burn-rate accounting, and
+    ``recorder`` is bound to it to observe the burn after each one.
+    ``path`` (default ``None`` = off) turns on request-path stage
+    decomposition: sampled requests carry a
+    :class:`~repro.obs.tracer.SpanContext` from admission to completion,
+    and every dispatch records the named stage children
+    (``queue``/``batch_wait``/``shard_compute``/...) that tile the
+    request's latency.  ``processes`` maps unit index -> tracer
+    process (board) name, so cluster traces show boards as processes.
+    The dispatcher writes no registry metrics: its
+    :class:`~repro.serve.metrics.MetricsCollector` and plan ledger are
+    the run's record, published once at run end
+    (:func:`repro.cluster.simulate.publish_metrics`).
     """
 
     def __init__(
@@ -227,12 +231,10 @@ class Dispatcher:
         cost: CostModel | None = None,
         metrics: MetricsCollector | None = None,
         tracer: Tracer = NULL_TRACER,
-        registry: MetricsRegistry | None = None,
         track_prefix: str = "",
         slo: SLOTracker = NULL_SLO,
         path: RequestPathConfig | None = None,
         processes: tuple[str, ...] | None = None,
-        metric_prefix: str = "",
         recorder: FlightRecorder = NULL_RECORDER,
     ) -> None:
         self.config = config
@@ -247,17 +249,17 @@ class Dispatcher:
         self.cost = cost if cost is not None else CostModel(config)
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.tracer = tracer
-        self.registry = get_registry() if registry is None else registry
         self.track_prefix = track_prefix
         self.slo = slo
         self.path = path if tracer.enabled else None
         self.processes = processes
-        self.metric_prefix = metric_prefix
         self.recorder = recorder
         if recorder.enabled:
             # Lets record_dispatch compute batch fill lazily (only when
-            # the occupancy detector is configured on).
+            # the occupancy detector is configured on), and the recorder
+            # read the SLO burn after each completion and rejection.
             recorder.bind_policy(config.policy)
+            recorder.bind_slo(slo)
         self.idle = set(range(pool.n_units))
         #: (phase, batch size) -> dispatch count.  First hit per key is
         #: the trace (plan build), the rest are replays — the serving
@@ -287,13 +289,6 @@ class Dispatcher:
                 self.slo.record_rejection(req, now)
             if self.recorder.enabled:
                 self.recorder.record_rejection(req, now)
-                if self.slo.enabled:
-                    self.recorder.observe_burn(
-                        now, self.slo.fleet_burn(now))
-            if self.registry.enabled:
-                self.registry.counter(
-                    f"{self.metric_prefix}serve.rejections"
-                ).inc()
             return False
         self.enqueue(req, now)
         if self.recorder.enabled:
@@ -345,23 +340,8 @@ class Dispatcher:
                 plan_new = False
                 if self.config.compiled and batch.phase == "decode":
                     key = (batch.phase, batch.size)
-                    seen = key in self.plan_ledger
-                    plan_new = not seen
+                    plan_new = key not in self.plan_ledger
                     self.plan_ledger[key] = self.plan_ledger.get(key, 0) + 1
-                    if self.registry.enabled:
-                        self.registry.counter(
-                            f"{self.metric_prefix}serve.plan."
-                            f"{'replays' if seen else 'traces'}"
-                        ).inc()
-                if self.registry.enabled:
-                    self.registry.counter(
-                        f"{self.metric_prefix}serve.dispatches.{batch.phase}"
-                    ).inc()
-                    self.registry.histogram(
-                        f"{self.metric_prefix}serve.batch_fill.{batch.phase}"
-                    ).observe(
-                        batch.size / self.config.policy.batch_limit(batch.phase)
-                    )
                 if self.recorder.enabled:
                     self.recorder.record_dispatch(now, batch, u, plan_new)
                 if self.tracer.enabled:
@@ -455,10 +435,6 @@ class Dispatcher:
                 self.tracer.counter(f"{self.track_prefix}queue_depth",
                                     cycle=now, value=depth)
             self._last_depth = depth
-        if self.registry.enabled:
-            self.registry.histogram(
-                f"{self.metric_prefix}serve.queue_depth"
-            ).observe(depth)
         return depth
 
     # -- request lifecycle ----------------------------------------------------
@@ -469,8 +445,6 @@ class Dispatcher:
         if self.recorder.enabled:
             self.recorder.record_completion(
                 req, now, req.deadline is not None and now > req.deadline)
-            if self.slo.enabled:
-                self.recorder.observe_burn(now, self.slo.fleet_burn(now))
         ctx = self._ctx.pop(req.rid, None)
         if ctx is not None:
             ctx.child("respond", start=now, end=now)
@@ -532,19 +506,25 @@ def simulate(
 
     The single-pool front end of :func:`repro.cluster.simulate.drive`:
     one board of ``config.clock.n_units`` units as a one-replica cluster,
-    reported as that replica.  ``tracer`` (default: the no-op
+    reported as that replica.  ``tracer`` (default: the disabled
     :data:`NULL_TRACER`) records the run as per-unit dispatch spans,
     per-request async spans and a queue-depth counter series, all in
     simulated cycles — export with ``report.tracer.to_json()``.
-    ``registry`` (default: the process-wide one) receives serving
+    ``registry`` (default: the process-wide one) receives the serving
     counters/histograms (dispatches, batch fill, queue depth, rejections,
-    KV pressure).  ``slo`` (default: disabled) adds per-class deadline
-    budgets/burn rates to the summary under ``"slo"``; ``path`` (default:
-    off) turns on request-path stage decomposition in the trace.
+    KV pressure), published once when the run ends.  ``slo`` (default:
+    disabled) adds per-class deadline budgets/burn rates to the summary
+    under ``"slo"``; ``path`` (default: off) turns on request-path stage
+    decomposition in the trace.
     ``spike`` is a :class:`~repro.obs.incident_cli.SpikeInjection`, as
     ``ClusterConfig.spike``.
     """
-    from repro.cluster.simulate import ClusterConfig, ClusterSpec, drive
+    from repro.cluster.simulate import (
+        ClusterConfig,
+        ClusterSpec,
+        drive,
+        publish_metrics,
+    )
 
     clock = config.clock
     reg = get_registry() if registry is None else registry
@@ -552,11 +532,12 @@ def simulate(
     one_board = ClusterConfig(
         serve=config, spec=ClusterSpec(boards=1, units_per_board=clock.n_units),
         max_cluster_queue=sys.maxsize, spike=spike)
-    run = drive(requests, one_board, tracer=tracer, registry=reg, slo=slo,
-                path=path, recorder=recorder, bare=True)
+    run = drive(requests, one_board, tracer=tracer, slo=slo, path=path,
+                recorder=recorder, bare=True)
     d = run.replicas[0].dispatcher
     busy = d.busy_cycles
     if reg.enabled:
+        publish_metrics(reg, run, bare=True)
         reg.counter("serve.arrivals").inc(d.metrics.arrivals)
         reg.counter("serve.tokens_out").inc(d.metrics.tokens_out)
         reg.counter("serve.busy_cycles").inc(busy)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.slo import (
     NULL_SLO,
-    NullSLOTracker,
     SLOClass,
     SLOConfig,
     SLOTracker,
@@ -131,7 +130,7 @@ def test_window_prune_exact_boundary():
 
 def test_null_tracker_is_inert():
     assert NULL_SLO.enabled is False
-    assert isinstance(NULL_SLO, NullSLOTracker)
+    assert isinstance(NULL_SLO, SLOTracker)
     assert NULL_SLO.record_completion(req(0, deadline=0), now=100) is False
     NULL_SLO.record_rejection(req(1), now=100)
     assert NULL_SLO.fleet_burn(100) == 0.0
