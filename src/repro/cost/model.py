@@ -30,6 +30,11 @@ class PolicyCostModel:
 
     Context buckets keep the compile cache small without distorting the
     cost materially: one bucket spans less than a block row of streams.
+
+    :meth:`job_cycles` memoizes per instance on the raw ``(phase, batch,
+    context)``: a hit skips the bucketing and the hashing of the
+    ``perf.latency`` memo's key (profile, clock, memory and policy
+    fields), which the dispatcher would otherwise pay on every batch.
     """
 
     DECODE_BUCKET = 16
@@ -49,6 +54,7 @@ class PolicyCostModel:
         self.mem = mem
         self.precision = precision
         self.modes = modes
+        self._jobs: dict[tuple[str, int, int], int] = {}
 
     def bucket_context(self, phase: str, context: int) -> int:
         """The context bucket a job's compile is keyed under."""
@@ -81,6 +87,10 @@ class PolicyCostModel:
 
     def job_cycles(self, phase: str, batch: int, context: int = 0) -> int:
         """Unit-occupancy cycles of one dispatched (phase, batch, ctx) job."""
-        if phase == "vit":
-            return self.vit_cycles(batch)
-        return self.decoder_cycles(phase, batch, context)
+        key = (phase, batch, context)
+        cycles = self._jobs.get(key)
+        if cycles is None:
+            cycles = self._jobs[key] = (
+                self.vit_cycles(batch) if phase == "vit"
+                else self.decoder_cycles(phase, batch, context))
+        return cycles

@@ -28,6 +28,8 @@ from repro.serve.request import PhaseItem
 __all__ = ["BatchPolicy", "Batch", "DynamicBatcher"]
 
 ClassKey = tuple[str, int | None]
+VIT: ClassKey = ("vit", None)
+PREFILL: ClassKey = ("prefill", None)
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,9 @@ class DynamicBatcher:
         self._wait = policy.max_wait_cycles(clock)
         self._queues: dict[ClassKey, deque[PhaseItem]] = {}
         self._count = 0  # items over all queues, kept by add/_pop
+        #: Units with a non-empty decode queue, kept by add/_pop: the
+        #: only units a pinned batch can dispatch to.
+        self.decode_units: set[int] = set()
 
     # -- intake --------------------------------------------------------------
     def add(self, item: PhaseItem) -> None:
@@ -98,6 +103,8 @@ class DynamicBatcher:
             raise ConfigurationError("decode items must carry a unit pin")
         self._queues.setdefault(key, deque()).append(item)
         self._count += 1
+        if item.phase == "decode":
+            self.decode_units.add(item.unit)
 
     def depth(self) -> int:
         """Total queued items, O(1): the admission/routing pressure signal."""
@@ -114,15 +121,25 @@ class DynamicBatcher:
         return (len(q) >= self.policy.batch_limit(key[0])
                 or now - q[0].ready >= self._wait)
 
+    def global_ready(self, now: int) -> bool:
+        """Whether a vit or prefill batch is ready at ``now``.
+
+        Without one, only a unit in :attr:`decode_units` can get a batch
+        from :meth:`pop_ready`.
+        """
+        return self._ready(VIT, now) or self._ready(PREFILL, now)
+
     def _pop(self, key: ClassKey, now: int, limit: int | None = None) -> Batch:
         q = self._queues[key]
         take = min(len(q), self.policy.batch_limit(key[0]),
                    limit if limit is not None else len(q))
         items = [q.popleft() for _ in range(take)]
         self._count -= take
+        phase, unit = key
         if not q:
             del self._queues[key]
-        phase, unit = key
+            if phase == "decode":
+                self.decode_units.discard(unit)
         return Batch(phase, items, now, unit)
 
     def pop_ready(
@@ -157,13 +174,13 @@ class DynamicBatcher:
                 decode_sessions is not None and len(dq) >= decode_sessions
             )
             slots_full = prefill_slots is not None and prefill_slots <= 0
-            prefill_pending = bool(self._queues.get(("prefill", None)))
+            prefill_pending = bool(self._queues.get(PREFILL))
             if self._ready(decode_key, now) or (
                 at_residency and (slots_full or not prefill_pending)
             ):
                 return self._pop(decode_key, now)
         candidates: list[tuple[int, ClassKey, int | None]] = []
-        for key in (("vit", None), ("prefill", None)):
+        for key in (VIT, PREFILL):
             limit = None
             if key[0] == "prefill":
                 if prefill_slots is not None and prefill_slots <= 0:

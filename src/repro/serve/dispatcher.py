@@ -318,65 +318,88 @@ class Dispatcher:
 
     # -- dispatch -------------------------------------------------------------
     def try_dispatch(self, now: int) -> None:
-        """Launch every batch that can start now on an idle unit."""
-        while self.idle:
-            launched = False
-            for u in sorted(self.idle):
-                batch = self.batcher.pop_ready(
-                    now, u,
-                    prefill_slots=self.sessions.free_slots(u),
-                    decode_sessions=self.sessions.active(u),
-                )
-                if batch is None:
-                    continue
-                if batch.phase == "prefill":
-                    for item in batch.items:
-                        self.sessions.open(item.request, u)
-                cycles = self.cost.batch_cycles(batch)
-                finish = self.pool.assign(u, now, cycles,
-                                          f"{batch.phase}x{batch.size}")
-                self.idle.discard(u)
-                self.metrics.record_dispatch(batch.phase, batch.size)
-                plan_new = False
-                if self.config.compiled and batch.phase == "decode":
-                    key = (batch.phase, batch.size)
-                    plan_new = key not in self.plan_ledger
-                    self.plan_ledger[key] = self.plan_ledger.get(key, 0) + 1
-                if self.recorder.enabled:
-                    self.recorder.record_dispatch(now, batch, u, plan_new)
-                if self.tracer.enabled:
-                    self.tracer.span(
-                        f"{batch.phase}x{batch.size}",
-                        track=f"{self.track_prefix}unit{u}",
-                        start=now,
-                        end=finish,
-                        cat="dispatch",
-                        args={
-                            "phase": batch.phase,
-                            "size": batch.size,
-                            "context": batch.context,
-                            "rids": [i.request.rid for i in batch.items],
-                        },
-                        process=(self.processes[u] if self.processes
-                                 else DEFAULT_PROCESS),
-                    )
-                if self._ctx:
-                    self._record_path(batch, now, finish, u)
-                self.push(finish, "finish", (self, u, batch))
-                launched = True
-                break
-            if not launched:
-                break
+        """Launch every batch that can start now on an idle unit.
+
+        One pass over the idle units, lowest first.  A unit is offered
+        :meth:`DynamicBatcher.pop_ready` only if decode steps are pinned
+        to it or a vit/prefill batch is ready; any other unit would get
+        None.  Readiness is re-checked after each vit or prefill launch.
+
+        The pass needs no restart from the lowest unit after a launch,
+        because no unit it already passed can become dispatchable.
+        Within one call at a fixed ``now`` no queue grows, vit and
+        prefill can only become less ready (the queues are FIFO in ready
+        time and only shrink), and a launch changes session slots only
+        on its own unit.  The one input to ``pop_ready`` shared between
+        units is whether prefill is pending, which the decode early-close
+        rule reads; it flips only when a higher unit empties the prefill
+        queue.  But a lower idle unit with free slots would already have
+        taken that ready prefill batch itself, and a lower unit with no
+        free slots closes at residency whatever the prefill queue holds.
+        """
+        batcher = self.batcher
+        pinned = batcher.decode_units
+        shared = batcher.global_ready(now)
+        for u in sorted(self.idle):
+            if not shared and u not in pinned:
+                continue
+            batch = batcher.pop_ready(
+                now, u,
+                prefill_slots=self.sessions.free_slots(u),
+                decode_sessions=self.sessions.active(u),
+            )
+            if batch is None:
+                continue
+            self._launch(u, batch, now)
+            if batch.phase != "decode":
+                shared = batcher.global_ready(now)
         # If units stay idle on a non-empty queue whose window has not
         # expired yet, arrange to re-check at the next *future* expiry.
         # An already-expired but undispatchable queue (KV slots exhausted,
         # decode pinned to a busy unit) can only unblock at a finish
         # event, which re-runs this function — no wake would help it.
-        if self.idle and self.batcher.depth():
-            expiry = self.batcher.next_expiry(now)
+        if self.idle and batcher.depth():
+            expiry = batcher.next_expiry(now)
             if expiry is not None and expiry not in self._pending_wakes:
                 self._pending_wakes.add(expiry)
                 self.push(expiry, "wake", self)
+
+    def _launch(self, u: int, batch: Batch, now: int) -> None:
+        """Start ``batch`` on idle unit ``u`` and schedule its finish."""
+        if batch.phase == "prefill":
+            for item in batch.items:
+                self.sessions.open(item.request, u)
+        cycles = self.cost.batch_cycles(batch)
+        finish = self.pool.assign(u, now, cycles,
+                                  f"{batch.phase}x{batch.size}")
+        self.idle.discard(u)
+        self.metrics.record_dispatch(batch.phase, batch.size)
+        plan_new = False
+        if self.config.compiled and batch.phase == "decode":
+            key = (batch.phase, batch.size)
+            plan_new = key not in self.plan_ledger
+            self.plan_ledger[key] = self.plan_ledger.get(key, 0) + 1
+        if self.recorder.enabled:
+            self.recorder.record_dispatch(now, batch, u, plan_new)
+        if self.tracer.enabled:
+            self.tracer.span(
+                f"{batch.phase}x{batch.size}",
+                track=f"{self.track_prefix}unit{u}",
+                start=now,
+                end=finish,
+                cat="dispatch",
+                args={
+                    "phase": batch.phase,
+                    "size": batch.size,
+                    "context": batch.context,
+                    "rids": [i.request.rid for i in batch.items],
+                },
+                process=(self.processes[u] if self.processes
+                         else DEFAULT_PROCESS),
+            )
+        if self._ctx:
+            self._record_path(batch, now, finish, u)
+        self.push(finish, "finish", (self, u, batch))
 
     def _record_path(self, batch: Batch, now: int, finish: int, u: int) -> None:
         """Stage-decompose this dispatch for every sampled item in it.

@@ -99,6 +99,11 @@ class TrafficConfig:
             raise ConfigurationError("arrival rate must be positive")
         if not 0.0 <= self.vit_fraction <= 1.0:
             raise ConfigurationError("vit_fraction must be in [0, 1]")
+        for name in ("prompt_tokens", "gen_tokens"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ConfigurationError(
+                    f"{name} range ({lo}, {hi}) needs 1 <= lo <= hi")
 
 
 def _deadline(arrival: int, ms: float | None, clock: ClockConfig) -> int | None:

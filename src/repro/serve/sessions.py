@@ -54,6 +54,10 @@ class SessionTable:
         self.kv_bytes_per_token = kv_bytes_per_token
         self._by_unit: dict[int, dict[int, Session]] = {u: {} for u in range(n_units)}
         self._by_rid: dict[int, Session] = {}
+        #: Resident KV tokens over every unit, kept by open/step.
+        self.kv_tokens = 0
+        #: Largest resident KV over every unit, sampled when a session
+        #: opens (growth from decode steps between opens is not seen).
         self.peak_kv_bytes = 0
 
     # -- capacity ------------------------------------------------------------
@@ -81,10 +85,9 @@ class SessionTable:
                     request.gen_tokens, request)
         self._by_unit[unit][request.rid] = s
         self._by_rid[request.rid] = s
-        self.peak_kv_bytes = max(
-            self.peak_kv_bytes,
-            sum(self.kv_bytes(u) for u in self._by_unit),
-        )
+        self.kv_tokens += s.context
+        self.peak_kv_bytes = max(self.peak_kv_bytes,
+                                 self.kv_tokens * self.kv_bytes_per_token)
         return s
 
     def first_decode_item(self, rid: int, now: int) -> PhaseItem:
@@ -103,9 +106,11 @@ class SessionTable:
         s = self._by_rid[rid]
         s.context += 1
         s.remaining -= 1
+        self.kv_tokens += 1
         if s.remaining <= 0:
             del self._by_unit[s.unit][rid]
             del self._by_rid[rid]
+            self.kv_tokens -= s.context
             return None
         step = s.request.gen_tokens - s.remaining
         return PhaseItem(s.request, "decode", ready=now, step=step,

@@ -159,7 +159,8 @@ OPS = st.lists(
 def test_running_depth_matches_queue_lengths(ops):
     """The O(1) depth counter agrees with the queues after any sequence
     of adds and pops (including partial, slot-capped and window-gated
-    pops), and so does empty()."""
+    pops), and so do empty(), the pinned-unit set and the vit/prefill
+    readiness answer."""
     b = DynamicBatcher(BatchPolicy(max_batch=3, max_wait_us=WAIT_US,
                                    vit_max_batch=2))
     for rid, (op, unit, slots, now) in enumerate(ops):
@@ -173,3 +174,9 @@ def test_running_depth_matches_queue_lengths(ops):
             b.pop_ready(now, unit, prefill_slots=slots, decode_sessions=slots)
         assert b.depth() == sum(len(q) for q in b._queues.values())
         assert b.empty() == (b.depth() == 0)
+        assert b.decode_units == {
+            unit for (phase, unit), q in b._queues.items()
+            if phase == "decode" and q
+        }
+        assert b.global_ready(now) == (b._ready(("vit", None), now)
+                                       or b._ready(("prefill", None), now))

@@ -1,10 +1,23 @@
-"""Tests for the online dispatcher: admission control, backpressure, accounting."""
+"""Tests for the online dispatcher: admission control, backpressure,
+accounting, and the one-pass dispatch scan."""
+
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.serve.batcher import BatchPolicy
-from repro.serve.dispatcher import ServeConfig, simulate
-from repro.serve.request import Request, TrafficConfig, poisson_trace
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import RequestPathConfig, Tracer
+from repro.perf.throughput import ClockConfig
+from repro.serve.batcher import BatchPolicy, DynamicBatcher
+from repro.serve.dispatcher import Dispatcher, ServeConfig, simulate
+from repro.serve.request import (
+    Request,
+    TrafficConfig,
+    poisson_trace,
+    trace_from_rows,
+)
 
 
 def vit_burst(n: int, arrival: int = 0, spacing: int = 1) -> list[Request]:
@@ -102,3 +115,128 @@ class TestDispatchShape:
         s = report.summary
         assert s["arrivals"] == 0 and s["completed"] == 0
         assert s["tokens_per_s"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The dispatch scan: one lowest-first pass equals the restarting scan
+# ---------------------------------------------------------------------------
+
+def reference_try_dispatch(self, now):
+    """The scan the single pass replaced: offer every idle unit, lowest
+    first, and restart from the lowest idle unit after each launch."""
+    while self.idle:
+        for u in sorted(self.idle):
+            batch = self.batcher.pop_ready(
+                now, u,
+                prefill_slots=self.sessions.free_slots(u),
+                decode_sessions=self.sessions.active(u),
+            )
+            if batch is not None:
+                self._launch(u, batch, now)
+                break
+        else:
+            break
+    if self.idle and self.batcher.depth():
+        expiry = self.batcher.next_expiry(now)
+        if expiry is not None and expiry not in self._pending_wakes:
+            self._pending_wakes.add(expiry)
+            self.push(expiry, "wake", self)
+
+
+CONFIGS = st.builds(
+    lambda units, max_batch, vit_max_batch, wait_us, max_queue, slots:
+    ServeConfig(
+        clock=ClockConfig(n_units=units),
+        policy=BatchPolicy(max_batch=max_batch, max_wait_us=wait_us,
+                           vit_max_batch=vit_max_batch),
+        max_queue=max_queue,
+        max_sessions_per_unit=slots,
+    ),
+    st.one_of(st.integers(1, 4), st.just(15)),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.sampled_from((0.0, 50.0, 200.0, 1000.0)),
+    st.sampled_from((4, 16, 512)),
+    st.integers(1, 4),
+)
+
+POISSON_TRACES = st.builds(
+    lambda n, rate, vit_fraction, seed: poisson_trace(
+        n, TrafficConfig(rate_rps=rate, vit_fraction=vit_fraction),
+        seed=seed),
+    st.integers(1, 80),
+    st.floats(50.0, 20000.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**16),
+)
+
+ROWS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("vit")}),
+    st.fixed_dictionaries({"kind": st.just("llm"),
+                           "prompt_tokens": st.integers(1, 64),
+                           "gen_tokens": st.integers(1, 12)}),
+)
+
+
+@st.composite
+def burst_traces(draw):
+    """Requests arriving at one or two shared cycles.  Poisson gaps are at
+    least a cycle, so only these traces can make several vit/prefill
+    batches ready at one instant, which the re-check after a vit or
+    prefill launch exists for."""
+    cycles = draw(st.lists(st.integers(0, 30_000), min_size=1, max_size=2))
+    rows = draw(st.lists(ROWS, min_size=2, max_size=60))
+    return trace_from_rows(
+        [dict(row, arrival=draw(st.sampled_from(cycles))) for row in rows])
+
+
+def _run(trace, config):
+    tracer = Tracer()
+    report = simulate(trace, config, tracer=tracer,
+                      registry=MetricsRegistry(enabled=False),
+                      path=RequestPathConfig(detail_every=1))
+    return (report.to_json(), tracer.to_json(),
+            [t.jobs for t in report.pool.timelines])
+
+
+@settings(max_examples=100)
+@given(st.one_of(POISSON_TRACES, burst_traces()), CONFIGS)
+@example(  # at the window's expiry a vit batch and a slot-capped prefill
+    # batch are both ready on two idle units
+    trace_from_rows([{"kind": "vit", "arrival": 0}] + [
+        {"kind": "llm", "arrival": 0, "prompt_tokens": 8, "gen_tokens": 2}
+    ] * 3),
+    ServeConfig(clock=ClockConfig(n_units=2),
+                policy=BatchPolicy(max_batch=8, max_wait_us=50.0,
+                                   vit_max_batch=2),
+                max_sessions_per_unit=1),
+)
+def test_one_pass_scan_matches_restarting_scan(trace, config):
+    """Offering work only where it can start, in one lowest-first pass,
+    launches exactly what the restarting scan over every idle unit does:
+    the report, the request-path trace and every unit's job list are
+    byte-identical."""
+    got = _run(trace, config)
+    with mock.patch.object(Dispatcher, "try_dispatch", reference_try_dispatch):
+        want = _run(trace, config)
+    assert got == want
+
+
+def test_scan_offers_work_only_where_it_can_start():
+    """Deterministic count guard on the scan: ``pop_ready`` runs about
+    once per dispatch (the restarting scan over every idle unit made
+    11.2 calls per dispatch on this trace)."""
+    calls = 0
+    pop_ready = DynamicBatcher.pop_ready
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return pop_ready(self, *args, **kwargs)
+
+    trace = poisson_trace(2000, TrafficConfig(rate_rps=100, vit_fraction=0.1),
+                          seed=0)
+    with mock.patch.object(DynamicBatcher, "pop_ready", counted):
+        report = simulate(trace, ServeConfig(),
+                          registry=MetricsRegistry(enabled=False))
+    assert calls <= 1.1 * report.summary["dispatches"]

@@ -27,6 +27,24 @@ class TestRequest:
             PhaseItem(r, "train", ready=0)
 
 
+class TestTrafficConfig:
+    @pytest.mark.parametrize("field, bounds", [
+        ("prompt_tokens", (10, 5)),  # empty range: lo > hi
+        ("prompt_tokens", (0, 8)),
+        ("gen_tokens", (0, 4)),  # a drawn 0 would fail mid-trace
+        ("gen_tokens", (-2, -1)),
+    ])
+    def test_token_ranges_validated_up_front(self, field, bounds):
+        with pytest.raises(ConfigurationError, match=field):
+            TrafficConfig(**{field: bounds})
+
+    def test_single_value_ranges_allowed(self):
+        cfg = TrafficConfig(prompt_tokens=(1, 1), gen_tokens=(7, 7))
+        for r in poisson_trace(20, cfg, seed=0):
+            if r.kind == "llm":
+                assert (r.prompt_tokens, r.gen_tokens) == (1, 7)
+
+
 class TestPoissonTrace:
     def test_seeded_reproducible(self):
         a = poisson_trace(200, seed=7)

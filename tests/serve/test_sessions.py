@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.models.backend import get_backend
@@ -43,7 +45,39 @@ class TestSessionTable:
         assert t.kv_bytes(0) == 1000 and t.kv_bytes(1) == 0
         t.step(0, now=1)  # context grows with each generated token
         assert t.kv_bytes(0) == 1100
-        assert t.peak_kv_bytes >= 1000
+        assert t.peak_kv_bytes == 1000  # sampled when a session opens
+
+
+KV_OPS = st.lists(
+    st.tuples(st.sampled_from(("open", "step")),
+              st.integers(0, 2),  # unit to open on / live session to step
+              st.integers(1, 20),  # prompt tokens
+              st.integers(1, 4)),  # generated tokens
+    max_size=60,
+)
+
+
+@given(KV_OPS)
+def test_running_kv_tokens_match_resident_sessions(ops):
+    """The running token count prices every resident session's KV after
+    any sequence of opens and steps (evictions included), and the peak is
+    the largest resident KV seen at an open."""
+    t = SessionTable(3, max_sessions_per_unit=2, kv_bytes_per_token=7)
+    live: list[int] = []
+    peak = 0
+    for rid, (op, pick, prompt, gen) in enumerate(ops):
+        if op == "open":
+            if t.free_slots(pick) > 0:
+                t.open(llm(rid, prompt=prompt, gen=gen), unit=pick)
+                live.append(rid)
+                peak = max(peak, sum(t.kv_bytes(u) for u in range(3)))
+        elif live:
+            stepped = live[pick % len(live)]
+            if t.step(stepped, now=rid) is None:
+                live.remove(stepped)
+        resident = sum(t.kv_bytes(u) for u in range(3))
+        assert t.kv_tokens * t.kv_bytes_per_token == resident
+        assert t.peak_kv_bytes == peak
 
 
 class TestFunctionalAffinity:
