@@ -1,11 +1,16 @@
-"""Byte pins of the observability artifacts of two recorded serve-sim runs.
+"""Byte pins of the observability artifacts of three recorded serve-sim runs.
 
 Each case runs one ``repro serve-sim`` command in process and compares
 SHA-256 digests of every artifact it exports against pinned values: the
 Chrome trace, the metrics registry as JSON and as Prometheus text, the
 ``--json-out`` report, the SLO snapshot and each incident bundle
-(canonical JSON).  A refactor of the dispatcher, the driver or the
-observers must leave all of them byte-identical.
+(canonical JSON).  A refactor of the dispatcher, the driver, the cost
+model or the observers must leave all of them byte-identical.
+
+The third case shards a two-board replica ``tp2 x pp2`` and injects a
+latency spike, so its trace carries the ``allreduce`` and
+``pp_transfer`` stages with the spike folded into ``shard_compute``,
+and its report carries the interconnect share.
 """
 
 import argparse
@@ -30,6 +35,15 @@ CLUSTER = (
     " --json-out {d}/c.summary.json --trace-out {d}/c.trace.json"
     " --metrics-out {d}/c.metrics.json"
 )
+SHARDED = (
+    "serve-sim --cluster --boards 4 --boards-per-replica 2 --tp 2 --pp 2"
+    " --replicas 2 --requests 300 --rate 1200 --seed 9 --slo --record"
+    " --incident-dir {d}/sinc --inject-spike-at-us 100000"
+    " --inject-spike-duration-us 100000 --inject-spike-extra-us 20000"
+    " --trace-out {d}/h.trace.json --json-out {d}/h.summary.json"
+    " --metrics-out {d}/h.metrics.json --slo-out {d}/h.slo.json"
+)
+COMMANDS = {"serve": SERVE, "cluster": CLUSTER, "sharded": SHARDED}
 
 PINS = {
     "serve": {
@@ -72,6 +86,26 @@ PINS = {
             "cdb426858bea7975038932950fb03d19"
             "f1a25717a78cd24034f5160d6c877425"],
     },
+    "sharded": {
+        "trace": (
+            "ae2a3974813433d393c904aefaf37b44"
+            "6d904c23b2e8eb4845e1564e2739faeb"),
+        "metrics_json": (
+            "eca48e2f6fecfc60cdb343a357aece29"
+            "58fe9ffbd49cd064eeb8cf42bdd7f609"),
+        "metrics_prom": (
+            "a66b0eecab16c1d4d737c3c27019e859"
+            "4943913bec2ccb854be979d978d2e728"),
+        "report": (
+            "a06810988cc37db449c45546eb249527"
+            "81f23da64f12b488093edb9164440314"),
+        "slo": (
+            "c407106213e0f725701b80c8b567b082"
+            "f3358d9e024f0e91fe6f98f99c863f3c"),
+        "bundles": [
+            "32b65a38c14e995a657ee8bae241db7e"
+            "1472398fc209aedc74d456a17eb22ef2"],
+    },
 }
 
 
@@ -97,10 +131,9 @@ def _run(command: str, monkeypatch) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("case", ["serve", "cluster"])
+@pytest.mark.parametrize("case", sorted(COMMANDS))
 def test_observability_artifacts_pinned(case, tmp_path, monkeypatch):
-    command = SERVE if case == "serve" else CLUSTER
-    out = _run(command.format(d=tmp_path), monkeypatch)
+    out = _run(COMMANDS[case].format(d=tmp_path), monkeypatch)
     got = {
         "trace": _sha(out["tracer"].to_json()),
         "metrics_json": _sha(out["registry"].to_json()),
