@@ -104,15 +104,14 @@ class Replica:
 
     ``state`` walks ``active`` (routable) -> ``draining`` (finishes its
     queued/resident work, accepts nothing new) -> ``retired`` (boards
-    freed).  ``dispatcher`` and ``cost`` are attached by the cluster
-    simulator when the replica spawns.
+    freed).  The cluster simulator attaches ``dispatcher`` (which holds
+    the replica's batch pricer) when the replica spawns.
     """
 
     rid: int
     boards: tuple[int, ...]
     spawned_at: int
     dispatcher: object = field(default=None, repr=False)
-    cost: object = field(default=None, repr=False)
     state: str = "active"
     retired_at: int | None = None
     #: Queue depth at the driver's last sample of this replica.

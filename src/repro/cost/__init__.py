@@ -2,9 +2,10 @@
 
 ``repro.cost`` is the single source of cycle truth.  Per-chunk cycles of
 every execution personality live in the :class:`~repro.cost.modes.
-UnitMode` registry; every serving-side consumer (scheduler stages,
-``perf.latency`` lookups, serve/cluster/incident cost models) derives
-from :class:`~repro.cost.model.PolicyCostModel` on top of it.
+UnitMode` registry; scheduler stages and ``perf.latency`` lookups read
+it, and the serving batch pricer
+(:class:`~repro.cluster.sharding.ShardedCostModel`) prices every job
+through :class:`~repro.cost.model.PolicyCostModel` on top of it.
 """
 
 from repro.cost.model import PolicyCostModel

@@ -1,16 +1,7 @@
 """Trans-precision unit-mode registry: the single source of cycle truth.
 
-Historically the per-chunk cycle formulas of the two array personalities
-(Eqn-9 bfp8 streams, the 4-lane fp32 vector unit) were duplicated across
-five independent cost consumers — the scheduler's stage builders,
-``perf/latency.py``'s measured-stream functions, serve's ``CostModel``,
-cluster's ``ShardedCostModel`` and the incident layer's
-``SpikedCostModel``.  Adding an execution mode meant editing every layer
-by hand, which is why ROADMAP's "trans-precision unit modes" item stayed
-open.
-
-This module collapses the mode space into one registry, mirroring the
-:mod:`repro.formats.registry` template:
+Every execution personality of a unit is one registry entry, mirroring
+the :mod:`repro.formats.registry` template:
 
 * :class:`UnitMode` — one execution personality of a unit: how a stream's
   compute cycles scale (Eqn-9 ``slices * rows * N_X + 15`` for array
@@ -29,8 +20,8 @@ This module collapses the mode space into one registry, mirroring the
 
 Every cost consumer resolves per-chunk cycles through
 :func:`resolve_unit_mode` + :meth:`UnitMode.matmul_cost`; the golden
-tests in ``tests/cost/test_golden_cycles.py`` pin that this refactor is
-bit-identical for the pre-existing bfp8/int8/fp32 paths.
+tests in ``tests/cost/test_golden_cycles.py`` pin the cycles of the
+bfp8/int8/fp32 paths.
 """
 
 from __future__ import annotations

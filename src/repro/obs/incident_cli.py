@@ -30,7 +30,6 @@ from repro.serve.request import Request
 
 __all__ = [
     "SpikeInjection",
-    "SpikedCostModel",
     "requests_from_subtrace",
     "replay_bundle",
     "verify_replay",
@@ -48,6 +47,8 @@ class SpikeInjection:
     The window is keyed on the batch's newest item-ready cycle (a pure
     function of simulation state), so an original run and its replay
     apply the spike to exactly the same batches.
+    :class:`~repro.cluster.sharding.ShardedCostModel` adds the extra
+    cycles.
     """
 
     start_cycle: int
@@ -69,47 +70,6 @@ class SpikeInjection:
         return cls(start_cycle=int(doc["start_cycle"]),
                    end_cycle=int(doc["end_cycle"]),
                    extra_cycles=int(doc["extra_cycles"]))
-
-
-class SpikedCostModel:
-    """A deterministic latency spike composed over *any* cost model.
-
-    Since the cost-model unification this is a wrapper, not a subclass:
-    it folds the spike over whatever model it is given — serve's plain
-    :class:`~repro.serve.dispatcher.CostModel`, cluster's
-    :class:`~repro.cluster.sharding.ShardedCostModel`, anything with
-    ``batch_cycles``/``batch_breakdown``.  The simulation driver wraps
-    every replica's model when a run carries a :class:`SpikeInjection`;
-    other attributes (sharding accumulators, ``cfg``, ...) delegate.
-    """
-
-    def __init__(self, cost, spike: SpikeInjection) -> None:
-        self.inner = cost
-        self.spike = spike
-
-    def _extra(self, batch) -> int:
-        t = max(item.ready for item in batch.items)
-        if self.spike.start_cycle <= t < self.spike.end_cycle:
-            return self.spike.extra_cycles
-        return 0
-
-    def batch_cycles(self, batch) -> int:
-        return self.inner.batch_cycles(batch) + self._extra(batch)
-
-    def batch_breakdown(self, batch) -> dict[str, int]:
-        """The wrapped model's stage split with the spike folded into the
-        compute stage (keeps the invariant that the split sums to
-        :meth:`batch_cycles`)."""
-        breakdown = dict(self.inner.batch_breakdown(batch))
-        extra = self._extra(batch)
-        if extra:
-            breakdown["shard_compute"] = (
-                breakdown.get("shard_compute", 0) + extra
-            )
-        return breakdown
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
 
 
 def requests_from_subtrace(rows: list) -> list[Request]:

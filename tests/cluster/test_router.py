@@ -3,7 +3,8 @@
 import heapq
 
 from repro.cluster.router import Router
-from repro.cluster.topology import Replica
+from repro.cluster.sharding import ShardedCostModel
+from repro.cluster.topology import ClusterSpec, Replica
 from repro.hw.system import UnitPool
 from repro.serve.dispatcher import Dispatcher, ServeConfig
 from repro.serve.request import Request
@@ -18,7 +19,9 @@ def _replica(rid, n_units=2):
         seq[0] += 1
 
     r = Replica(rid, (rid,), spawned_at=0)
-    r.dispatcher = Dispatcher(ServeConfig(), UnitPool(n_units), push)
+    r.dispatcher = Dispatcher(
+        ServeConfig(), UnitPool(n_units), push,
+        cost=ShardedCostModel(ServeConfig(), ClusterSpec()))
     return r
 
 

@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 
 from repro.cluster.sharding import ShardedCostModel, ShardPlan
+from repro.cluster.topology import ClusterSpec
 from repro.models.configs import DEIT_TINY
 from repro.models.policy import get_policy
 from repro.perf.latency import (
@@ -23,7 +24,7 @@ from repro.perf.latency import (
 )
 from repro.runtime.scheduler import compile_decoder, compile_vit
 from repro.serve.batcher import Batch
-from repro.serve.dispatcher import CostModel, ServeConfig
+from repro.serve.dispatcher import ServeConfig
 from repro.serve.request import PhaseItem, Request
 
 GOLDEN = json.loads(
@@ -80,7 +81,8 @@ def test_compiled_schedules_bit_identical():
 
 def test_serve_batch_cycles_bit_identical():
     for pname in POLICIES:
-        cm = CostModel(ServeConfig(precision=_policy(pname)))
+        cm = ShardedCostModel(ServeConfig(precision=_policy(pname)),
+                              ClusterSpec())
         for ph, sz, ctx in BATCHES:
             assert (
                 cm.batch_cycles(make_batch(ph, sz, ctx))
@@ -89,17 +91,23 @@ def test_serve_batch_cycles_bit_identical():
 
 
 def test_cluster_shard_splits_bit_identical():
-    for tp, pp, cross, ppx in (
-        (2, 1, False, 0), (1, 2, False, 1), (2, 2, True, 1)
+    # Placements whose (tp_cross_board, pp_cross_boundaries) are the
+    # pinned cases' (False, 0), (False, 1) and (True, 1).
+    for spec, cross, ppx in (
+        (ClusterSpec(plan=ShardPlan(2, 1)), False, 0),
+        (ClusterSpec(boards=2, boards_per_replica=2, plan=ShardPlan(1, 2)),
+         False, 1),
+        (ClusterSpec(boards=4, units_per_board=1, boards_per_replica=4,
+                     plan=ShardPlan(2, 2)), True, 1),
     ):
+        assert (spec.tp_cross_board, spec.pp_cross_boundaries) == (cross, ppx)
         cfg = ServeConfig(precision=_policy("bfp8-mixed"))
-        sm = ShardedCostModel(
-            cfg, ShardPlan(tp=tp, pp=pp),
-            tp_cross_board=cross, pp_cross_boundaries=ppx,
-        )
-        want = GOLDEN["cluster"][f"tp{tp}pp{pp}"]
+        sm = ShardedCostModel(cfg, spec)
+        want = GOLDEN["cluster"][f"tp{spec.plan.tp}pp{spec.plan.pp}"]
         for ph, sz, ctx in (
             ("prefill", 4, 100), ("decode", 8, 128), ("vit", 1, 0)
         ):
-            c, i = sm.split_cycles(make_batch(ph, sz, ctx))
+            stages = sm.batch_breakdown(make_batch(ph, sz, ctx))
+            c = stages["shard_compute"]
+            i = stages.get("allreduce", 0) + stages.get("pp_transfer", 0)
             assert [c, i] == want[f"{ph}_b{sz}_ctx{ctx}"]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from repro.cluster.sharding import ShardedCostModel
+from repro.cluster.topology import ClusterSpec
 from repro.models.policy import get_policy
 from repro.serve.batcher import Batch, BatchPolicy
-from repro.serve.dispatcher import CostModel, ServeConfig, simulate
+from repro.serve.dispatcher import ServeConfig, simulate
 from repro.serve.request import PhaseItem, Request, TrafficConfig, poisson_trace
 
 
@@ -17,9 +19,11 @@ def _decode_batch() -> Batch:
 
 
 def test_cost_model_uses_precision_policy():
-    base = CostModel(ServeConfig())
-    fp32 = CostModel(ServeConfig(precision=get_policy("fp32")))
-    same = CostModel(ServeConfig(precision=get_policy("bfp8-all")))
+    base = ShardedCostModel(ServeConfig(), ClusterSpec())
+    fp32 = ShardedCostModel(ServeConfig(precision=get_policy("fp32")),
+                            ClusterSpec())
+    same = ShardedCostModel(ServeConfig(precision=get_policy("bfp8-all")),
+                            ClusterSpec())
     b = _decode_batch()
     assert fp32.batch_cycles(b) > base.batch_cycles(b)
     assert same.batch_cycles(b) == base.batch_cycles(b)
