@@ -69,6 +69,10 @@ class AutoscalerConfig:
             )
         if self.interval_us <= 0:
             raise ConfigurationError("autoscale interval must be positive")
+        if self.cooldown_us < 0 or self.provision_us < 0:
+            raise ConfigurationError(
+                "autoscale cooldown and provisioning delay cannot be negative"
+            )
         if self.scale_down_queue >= self.scale_up_queue:
             raise ConfigurationError(
                 "queue thresholds need hysteresis (down < up)"

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "ClockConfig",
     "DEFAULT_CLOCK",
@@ -40,6 +42,10 @@ class ClockConfig:
     cols: int = 8
     fp32_lanes: int = 4
     n_units: int = 15
+
+    def __post_init__(self) -> None:
+        if not self.freq_hz > 0:
+            raise ConfigurationError("clock frequency must be positive")
 
 
 DEFAULT_CLOCK = ClockConfig()

@@ -151,7 +151,7 @@ def add_serve_sim_parser(subparsers) -> argparse.ArgumentParser:
                      help="fault injection: batches whose newest item is "
                           "ready inside the window starting here (simulated "
                           "us) run slower — a deterministic latency spike "
-                          "for exercising triggers (single-node mode only)")
+                          "for exercising triggers")
     rec.add_argument("--inject-spike-duration-us", type=float, default=500.0,
                      help="spike window length, us (default 500)")
     rec.add_argument("--inject-spike-extra-us", type=float, default=2000.0,

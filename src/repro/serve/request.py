@@ -112,6 +112,13 @@ def _deadline(arrival: int, ms: float | None, clock: ClockConfig) -> int | None:
     return arrival + int(ms * 1e-3 * clock.freq_hz)
 
 
+def _check_counts(n_requests: int, n_users: int | None) -> None:
+    if n_requests < 0:
+        raise ConfigurationError("cannot generate a negative request count")
+    if n_users is not None and n_users < 1:
+        raise ConfigurationError("a user pool needs at least one user")
+
+
 def _emit_request(
     rng: np.random.Generator,
     rid: int,
@@ -157,8 +164,7 @@ def poisson_trace(
     default ``None`` draws nothing extra, so historical seeds reproduce
     byte-identical traces.
     """
-    if n_requests < 0:
-        raise ConfigurationError("cannot generate a negative request count")
+    _check_counts(n_requests, n_users)
     rng = np.random.default_rng(seed)
     mean_gap = clock.freq_hz / cfg.rate_rps  # cycles between arrivals
     out: list[Request] = []
@@ -220,8 +226,7 @@ def diurnal_trace(
     above a single gap).  ``cfg.rate_rps`` is the mean rate; the peak runs
     at ``1 + amplitude`` times it and the trough at ``1 - amplitude``.
     """
-    if n_requests < 0:
-        raise ConfigurationError("cannot generate a negative request count")
+    _check_counts(n_requests, n_users)
     rng = np.random.default_rng(seed)
     out: list[Request] = []
     t = 0

@@ -1,0 +1,159 @@
+"""Config fuzz: every drawn run raises ConfigurationError or runs clean.
+
+Each example draws serving, batching, clock, traffic, fleet and
+autoscaler settings, then builds the configs and the trace and runs the
+single pool or the cluster.  Up to two of the settings the run uses are
+drawn degenerate: a zero or negative capacity, count, rate or duration,
+an empty user pool, or an empty token range.  Every other setting is
+drawn from values a run can take, which include one-unit boards, a
+one-item queue and zero requests.
+
+A degenerate setting must raise :class:`~repro.errors.ConfigurationError`
+with a message.  Otherwise the configs may still be rejected as a
+combination, but anything other than ConfigurationError that escapes
+fails the test, and a run that goes through must end clean: every
+request completes or is rejected, no replica spawns before the run
+starts, and every utilization is in [0, 1].
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import (
+    AutoscalerConfig,
+    ClusterConfig,
+    ClusterSpec,
+    ShardPlan,
+    simulate_cluster,
+)
+from repro.errors import ConfigurationError
+from repro.perf.throughput import ClockConfig
+from repro.serve.batcher import BatchPolicy
+from repro.serve.dispatcher import ServeConfig, simulate
+from repro.serve.request import (
+    DiurnalConfig,
+    TrafficConfig,
+    diurnal_trace,
+    poisson_trace,
+)
+
+NON_POSITIVE = st.integers(-1, 0)
+TOKENS = st.integers(1, 8).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo, 12)))
+EMPTY_TOKENS = st.sampled_from([(0, 8), (5, 3), (-2, -1)])
+
+#: setting -> (usable values, degenerate values)
+SERVE = {
+    "max_batch": (st.integers(1, 8), NON_POSITIVE),
+    "max_wait_us": (st.sampled_from([0.0, 100.0, 400.0]), st.just(-500.0)),
+    "vit_max_batch": (st.integers(1, 2), NON_POSITIVE),
+    "max_queue": (st.integers(1, 24), NON_POSITIVE),
+    "max_sessions_per_unit": (st.integers(1, 4), NON_POSITIVE),
+    "freq_hz": (st.sampled_from([150e6, 300e6]),
+                st.sampled_from([-1.0, 0.0])),
+    "rate_rps": (st.sampled_from([200.0, 4000.0]),
+                 st.sampled_from([-10.0, 0.0])),
+    "vit_fraction": (st.sampled_from([0.0, 0.3, 1.0]),
+                     st.sampled_from([-0.5, 1.5])),
+    "prompt_tokens": (TOKENS, EMPTY_TOKENS),
+    "gen_tokens": (TOKENS, EMPTY_TOKENS),
+    "n_users": (st.one_of(st.none(), st.integers(1, 4)), NON_POSITIVE),
+}
+SINGLE_POOL = {"n_units": (st.integers(1, 3), NON_POSITIVE)}
+CLUSTER = {
+    "boards": (st.integers(1, 4), NON_POSITIVE),
+    "units_per_board": (st.integers(1, 4), NON_POSITIVE),
+    "boards_per_replica": (st.integers(1, 2), NON_POSITIVE),
+    "tp": (st.integers(1, 2), NON_POSITIVE),
+    "pp": (st.integers(1, 2), NON_POSITIVE),
+    "initial_replicas": (st.integers(1, 2), NON_POSITIVE),
+    "max_cluster_queue": (st.integers(1, 24), NON_POSITIVE),
+}
+AUTOSCALER = {
+    "min_replicas": (st.integers(1, 2), NON_POSITIVE),
+    "max_replicas": (st.integers(1, 3), NON_POSITIVE),
+    "interval_us": (st.sampled_from([500.0, 2000.0]),
+                    st.sampled_from([-500.0, 0.0])),
+    "cooldown_us": (st.sampled_from([0.0, 100.0, 2000.0]), st.just(-500.0)),
+    "provision_us": (st.sampled_from([0.0, 100.0, 2000.0]),
+                     st.just(-5000.0)),
+}
+
+
+def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool):
+    """Build the configs and the trace from the drawn settings and run."""
+    v = {}
+    for name, (usable, degenerate) in settings_used.items():
+        v[name] = draw(degenerate if name in bad else usable)
+    clock = ClockConfig(freq_hz=v["freq_hz"], n_units=v.get("n_units", 15))
+    serve = ServeConfig(
+        policy=BatchPolicy(max_batch=v["max_batch"],
+                           max_wait_us=v["max_wait_us"],
+                           vit_max_batch=v["vit_max_batch"]),
+        max_queue=v["max_queue"],
+        max_sessions_per_unit=v["max_sessions_per_unit"],
+        clock=clock,
+    )
+    traffic = TrafficConfig(
+        rate_rps=v["rate_rps"], vit_fraction=v["vit_fraction"],
+        prompt_tokens=v["prompt_tokens"], gen_tokens=v["gen_tokens"],
+        vit_deadline_ms=draw(st.sampled_from([None, 0.0, 50.0])),
+        llm_deadline_ms=draw(st.sampled_from([None, 0.0, 200.0])),
+    )
+    n, seed = draw(st.integers(0, 40)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        trace = diurnal_trace(n, traffic, DiurnalConfig(period_s=0.01),
+                              seed=seed, clock=clock, n_users=v["n_users"])
+    else:
+        trace = poisson_trace(n, traffic, seed=seed, clock=clock,
+                              n_users=v["n_users"])
+    if not cluster:
+        return trace, simulate(trace, serve), []
+    autoscaler = None
+    if autoscale:
+        autoscaler = AutoscalerConfig(
+            min_replicas=v["min_replicas"], max_replicas=v["max_replicas"],
+            interval_us=v["interval_us"], cooldown_us=v["cooldown_us"],
+            provision_us=v["provision_us"],
+        )
+    config = ClusterConfig(
+        serve=serve,
+        spec=ClusterSpec(
+            boards=v["boards"], units_per_board=v["units_per_board"],
+            boards_per_replica=v["boards_per_replica"],
+            plan=ShardPlan(tp=v["tp"], pp=v["pp"]),
+        ),
+        autoscaler=autoscaler,
+        initial_replicas=v["initial_replicas"],
+        max_cluster_queue=v["max_cluster_queue"],
+    )
+    report = simulate_cluster(trace, config)
+    return trace, report, report.per_replica
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_config_fuzz_raises_cleanly_or_runs_clean(data):
+    draw = data.draw
+    cluster = draw(st.booleans())
+    autoscale = cluster and draw(st.booleans())
+    used = {**SERVE, **(CLUSTER if cluster else SINGLE_POOL),
+            **(AUTOSCALER if autoscale else {})}
+    bad = draw(st.sets(st.sampled_from(sorted(used)), max_size=2))
+    if bad:
+        with pytest.raises(ConfigurationError, match="."):
+            _run(draw, used, bad, cluster, autoscale)
+        return
+    try:
+        trace, report, replicas = _run(draw, used, bad, cluster, autoscale)
+    except ConfigurationError as e:  # a rejected combination
+        assert str(e)
+        return
+    s = report.summary
+    assert s["arrivals"] == len(trace)
+    assert s["completed"] + s["rejected"] == len(trace)
+    assert 0.0 <= s["utilization"] <= 1.0
+    for row in replicas:
+        assert row["spawned_at"] >= 0
+        assert 0.0 <= row["utilization"] <= 1.0

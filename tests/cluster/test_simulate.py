@@ -30,6 +30,7 @@ from repro.serve.request import (
     diurnal_trace,
     poisson_trace,
 )
+from repro.serve.sessions import SessionTable
 
 
 def _trace(n=200, rate=800.0, seed=11):
@@ -253,6 +254,26 @@ def test_conservation_check_trips_on_a_lost_completion(monkeypatch, run):
 
     monkeypatch.setattr(Dispatcher, "_complete_request", lossy)
     with pytest.raises(InvariantError, match=r"replica \d: .* arrivals"):
+        run(_trace(n=40))
+
+
+@pytest.mark.parametrize("run", [
+    lambda trace: simulate(trace, ServeConfig()),
+    lambda trace: simulate_cluster(trace, ClusterConfig(
+        spec=ClusterSpec(boards=2), initial_replicas=2)),
+], ids=["single_pool", "cluster"])
+def test_conservation_check_trips_on_leaked_kv(monkeypatch, run):
+    original = SessionTable.step
+
+    def leaky(self, rid, now):
+        nxt = original(self, rid, now)
+        if nxt is None:  # a closing session leaves one token counted
+            self.kv_tokens += 1
+        return nxt
+
+    monkeypatch.setattr(SessionTable, "step", leaky)
+    with pytest.raises(InvariantError,
+                       match=r"replica \d: 0 sessions and \d+ KV tokens"):
         run(_trace(n=40))
 
 

@@ -330,3 +330,17 @@ def test_cli_serve_sim_prom_metrics_and_numerics(tmp_path):
     doc = validate_report(json.loads(numerics_out.read_text()))
     assert doc["config"]["model"] == "tinylm-serve-replay"
     assert "numerics report written to" in proc.stdout
+
+
+def test_cli_bad_config_is_one_clean_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve-sim", "--requests", "10",
+         "--vit-frac", "1.5"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "repro serve-sim: vit_fraction must be in [0, 1]"]
