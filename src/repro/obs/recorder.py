@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.obs.anomaly import AnomalyConfig, AnomalyEngine, Trigger
@@ -383,9 +383,9 @@ class FlightRecorder:
     def _trace_slice(self, lo: int, hi: int) -> dict | None:
         if not self.tracer.enabled:
             return None
-        spans = [asdict(s) for s in self.tracer.spans
+        spans = [s._asdict() for s in self.tracer.spans
                  if s.end >= lo and s.start <= hi][:_TRACE_SLICE_CAP]
-        async_spans = [asdict(s) for s in self.tracer.async_spans
+        async_spans = [s._asdict() for s in self.tracer.async_spans
                        if s.end >= lo and s.start <= hi][:_TRACE_SLICE_CAP]
         return {"spans": spans, "async_spans": async_spans,
                 "window": [lo, hi]}

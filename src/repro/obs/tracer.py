@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -70,8 +72,7 @@ REQUEST_STAGES = (
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One complete slice on a track: ``[start, end)`` in cycles."""
 
     name: str
@@ -87,8 +88,7 @@ class Span:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class CounterSample:
+class CounterSample(NamedTuple):
     """One sample of a counter series (rendered as a step graph)."""
 
     name: str
@@ -96,8 +96,7 @@ class CounterSample:
     value: float
 
 
-@dataclass(frozen=True)
-class AsyncSpan:
+class AsyncSpan(NamedTuple):
     """A span that may overlap others on the same track (request lifetime).
 
     Spans sharing ``(cat, span_id)`` form one nesting group in Perfetto:
@@ -113,8 +112,7 @@ class AsyncSpan:
     process: str = DEFAULT_PROCESS
 
 
-@dataclass(frozen=True)
-class FlowEvent:
+class FlowEvent(NamedTuple):
     """One arrow head/tail of a cross-process causal flow.
 
     ``phase`` is the Chrome flow phase: ``"s"`` (start), ``"t"`` (step),
@@ -265,99 +263,102 @@ class Tracer:
 
     # -- export --------------------------------------------------------------
     def to_chrome_trace(self) -> dict:
-        """Chrome trace event document (Perfetto-compatible).
+        """Chrome trace event document (Perfetto-compatible), parsed
+        from :meth:`to_json`.
 
         ``ts``/``dur`` are integer cycles (the viewer's "us" unit reads as
         cycles); ``otherData.clock_freq_hz`` converts to wall time.
         """
-        events: list[dict] = []
-        for process, pid in self._procs.items():
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": process},
-                }
-            )
-        for (process, track), tid in self._tracks.items():
-            pid = self._procs[process]
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": track},
-                }
-            )
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_sort_index",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"sort_index": tid},
-                }
-            )
-        for s in self.spans:
-            events.append(
-                {
-                    "ph": "X",
-                    "name": s.name,
-                    "cat": s.cat,
-                    "ts": s.start,
-                    "dur": s.duration,
-                    "pid": self._procs[s.process],
-                    "tid": self._tracks[(s.process, s.track)],
-                    "args": dict(s.args),
-                }
-            )
-        for a in self.async_spans:
-            common = {
-                "name": a.name,
-                "cat": a.cat,
-                "id": a.span_id,
-                "pid": self._procs[a.process],
-                "tid": 0,
-            }
-            events.append({"ph": "b", "ts": a.start, "args": dict(a.args), **common})
-            events.append({"ph": "e", "ts": a.end, **common})
-        for fl in self.flows:
-            ev = {
-                "ph": fl.phase,
-                "name": fl.name,
-                "cat": "flow",
-                "id": fl.flow_id,
-                "ts": fl.cycle,
-                "pid": self._procs[fl.process],
-                "tid": self._tracks[(fl.process, fl.track)],
-            }
-            if fl.phase == "f":
-                ev["bp"] = "e"
-            events.append(ev)
-        for c in self.counters:
-            events.append(
-                {
-                    "ph": "C",
-                    "name": c.name,
-                    "ts": c.cycle,
-                    "pid": 0,
-                    "args": {"value": c.value},
-                }
-            )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"time_unit": "cycles", **self.meta},
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """Deterministic serialization (sorted keys, fixed separators)."""
-        return json.dumps(
-            self.to_chrome_trace(), sort_keys=True, separators=(",", ":")
-        )
+        """The Chrome trace as canonical JSON, written straight from the
+        recorded tuples.
+
+        Every event is one template whose keys are already in sorted
+        order, so the text equals ``json.dumps(doc, sort_keys=True,
+        separators=(",", ":"))`` of the document byte for byte.  Names,
+        tracks, categories and arg keys are encoded once per call; arg
+        values take :func:`_value`.
+        """
+        q = _Quoted()
+
+        def args_json(args: tuple) -> str:
+            return "{" + ",".join(
+                [f"{q[k]}:{v if type(v) is int else _value(v)}" for k, v in args]) + "}"
+
+        out = []
+        for process, pid in self._procs.items():
+            out.append(f'{{"args":{{"name":{q[process]}}},'
+                       f'"name":"process_name","ph":"M","pid":{pid},"tid":0}}')
+        ids = {}  # (process, track) -> its pid/tid text
+        for (process, track), tid in self._tracks.items():
+            ids[process, track] = pt = f'"pid":{self._procs[process]},"tid":{tid}'
+            out.append(f'{{"args":{{"name":{q[track]}}},'
+                       f'"name":"thread_name","ph":"M",{pt}}}')
+            out.append(f'{{"args":{{"sort_index":{tid}}},'
+                       f'"name":"thread_sort_index","ph":"M",{pt}}}')
+        # An f-string prints an exact int as JSON does; any other number
+        # (a float cycle, a bool) takes _value -- never "%d".
+        for name, track, start, end, cat, args, process in self.spans:
+            dur = end - start
+            if type(start) is not int or type(dur) is not int:
+                start, dur = _value(start), _value(dur)
+            out.append(f'{{"args":{args_json(args)},"cat":{q[cat]},"dur":{dur},'
+                       f'"name":{q[name]},"ph":"X",{ids[process, track]},"ts":{start}}}')
+        async_ids = {p: f'"pid":{pid},"tid":0' for p, pid in self._procs.items()}
+        for name, span_id, start, end, cat, args, process in self.async_spans:
+            if type(span_id) is not int or type(start) is not int or type(end) is not int:
+                span_id, start, end = _value(span_id), _value(start), _value(end)
+            common = f'"cat":{q[cat]},"id":{span_id},"name":{q[name]}'
+            pt = async_ids[process]
+            out.append(f'{{"args":{args_json(args)},{common},"ph":"b",{pt},"ts":{start}}}')
+            out.append(f'{{{common},"ph":"e",{pt},"ts":{end}}}')
+        for name, flow_id, cycle, phase, track, process in self.flows:
+            if type(flow_id) is not int or type(cycle) is not int:
+                flow_id, cycle = _value(flow_id), _value(cycle)
+            bp = '"bp":"e",' if phase == "f" else ""
+            out.append(f'{{{bp}"cat":"flow","id":{flow_id},"name":{q[name]},'
+                       f'"ph":{q[phase]},{ids[process, track]},"ts":{cycle}}}')
+        for name, cycle, value in self.counters:
+            if type(cycle) is not int:
+                cycle = _value(cycle)
+            out.append(f'{{"args":{{"value":{_value(value)}}},"name":{q[name]},'
+                       f'"ph":"C","pid":0,"ts":{cycle}}}')
+        other = _encode({"time_unit": "cycles", **self.meta})
+        return (f'{{"displayTimeUnit":"ms","otherData":{other},'
+                f'"traceEvents":[{",".join(out)}]}}')
+
+
+class _Quoted(dict):
+    """``str -> JSON string literal``, encoded on first lookup."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+#: The canonical encoder (``json.dumps(sort_keys=True,
+#: separators=(",", ":"))``) for values :func:`_value` has no fast path for.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _value(v: object) -> str:
+    """Canonical JSON text of one value: exact ints, strings, ``None``,
+    bools and lists of exact ints directly, anything else (floats,
+    nested containers, int subclasses) through :data:`_encode`."""
+    t = type(v)
+    if t is int:
+        return repr(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    if t is list and all(type(x) is int for x in v):
+        return "[" + ",".join(map(repr, v)) + "]"
+    return _encode(v)
 
 
 NULL_TRACER = Tracer(enabled=False)
@@ -400,10 +401,13 @@ class SpanContext:
     shares the request's ``(cat, id)`` so Perfetto nests the stages under
     the request's async span regardless of which board (process) recorded
     them; :meth:`flow` draws the cross-process arrows that make the
-    parentage explicit (and machine-checkable).
+    parentage explicit (and machine-checkable).  ``stage_cycles`` sums
+    the durations of the children recorded, so the dispatcher can check
+    that a request's stages tile its latency.
     """
 
-    __slots__ = ("trace_id", "cat", "tracer", "remaining", "dropped")
+    __slots__ = ("trace_id", "cat", "tracer", "remaining", "dropped",
+                 "stage_cycles")
 
     def __init__(self, trace_id: int, cat: str, tracer: Tracer,
                  budget: int) -> None:
@@ -412,6 +416,7 @@ class SpanContext:
         self.tracer = tracer
         self.remaining = budget
         self.dropped = 0
+        self.stage_cycles = 0
 
     def child(
         self,
@@ -431,6 +436,7 @@ class SpanContext:
             name, span_id=self.trace_id, start=start, end=end,
             cat=self.cat, args=args, process=process,
         )
+        self.stage_cycles += end - start
         return True
 
     def flow(self, phase: str, *, cycle: int, track: str,
@@ -446,6 +452,12 @@ class SpanContext:
 
 
 _STAGE_SET = frozenset(REQUEST_STAGES)
+
+
+def _is_cycle(v: object) -> bool:
+    """A non-negative integer; JSON ``true`` parses to a bool, which
+    subclasses int but is no cycle count."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def validate_chrome_trace(doc: dict) -> dict:
@@ -496,11 +508,11 @@ def validate_chrome_trace(doc: dict) -> dict:
             continue
         event_pids.add(ev["pid"])
         ts = ev.get("ts")
-        if not isinstance(ts, int) or ts < 0:
+        if not _is_cycle(ts):
             raise ConfigurationError(f"event {i} has bad ts {ts!r}")
         if ph == "X":
             dur = ev.get("dur")
-            if not isinstance(dur, int) or dur < 0:
+            if not _is_cycle(dur):
                 raise ConfigurationError(f"event {i} has bad dur {dur!r}")
             if "tid" not in ev:
                 raise ConfigurationError(f"event {i} missing tid")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.cost import ModeOptions
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
 from repro.hw.system import UnitPool
 from repro.models.configs import DEIT_TINY, ViTConfig
 from repro.models.policy import PrecisionPolicy
@@ -193,8 +193,11 @@ class Dispatcher:
     :class:`~repro.obs.tracer.SpanContext` from admission to completion,
     and every dispatch records the named stage children
     (``queue``/``batch_wait``/``shard_compute``/...) that tile the
-    request's latency.  ``processes`` maps unit index -> tracer
-    process (board) name, so cluster traces show boards as processes.
+    request's latency; completion raises
+    :class:`~repro.errors.InvariantError` when the stages of a request
+    that dropped no spans do not sum to it.  ``processes`` maps unit
+    index -> tracer process (board) name, so cluster traces show boards
+    as processes.
     The dispatcher writes no registry metrics: its
     :class:`~repro.serve.metrics.MetricsCollector` and plan ledger are
     the run's record, published once at run end
@@ -451,6 +454,10 @@ class Dispatcher:
         if ctx is not None:
             ctx.child("respond", start=now, end=now)
             ctx.flow("f", cycle=now, track=f"{self.track_prefix}edge")
+            if not ctx.dropped and ctx.stage_cycles != now - req.arrival:
+                raise InvariantError(
+                    f"request {req.rid}: stages cover {ctx.stage_cycles} "
+                    f"of its {now - req.arrival}-cycle latency")
         if self.tracer.enabled:
             args = {"prompt_tokens": req.prompt_tokens,
                     "gen_tokens": req.gen_tokens}

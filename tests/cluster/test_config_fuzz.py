@@ -14,6 +14,11 @@ combination, but anything other than ConfigurationError that escapes
 fails the test, and a run that goes through must end clean: every
 request completes or is rejected, no replica spawns before the run
 starts, and every utilization is in [0, 1].
+
+Some draws also run traced, with request-path stages on at a drawn
+sampling rate and span budget; the small budget drops spans.  The
+dispatcher then checks that the stages of every request that kept all
+its spans tile its latency, and the exported trace must validate.
 """
 
 import pytest
@@ -28,6 +33,7 @@ from repro.cluster import (
     simulate_cluster,
 )
 from repro.errors import ConfigurationError
+from repro.obs.tracer import NULL_TRACER, RequestPathConfig, Tracer, validate_chrome_trace
 from repro.perf.throughput import ClockConfig
 from repro.serve.batcher import BatchPolicy
 from repro.serve.dispatcher import ServeConfig, simulate
@@ -81,8 +87,10 @@ AUTOSCALER = {
 }
 
 
-def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool):
-    """Build the configs and the trace from the drawn settings and run."""
+def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool,
+         obs: dict):
+    """Build the configs and the trace from the drawn settings and run
+    with the ``obs`` keywords (tracer and request path)."""
     v = {}
     for name, (usable, degenerate) in settings_used.items():
         v[name] = draw(degenerate if name in bad else usable)
@@ -109,7 +117,7 @@ def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool):
         trace = poisson_trace(n, traffic, seed=seed, clock=clock,
                               n_users=v["n_users"])
     if not cluster:
-        return trace, simulate(trace, serve), []
+        return trace, simulate(trace, serve, **obs), []
     autoscaler = None
     if autoscale:
         autoscaler = AutoscalerConfig(
@@ -128,7 +136,7 @@ def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool):
         initial_replicas=v["initial_replicas"],
         max_cluster_queue=v["max_cluster_queue"],
     )
-    report = simulate_cluster(trace, config)
+    report = simulate_cluster(trace, config, **obs)
     return trace, report, report.per_replica
 
 
@@ -141,12 +149,17 @@ def test_config_fuzz_raises_cleanly_or_runs_clean(data):
     used = {**SERVE, **(CLUSTER if cluster else SINGLE_POOL),
             **(AUTOSCALER if autoscale else {})}
     bad = draw(st.sets(st.sampled_from(sorted(used)), max_size=2))
+    obs = {"tracer": NULL_TRACER, "path": None}
+    if draw(st.booleans()):
+        obs = {"tracer": Tracer(), "path": RequestPathConfig(
+            detail_every=draw(st.sampled_from([1, 3])),
+            max_spans_per_request=draw(st.sampled_from([8, 512])))}
     if bad:
         with pytest.raises(ConfigurationError, match="."):
-            _run(draw, used, bad, cluster, autoscale)
+            _run(draw, used, bad, cluster, autoscale, obs)
         return
     try:
-        trace, report, replicas = _run(draw, used, bad, cluster, autoscale)
+        trace, report, replicas = _run(draw, used, bad, cluster, autoscale, obs)
     except ConfigurationError as e:  # a rejected combination
         assert str(e)
         return
@@ -157,3 +170,6 @@ def test_config_fuzz_raises_cleanly_or_runs_clean(data):
     for row in replicas:
         assert row["spawned_at"] >= 0
         assert 0.0 <= row["utilization"] <= 1.0
+    tracer = obs["tracer"]
+    if tracer.async_spans:
+        validate_chrome_trace(tracer.to_chrome_trace())  # parses to_json()

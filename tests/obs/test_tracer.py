@@ -101,6 +101,20 @@ def test_validator_rejects_malformed_documents():
         validate_chrome_trace(dangling)
 
 
+def test_validator_rejects_boolean_cycles():
+    # JSON true parses to a bool, which subclasses int; it is no cycle.
+    def one_event(ts: str, dur: str) -> dict:
+        return json.loads('{"otherData":{},"traceEvents":[{"dur":%s,"name":"s",'
+                          '"ph":"X","pid":0,"tid":0,"ts":%s}]}' % (dur, ts))
+
+    with pytest.raises(ConfigurationError, match="without process_name"):
+        validate_chrome_trace(one_event("0", "1"))  # gets past ts and dur
+    with pytest.raises(ConfigurationError, match="bad ts True"):
+        validate_chrome_trace(one_event("true", "1"))
+    with pytest.raises(ConfigurationError, match="bad dur True"):
+        validate_chrome_trace(one_event("0", "true"))
+
+
 def test_null_tracer_records_nothing():
     assert NULL_TRACER.enabled is False
     assert isinstance(NULL_TRACER, Tracer)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cluster.sharding import ShardedCostModel
+from repro.errors import InvariantError
 from repro.obs.slo import (
     NULL_SLO,
     SLOConfig,
@@ -45,6 +47,21 @@ def test_every_sampled_request_tiles_its_latency():
         assert r["coverage"] == pytest.approx(1.0)
         assert set(r["stages"]) <= set(REQUEST_STAGES)
         assert r["stages"].get("shard_compute", 0) > 0
+
+
+def test_dispatcher_rejects_stages_that_do_not_tile(monkeypatch):
+    # A pricer whose stage split under-reports shard_compute by one cycle
+    # leaves every sampled request one cycle short of its latency.
+    breakdown = ShardedCostModel.batch_breakdown
+
+    def short(self, batch):
+        out = breakdown(self, batch)
+        out["shard_compute"] -= 1
+        return out
+
+    monkeypatch.setattr(ShardedCostModel, "batch_breakdown", short)
+    with pytest.raises(InvariantError, match=r"request \d+: stages cover"):
+        run(n=20)
 
 
 def test_miss_rate_reproducible_from_trace_alone():
