@@ -1,7 +1,11 @@
 """Request-path decomposition: stage spans, sampling, budget, coverage."""
 
+import argparse
+import json
+
 import pytest
 
+import repro.serve.cli as serve_cli
 from repro.cluster.sharding import ShardedCostModel
 from repro.errors import InvariantError
 from repro.obs.slo import (
@@ -97,6 +101,24 @@ def test_span_budget_caps_pathological_requests():
     assert (len(capped_tracer.async_spans) + len(capped_tracer.flows)
             < len(full_tracer.async_spans) + len(full_tracer.flows))
     validate_chrome_trace(capped_tracer.to_chrome_trace())
+
+
+def test_capped_budget_keeps_each_dispatch_group_whole(tmp_path):
+    # A budget of 8 runs out inside a sharded replica's dispatches: admit,
+    # the flow start and route take three, and each dispatch group is up
+    # to five stage children plus the flow step that links the board.  A
+    # group that does not fit must be dropped whole, or the trace keeps a
+    # board's stages with no flow endpoint on that board.
+    parser = argparse.ArgumentParser()
+    serve_cli.add_serve_sim_parser(parser.add_subparsers(dest="command"))
+    args = parser.parse_args((
+        "serve-sim --cluster --boards 4 --boards-per-replica 2 --tp 2"
+        " --pp 2 --replicas 2 --requests 40 --rate 1200 --seed 9"
+        f" --trace-max-spans 8 --trace-detail-every 3 --trace-out {tmp_path}/t.json"
+    ).split())
+    assert serve_cli.run_serve_sim(args) == 0
+    stats = validate_chrome_trace(json.loads((tmp_path / "t.json").read_text()))
+    assert stats["f"] < stats["s"]  # the cap did drop spans
 
 
 def test_disabled_path_changes_nothing():
