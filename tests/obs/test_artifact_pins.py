@@ -1,4 +1,4 @@
-"""Byte pins of the observability artifacts of three recorded serve-sim runs.
+"""Byte pins of the observability artifacts of four recorded serve-sim runs.
 
 Each case runs one ``repro serve-sim`` command in process and compares
 SHA-256 digests of every artifact it exports against pinned values: the
@@ -10,7 +10,9 @@ model or the observers must leave all of them byte-identical.
 The third case shards a two-board replica ``tp2 x pp2`` and injects a
 latency spike, so its trace carries the ``allreduce`` and
 ``pp_transfer`` stages with the spike folded into ``shard_compute``,
-and its report carries the interconnect share.
+and its report carries the interconnect share.  The fourth case is the
+third with a span budget of 8: requests run out of budget mid-path, so
+it pins which stage groups the budget grants and which it drops.
 """
 
 import argparse
@@ -43,7 +45,9 @@ SHARDED = (
     " --trace-out {d}/h.trace.json --json-out {d}/h.summary.json"
     " --metrics-out {d}/h.metrics.json --slo-out {d}/h.slo.json"
 )
-COMMANDS = {"serve": SERVE, "cluster": CLUSTER, "sharded": SHARDED}
+CAPPED = SHARDED + " --trace-max-spans 8 --trace-detail-every 3"
+COMMANDS = {"serve": SERVE, "cluster": CLUSTER, "sharded": SHARDED,
+            "capped": CAPPED}
 
 PINS = {
     "serve": {
@@ -105,6 +109,26 @@ PINS = {
         "bundles": [
             "32b65a38c14e995a657ee8bae241db7e"
             "1472398fc209aedc74d456a17eb22ef2"],
+    },
+    "capped": {
+        "trace": (
+            "2e64f48bb63107701cdda13fd858a3cc"
+            "975c92fbf96cef9262869e8adad89cb5"),
+        "metrics_json": (
+            "eca48e2f6fecfc60cdb343a357aece29"
+            "58fe9ffbd49cd064eeb8cf42bdd7f609"),
+        "metrics_prom": (
+            "a66b0eecab16c1d4d737c3c27019e859"
+            "4943913bec2ccb854be979d978d2e728"),
+        "report": (
+            "a06810988cc37db449c45546eb249527"
+            "81f23da64f12b488093edb9164440314"),
+        "slo": (
+            "c407106213e0f725701b80c8b567b082"
+            "f3358d9e024f0e91fe6f98f99c863f3c"),
+        "bundles": [
+            "d075ff6970034392c835dbd026b10cfd"
+            "6a222758dd2a7c80a1c81c69d33dcc10"],
     },
 }
 
