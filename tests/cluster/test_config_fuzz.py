@@ -18,8 +18,13 @@ starts, and every utilization is in [0, 1].
 Some draws also run traced, with request-path stages on at a drawn
 sampling rate and span budget; the small budget drops spans.  The
 dispatcher then checks that the stages of every request that kept all
-its spans tile its latency, and the exported trace must validate.
+its spans tile its latency, and the exported trace must validate.  The
+export must also equal the dict-building reference built from the
+tracer's event lists, and each list's ``len()`` (read from the tracer's
+counts) must equal the number of events it yields.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +48,7 @@ from repro.serve.request import (
     diurnal_trace,
     poisson_trace,
 )
+from tests.obs.trace_reference import reference_json
 
 NON_POSITIVE = st.integers(-1, 0)
 TOKENS = st.integers(1, 8).flatmap(
@@ -171,5 +177,12 @@ def test_config_fuzz_raises_cleanly_or_runs_clean(data):
         assert row["spawned_at"] >= 0
         assert 0.0 <= row["utilization"] <= 1.0
     tracer = obs["tracer"]
+    if not tracer.enabled:
+        return
+    text = tracer.to_json()
+    assert text == reference_json(tracer)
+    for view in (tracer.spans, tracer.async_spans, tracer.flows,
+                 tracer.counters):
+        assert len(view) == len(list(view))
     if tracer.async_spans:
-        validate_chrome_trace(tracer.to_chrome_trace())  # parses to_json()
+        validate_chrome_trace(json.loads(text))

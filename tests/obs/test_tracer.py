@@ -115,6 +115,21 @@ def test_validator_rejects_boolean_cycles():
         validate_chrome_trace(one_event("0", "true"))
 
 
+def test_validator_rejects_async_end_before_begin():
+    # requests_from_trace would read this request's latency as -5 cycles.
+    def one_request(end: int) -> dict:
+        return json.loads(
+            '{"otherData":{},"traceEvents":[{"args":{"name":"repro-sim"},'
+            '"name":"process_name","ph":"M","pid":0,"tid":0},{"args":{},'
+            '"cat":"llm","id":0,"name":"llm-0","ph":"b","pid":0,"tid":0,"ts":10},'
+            '{"cat":"llm","id":0,"name":"llm-0","ph":"e","pid":0,"tid":0,'
+            '"ts":%d}]}' % end)
+
+    assert validate_chrome_trace(one_request(10))["e"] == 1
+    with pytest.raises(ConfigurationError, match="ends at 5 before it begins at 10"):
+        validate_chrome_trace(one_request(5))
+
+
 def test_null_tracer_records_nothing():
     assert NULL_TRACER.enabled is False
     assert isinstance(NULL_TRACER, Tracer)
