@@ -170,11 +170,21 @@ class ShardedCostModel:
         return spike.extra_cycles if spike.start_cycle <= t < spike.end_cycle else 0
 
     def batch_cycles(self, batch: Batch) -> int:
-        """Lane-occupancy cycles of one dispatched batch (accumulated)."""
-        compute, allreduce, pp_transfer = self._split(batch)
+        """Lane-occupancy cycles of one dispatched batch (accumulated).
+
+        The memo lookup of :meth:`_split` is written out here, because
+        this runs once per dispatch.
+        """
+        key = (batch.phase, batch.size, batch.context)
+        split = self._splits.get(key)
+        if split is None:
+            split = self._splits[key] = self._price(*key)
+        compute, allreduce, pp_transfer = split
         comm = allreduce + pp_transfer
         self.compute_cycles_total += compute
         self.interconnect_cycles_total += comm
+        if self.spike is None:
+            return compute + comm
         return compute + comm + self._extra(batch)
 
     def batch_breakdown(self, batch: Batch) -> dict[str, int]:

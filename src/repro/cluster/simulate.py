@@ -25,6 +25,7 @@ pair replays byte-identically.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -181,12 +182,10 @@ def drive(
     owner: dict[Dispatcher, Replica] = {}
 
     events: list[tuple[int, int, str, object]] = []
-    seq = 0
+    seq = itertools.count()
 
     def push(t: int, tag: str, payload: object = None) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, tag, payload))
-        seq += 1
+        heapq.heappush(events, (t, next(seq), tag, payload))
 
     def allocate_boards(rid: int) -> tuple[int, ...] | None:
         free = [b for b in boards if b.free][: spec.boards_per_replica]

@@ -75,19 +75,12 @@ class UnitPool:
     def n_units(self) -> int:
         return len(self.timelines)
 
-    def free_at(self, unit: int) -> int:
-        return self.timelines[unit].finish
-
     def earliest_free(self) -> tuple[int, int]:
         """``(free_time, unit)`` of the unit that frees first (ties: lowest unit)."""
         return min((t.finish, t.unit) for t in self.timelines)
 
-    def idle_units(self, now: int) -> list[int]:
-        """Units free at time ``now``, in index order."""
-        return [t.unit for t in self.timelines if t.finish <= now]
-
     def assign(self, unit: int, start: int, cycles: int, name: str) -> int:
-        """Occupy ``unit`` for ``cycles`` from ``max(start, free_at)``; returns finish."""
+        """Occupy ``unit`` for ``cycles`` from ``max(start, finish)``; returns finish."""
         if cycles <= 0:
             raise ConfigurationError(f"job {name!r} has no cycles")
         t = self.timelines[unit]
@@ -100,14 +93,6 @@ class UnitPool:
     @property
     def makespan(self) -> int:
         return max((t.finish for t in self.timelines), default=0)
-
-    def busy_fraction(self, horizon: int | None = None) -> float:
-        """Mean busy fraction across units over ``horizon`` (default makespan)."""
-        horizon = self.makespan if horizon is None else horizon
-        if horizon <= 0:
-            return 0.0
-        busy = sum(t.busy_cycles for t in self.timelines)
-        return busy / (horizon * self.n_units)
 
 
 @dataclass

@@ -19,11 +19,12 @@ stream efficiency (Eqn 9 via ``batched_bfp_efficiency``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import ConfigurationError
 from repro.perf.throughput import DEFAULT_CLOCK, ClockConfig
-from repro.serve.request import PhaseItem
+from repro.serve.request import PHASES, PhaseItem
 
 __all__ = ["BatchPolicy", "Batch", "DynamicBatcher"]
 
@@ -61,23 +62,29 @@ class BatchPolicy:
         return int(round(self.max_wait_us * 1e-6 * clock.freq_hz))
 
 
-@dataclass
+_CONTEXT = attrgetter("context")
+
+
+@dataclass(slots=True)
 class Batch:
-    """A closed batch: one unit-occupancy job's worth of phase items."""
+    """A closed batch: one unit-occupancy job's worth of phase items.
+
+    ``size`` and ``context`` are set once, at construction: the pricer,
+    the ledger, the metrics and the trace writers all read them, and a
+    closed batch never gains or loses an item.
+    """
 
     phase: str
     items: list[PhaseItem]
     formed_at: int
     unit: int | None = None  # decode affinity pin
+    size: int = field(init=False)
+    #: Cost-model context: the worst (longest) item in the batch.
+    context: int = field(init=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.items)
-
-    @property
-    def context(self) -> int:
-        """Cost-model context: the worst (longest) item in the batch."""
-        return max((i.context for i in self.items), default=0)
+    def __post_init__(self) -> None:
+        self.size = len(self.items)
+        self.context = max(map(_CONTEXT, self.items), default=0)
 
 
 class DynamicBatcher:
@@ -90,6 +97,9 @@ class DynamicBatcher:
     ) -> None:
         self.policy = policy
         self._wait = policy.max_wait_cycles(clock)
+        self._limit = {phase: policy.batch_limit(phase) for phase in PHASES}
+        #: Per-class FIFO queues.  ``add`` creates a class's queue and
+        #: ``_pop`` deletes it when it empties, so none is ever empty.
         self._queues: dict[ClassKey, deque[PhaseItem]] = {}
         self._count = 0  # items over all queues, kept by add/_pop
         #: Units with a non-empty decode queue, kept by add/_pop: the
@@ -98,13 +108,20 @@ class DynamicBatcher:
 
     # -- intake --------------------------------------------------------------
     def add(self, item: PhaseItem) -> None:
-        key: ClassKey = (item.phase, item.unit if item.phase == "decode" else None)
-        if item.phase == "decode" and item.unit is None:
-            raise ConfigurationError("decode items must carry a unit pin")
-        self._queues.setdefault(key, deque()).append(item)
-        self._count += 1
-        if item.phase == "decode":
+        phase = item.phase
+        if phase == "decode":
+            if item.unit is None:
+                raise ConfigurationError("decode items must carry a unit pin")
             self.decode_units.add(item.unit)
+            key: ClassKey = (phase, item.unit)
+        else:
+            key = (phase, None)
+        q = self._queues.get(key)
+        if q is None:
+            self._queues[key] = deque((item,))
+        else:
+            q.append(item)
+        self._count += 1
 
     def depth(self) -> int:
         """Total queued items, O(1): the admission/routing pressure signal."""
@@ -118,8 +135,7 @@ class DynamicBatcher:
         q = self._queues.get(key)
         if not q:
             return False
-        return (len(q) >= self.policy.batch_limit(key[0])
-                or now - q[0].ready >= self._wait)
+        return len(q) >= self._limit[key[0]] or now - q[0].ready >= self._wait
 
     def global_ready(self, now: int) -> bool:
         """Whether a vit or prefill batch is ready at ``now``.
@@ -127,19 +143,24 @@ class DynamicBatcher:
         Without one, only a unit in :attr:`decode_units` can get a batch
         from :meth:`pop_ready`.
         """
-        return self._ready(VIT, now) or self._ready(PREFILL, now)
+        queues = self._queues
+        return (VIT in queues and self._ready(VIT, now)
+                or PREFILL in queues and self._ready(PREFILL, now))
 
     def _pop(self, key: ClassKey, now: int, limit: int | None = None) -> Batch:
         q = self._queues[key]
-        take = min(len(q), self.policy.batch_limit(key[0]),
-                   limit if limit is not None else len(q))
-        items = [q.popleft() for _ in range(take)]
-        self._count -= take
         phase, unit = key
-        if not q:
+        take = self._limit[phase]
+        if limit is not None and limit < take:
+            take = limit
+        if take >= len(q):  # the batch empties the queue: take all of it
+            items = list(q)
             del self._queues[key]
             if phase == "decode":
                 self.decode_units.discard(unit)
+        else:
+            items = [q.popleft() for _ in range(take)]
+        self._count -= len(items)
         return Batch(phase, items, now, unit)
 
     def pop_ready(
@@ -174,7 +195,7 @@ class DynamicBatcher:
                 decode_sessions is not None and len(dq) >= decode_sessions
             )
             slots_full = prefill_slots is not None and prefill_slots <= 0
-            prefill_pending = bool(self._queues.get(PREFILL))
+            prefill_pending = PREFILL in self._queues
             if self._ready(decode_key, now) or (
                 at_residency and (slots_full or not prefill_pending)
             ):
@@ -186,7 +207,7 @@ class DynamicBatcher:
                 if prefill_slots is not None and prefill_slots <= 0:
                     continue
                 limit = prefill_slots
-            if self._ready(key, now):
+            if key in self._queues and self._ready(key, now):
                 candidates.append((self._queues[key][0].ready, key, limit))
         if not candidates:
             return None
@@ -201,7 +222,9 @@ class DynamicBatcher:
         session slot freeing up), not a timer — without the filter its
         stale expiry would mask the next real one.
         """
-        exps = [q[0].ready + self._wait for q in self._queues.values() if q]
-        if after is not None:
-            exps = [e for e in exps if e > after]
-        return min(exps) if exps else None
+        best = None
+        for q in self._queues.values():
+            e = q[0].ready + self._wait
+            if (after is None or e > after) and (best is None or e < best):
+                best = e
+        return best

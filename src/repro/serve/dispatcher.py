@@ -312,10 +312,14 @@ class Dispatcher:
     def try_dispatch(self, now: int) -> None:
         """Launch every batch that can start now on an idle unit.
 
-        One pass over the idle units, lowest first.  A unit is offered
-        :meth:`DynamicBatcher.pop_ready` only if decode steps are pinned
-        to it or a vit/prefill batch is ready; any other unit would get
-        None.  Readiness is re-checked after each vit or prefill launch.
+        One pass over the idle units that can start work, lowest first.
+        A unit is offered :meth:`DynamicBatcher.pop_ready` only if decode
+        steps are pinned to it or a vit/prefill batch is ready; any other
+        unit would get None.  So with no vit/prefill batch ready the pass
+        walks only the idle units in :attr:`DynamicBatcher.decode_units`,
+        and a decode launch never makes one ready.  Readiness is
+        re-checked after each vit or prefill launch; once none is ready,
+        the rest of the pass skips the units without pinned decode steps.
 
         The pass needs no restart from the lowest unit after a launch,
         because no unit it already passed can become dispatchable.
@@ -329,17 +333,16 @@ class Dispatcher:
         taken that ready prefill batch itself, and a lower unit with no
         free slots closes at residency whatever the prefill queue holds.
         """
-        batcher = self.batcher
+        batcher, sessions = self.batcher, self.sessions
         pinned = batcher.decode_units
+        slots = sessions.max_sessions_per_unit
         shared = batcher.global_ready(now)
-        for u in sorted(self.idle):
+        for u in sorted(self.idle if shared else self.idle & pinned):
             if not shared and u not in pinned:
                 continue
-            batch = batcher.pop_ready(
-                now, u,
-                prefill_slots=self.sessions.free_slots(u),
-                decode_sessions=self.sessions.active(u),
-            )
+            resident = sessions.active(u)
+            batch = batcher.pop_ready(now, u, prefill_slots=slots - resident,
+                                      decode_sessions=resident)
             if batch is None:
                 continue
             self._launch(u, batch, now)
@@ -409,9 +412,36 @@ class Dispatcher:
 
     # -- event handlers -------------------------------------------------------
     def on_finish(self, unit: int, batch: Batch, now: int) -> None:
+        """Free ``unit`` and complete each item of its finished batch.
+
+        A vit item completes its request.  A prefill item queues its
+        session's first decode step.  A decode item is one generated
+        token (step 0 also records the first-token latency); its session
+        then steps and re-queues, or closes and completes the request.
+        The token count moves once per batch: only the run's summary
+        reads it, so no observer can tell that from once per item.
+        """
         self.idle.add(unit)
-        for item in batch.items:
-            self._complete_item(item, now)
+        phase = batch.phase
+        if phase == "decode":
+            metrics, step, add = self.metrics, self.sessions.step, self.batcher.add
+            metrics.tokens_out += batch.size
+            for item in batch.items:
+                req = item.request
+                if item.step == 0:
+                    metrics.record_first_token(req, now)
+                nxt = step(req.rid, now)
+                if nxt is None:
+                    self._complete_request(req, now)
+                else:
+                    add(nxt)
+        elif phase == "prefill":
+            first, add = self.sessions.first_decode_item, self.batcher.add
+            for item in batch.items:
+                add(first(item.request.rid, now))
+        else:
+            for item in batch.items:
+                self._complete_request(item.request, now)
 
     def on_wake(self, now: int) -> None:
         self._pending_wakes.discard(now)
@@ -420,7 +450,7 @@ class Dispatcher:
         """Post-event queue-depth sample (metrics + tracer counter);
         returns the sampled depth."""
         depth = self.batcher.depth()
-        self.metrics.record_queue_depth(now, depth)
+        self.metrics.queue_samples.append((now, depth))
         if depth != self._last_depth:
             if self.tracer.enabled:
                 self.tracer.counter(f"{self.track_prefix}queue_depth",
@@ -448,22 +478,6 @@ class Dispatcher:
                         f"of its {now - req.arrival}-cycle latency")
             self.tracer.record_completion(CompletionRecord(
                 req, now, self._edge, granted, self.path is not None))
-
-    def _complete_item(self, item: PhaseItem, now: int) -> None:
-        req = item.request
-        if item.phase == "vit":
-            self._complete_request(req, now)
-        elif item.phase == "prefill":
-            self.batcher.add(self.sessions.first_decode_item(req.rid, now))
-        else:  # decode: one generated token
-            self.metrics.record_token()
-            if item.step == 0:
-                self.metrics.record_first_token(req, now)
-            nxt = self.sessions.step(req.rid, now)
-            if nxt is None:
-                self._complete_request(req, now)
-            else:
-                self.batcher.add(nxt)
 
     # -- accounting -----------------------------------------------------------
     @property

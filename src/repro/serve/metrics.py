@@ -17,6 +17,7 @@ is what the weight-pass amortization of Eqn 9 depends on.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,18 +57,12 @@ class MetricsCollector:
     def record_first_token(self, request: Request, now: int) -> None:
         self.ttft.append(now - request.arrival)
 
-    def record_token(self) -> None:
-        self.tokens_out += 1
-
     def record_completion(self, request: Request, now: int) -> None:
         self.completed += 1
         self.latencies.append(now - request.arrival)
         self.last_completion = max(self.last_completion, now)
         if request.deadline is not None and now > request.deadline:
             self.deadline_misses += 1
-
-    def record_queue_depth(self, now: int, depth: int) -> None:
-        self.queue_samples.append((now, depth))
 
     # -- summary -------------------------------------------------------------
     def _queue_stats(self) -> tuple[float, int, float, float]:
@@ -94,11 +89,8 @@ class MetricsCollector:
         """Per-phase ``{batch_size: dispatch_count}`` (string keys for JSON)."""
         out: dict[str, dict[str, int]] = {}
         for phase in sorted(self.batch_sizes):
-            hist: dict[str, int] = {}
-            for size in self.batch_sizes[phase]:
-                key = str(size)
-                hist[key] = hist.get(key, 0) + 1
-            out[phase] = dict(sorted(hist.items(), key=lambda kv: int(kv[0])))
+            counts = Counter(self.batch_sizes[phase])
+            out[phase] = {str(size): counts[size] for size in sorted(counts)}
         return out
 
     def summary(
@@ -113,7 +105,14 @@ class MetricsCollector:
         p50, p95, p99 = percentiles(self.latencies)
         t50, t95, t99 = percentiles(self.ttft)
         mean_q, max_q, q95, q99 = self._queue_stats()
-        sizes = [s for v in self.batch_sizes.values() for s in v]
+        hist = self._batch_histograms()
+        # Per phase, (dispatches, items) from the histogram: integer sums,
+        # so each mean below is the correctly rounded quotient.
+        totals = {phase: (sum(h.values()),
+                          sum(int(size) * n for size, n in h.items()))
+                  for phase, h in hist.items()}
+        dispatches = sum(n for n, _ in totals.values())
+        items = sum(k for _, k in totals.values())
         horizon_s = horizon / f if horizon else 0.0
         out = {
             "arrivals": self.arrivals,
@@ -140,18 +139,18 @@ class MetricsCollector:
             "max_queue_depth": max_q,
             "queue_depth_p95": q95,
             "queue_depth_p99": q99,
-            "mean_batch_size": float(np.mean(sizes)) if sizes else 0.0,
-            "dispatches": len(sizes),
-            "batch_size_hist": self._batch_histograms(),
+            "mean_batch_size": items / dispatches if dispatches else 0.0,
+            "dispatches": dispatches,
+            "batch_size_hist": hist,
         }
         # Serving-level weight-pass amortization: one decode dispatch is one
         # weight pass through the array serving `size` tokens — the same
         # matmuls-vs-rows ratio `PolicyBackend.stats()` reports for the
         # functional batched step (TinyLM.forward_step_batch).
-        decode = self.batch_sizes.get("decode", [])
-        out["decode_weight_passes"] = len(decode)
+        passes, tokens = totals.get("decode", (0, 0))
+        out["decode_weight_passes"] = passes
         out["decode_weight_pass_amortization"] = (
-            sum(decode) / len(decode) if decode else 0.0
+            tokens / passes if passes else 0.0
         )
         return out
 

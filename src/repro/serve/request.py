@@ -62,7 +62,7 @@ class Request:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseItem:
     """One unit-schedulable piece of a request's lifecycle.
 

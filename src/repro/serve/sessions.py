@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
 from repro.serve.request import PhaseItem, Request
 
 __all__ = ["Session", "SessionTable"]
@@ -101,13 +101,19 @@ class SessionTable:
 
         Returns the next decode :class:`PhaseItem` (ready at ``now``,
         pinned to the session's unit), or ``None`` when the generation is
-        complete — the session is then evicted and its KV freed.
+        complete — the session is then evicted and its KV freed.  Raises
+        :class:`~repro.errors.InvariantError` if freeing it would leave
+        fewer than zero KV tokens resident.
         """
         s = self._by_rid[rid]
         s.context += 1
         s.remaining -= 1
         self.kv_tokens += 1
         if s.remaining <= 0:
+            if s.context > self.kv_tokens:
+                raise InvariantError(
+                    f"unit {s.unit}: closing request {rid} frees {s.context} "
+                    f"KV tokens, but only {self.kv_tokens} are resident")
             del self._by_unit[s.unit][rid]
             del self._by_rid[rid]
             self.kv_tokens -= s.context

@@ -1,12 +1,14 @@
 """Config fuzz: every drawn run raises ConfigurationError or runs clean.
 
 Each example draws serving, batching, clock, traffic, fleet and
-autoscaler settings, then builds the configs and the trace and runs the
-single pool or the cluster.  Up to two of the settings the run uses are
-drawn degenerate: a zero or negative capacity, count, rate or duration,
-an empty user pool, or an empty token range.  Every other setting is
+autoscaler settings, eager or compiled decode and an optional latency
+spike, then builds the configs and the trace and runs the single pool
+or the cluster.  Up to two of the settings the run uses are drawn
+degenerate: a zero or negative capacity, count, rate or duration, an
+empty user pool, an empty token range, or a spike whose window ends at
+or before its start or that adds no cycles.  Every other setting is
 drawn from values a run can take, which include one-unit boards, a
-one-item queue and zero requests.
+one-item queue, zero requests and a spike window inside the trace.
 
 A degenerate setting must raise :class:`~repro.errors.ConfigurationError`
 with a message.  Otherwise the configs may still be rejected as a
@@ -38,6 +40,7 @@ from repro.cluster import (
     simulate_cluster,
 )
 from repro.errors import ConfigurationError
+from repro.obs.incident_cli import SpikeInjection
 from repro.obs.tracer import NULL_TRACER, RequestPathConfig, Tracer, validate_chrome_trace
 from repro.perf.throughput import ClockConfig
 from repro.serve.batcher import BatchPolicy
@@ -54,6 +57,13 @@ NON_POSITIVE = st.integers(-1, 0)
 TOKENS = st.integers(1, 8).flatmap(
     lambda lo: st.tuples(st.just(lo), st.integers(lo, 12)))
 EMPTY_TOKENS = st.sampled_from([(0, 8), (5, 3), (-2, -1)])
+#: (start, end, extra) of a spike that must be refused.
+BAD_SPIKES = st.one_of(
+    st.tuples(st.integers(0, 10**6), st.integers(-10**6, 0),
+              st.integers(1, 10**5)).map(lambda t: (t[0], t[0] + t[1], t[2])),
+    st.tuples(st.integers(0, 10**6), st.integers(1, 10**6),
+              st.integers(-10**5, 0)).map(lambda t: (t[0], t[0] + t[1], t[2])),
+)
 
 #: setting -> (usable values, degenerate values)
 SERVE = {
@@ -71,6 +81,9 @@ SERVE = {
     "prompt_tokens": (TOKENS, EMPTY_TOKENS),
     "gen_tokens": (TOKENS, EMPTY_TOKENS),
     "n_users": (st.one_of(st.none(), st.integers(1, 4)), NON_POSITIVE),
+    # Usable: whether to inject a spike, its window drawn once the trace
+    # is known.
+    "spike": (st.booleans(), BAD_SPIKES),
 }
 SINGLE_POOL = {"n_units": (st.integers(1, 3), NON_POSITIVE)}
 CLUSTER = {
@@ -108,6 +121,7 @@ def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool,
         max_queue=v["max_queue"],
         max_sessions_per_unit=v["max_sessions_per_unit"],
         clock=clock,
+        compiled=draw(st.booleans()),
     )
     traffic = TrafficConfig(
         rate_rps=v["rate_rps"], vit_fraction=v["vit_fraction"],
@@ -122,8 +136,16 @@ def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool,
     else:
         trace = poisson_trace(n, traffic, seed=seed, clock=clock,
                               n_users=v["n_users"])
+    spike = None
+    if "spike" in bad:
+        spike = SpikeInjection(*v["spike"])
+    elif v["spike"]:
+        last = trace[-1].arrival if trace else 0
+        start = draw(st.integers(0, last))
+        spike = SpikeInjection(start, draw(st.integers(start + 1, last + 1)),
+                               draw(st.integers(1, 10**5)))
     if not cluster:
-        return trace, simulate(trace, serve, **obs), []
+        return trace, simulate(trace, serve, spike=spike, **obs), []
     autoscaler = None
     if autoscale:
         autoscaler = AutoscalerConfig(
@@ -141,6 +163,7 @@ def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool,
         autoscaler=autoscaler,
         initial_replicas=v["initial_replicas"],
         max_cluster_queue=v["max_cluster_queue"],
+        spike=spike,
     )
     report = simulate_cluster(trace, config, **obs)
     return trace, report, report.per_replica

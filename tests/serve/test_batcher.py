@@ -160,7 +160,7 @@ def test_running_depth_matches_queue_lengths(ops):
     """The O(1) depth counter agrees with the queues after any sequence
     of adds and pops (including partial, slot-capped and window-gated
     pops), and so do empty(), the pinned-unit set and the vit/prefill
-    readiness answer."""
+    readiness answer; no class is left holding an empty queue."""
     b = DynamicBatcher(BatchPolicy(max_batch=3, max_wait_us=WAIT_US,
                                    vit_max_batch=2))
     for rid, (op, unit, slots, now) in enumerate(ops):
@@ -172,6 +172,7 @@ def test_running_depth_matches_queue_lengths(ops):
             b.add(decode_item(rid, ready=now, unit=unit))
         else:
             b.pop_ready(now, unit, prefill_slots=slots, decode_sessions=slots)
+        assert all(b._queues.values())  # no class keeps an empty queue
         assert b.depth() == sum(len(q) for q in b._queues.values())
         assert b.empty() == (b.depth() == 0)
         assert b.decode_units == {

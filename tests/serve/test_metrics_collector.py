@@ -4,10 +4,7 @@ from repro.serve.metrics import MetricsCollector
 
 
 def collector_with_queue(samples) -> MetricsCollector:
-    m = MetricsCollector()
-    for t, d in samples:
-        m.record_queue_depth(t, d)
-    return m
+    return MetricsCollector(queue_samples=list(samples))
 
 
 def test_queue_stats_empty():

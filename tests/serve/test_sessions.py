@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
 from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.serve.request import Request
@@ -46,6 +46,15 @@ class TestSessionTable:
         t.step(0, now=1)  # context grows with each generated token
         assert t.kv_bytes(0) == 1100
         assert t.peak_kv_bytes == 1000  # sampled when a session opens
+
+    def test_close_that_would_free_missing_kv_raises(self):
+        t = SessionTable(2)
+        t.open(llm(0, prompt=10, gen=2), unit=1)
+        t.open(llm(1, prompt=4, gen=3), unit=0)
+        t.step(0, now=1)
+        t.kv_tokens -= 10  # KV released outside the table
+        with pytest.raises(InvariantError, match="unit 1: closing request 0"):
+            t.step(0, now=2)  # the close would leave -6 tokens resident
 
 
 KV_OPS = st.lists(
