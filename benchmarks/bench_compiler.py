@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.hw.system import MultiUnitSystem
+from repro.hw.system import Job, MultiUnitSystem
 from repro.models.configs import DEIT_SMALL
+from repro.perf.latency import measured_bfp_stream_cycles, measured_bfp_throughput_ops
 from repro.runtime.scheduler import compile_vit
 
 
@@ -41,12 +42,12 @@ def test_unit_scaling(benchmark):
 
 def test_system_dispatch_throughput(benchmark):
     sys = MultiUnitSystem()
-    jobs = [sys.bfp_stream_job(f"j{i}", 64) for i in range(150)]
+    # One N_X = 64 bfp8 stream per job: 2 packed MACs x 64 blocks x 8^3.
+    cycles = measured_bfp_stream_cycles(64)
+    jobs = [Job(f"j{i}", "bfp8", cycles, 2.0 * 2 * 64 * 512) for i in range(150)]
     report = benchmark(sys.schedule, jobs)
     assert report.utilization() > 0.95
     # Aggregate throughput approaches 15x the single-unit measured rate.
-    from repro.perf.latency import measured_bfp_throughput_ops
-
     assert report.throughput_ops("bfp8") == pytest.approx(
         15 * measured_bfp_throughput_ops(64), rel=0.05
     )

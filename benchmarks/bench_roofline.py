@@ -1,7 +1,5 @@
 """Roofline bench: locate the paper's workloads against the memory wall."""
 
-import pytest
-
 from repro.perf.roofline import bfp_point, fp32_point, machine_balance, roofline_series
 from repro.perf.throughput import bfp_peak_ops, fp32_peak_flops
 

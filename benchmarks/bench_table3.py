@@ -1,7 +1,5 @@
 """Table III bench: related-work comparison with the modeled system row."""
 
-import pytest
-
 from repro.eval import table3
 from repro.perf.related_work import ours_entry, table3_rows
 

@@ -4,8 +4,8 @@ Every execution personality of a unit is one registry entry, mirroring
 the :mod:`repro.formats.registry` template:
 
 * :class:`UnitMode` — one execution personality of a unit: how a stream's
-  compute cycles scale (Eqn-9 ``slices * rows * N_X + 15`` for array
-  modes, ``L + 8`` for the vector unit), what its operands cost on the
+  compute cycles scale (:meth:`UnitMode.compute_cycles`, the only
+  implementation of Eqn 9 and Eqn 10), what its operands cost on the
   AXI/HBM path, what a datapath reconfiguration costs, and which
   registered :class:`~repro.formats.registry.QuantFormat` names it
   natively executes.
@@ -19,8 +19,13 @@ the :mod:`repro.formats.registry` template:
   knob, threaded from the CLIs through the memoized cost lookups.
 
 Every cost consumer resolves per-chunk cycles through
-:func:`resolve_unit_mode` + :meth:`UnitMode.matmul_cost`; the golden
-tests in ``tests/cost/test_golden_cycles.py`` pin the cycles of the
+:func:`resolve_unit_mode` + :meth:`UnitMode.matmul_cost`, and every
+count of vector streams through :func:`vector_chunks`.  The cycle engine
+(:class:`repro.hw.systolic.SystolicArray`) is the independent count: its
+bfp8 and fp32-multiply stream cycles emerge from the pipeline, and
+``tests/hw/test_systolic.py`` holds them equal to
+:meth:`UnitMode.compute_cycles` at every stream length.  The golden tests
+in ``tests/cost/test_golden_cycles.py`` pin the cycles of the
 bfp8/int8/fp32 paths.
 """
 
@@ -45,12 +50,17 @@ __all__ = [
     "get_mode",
     "available_modes",
     "resolve_unit_mode",
+    "vector_chunks",
 ]
 
-#: One full (lanes x L) fp32 stream: the vector personality's chunk grain.
-FP32_STREAM_ELEMS = 4 * 128
 #: Reference fp32 stream length used for chunk-cycle costing.
 FP32_STREAM_LENGTH = 128
+
+
+def vector_chunks(n_ops: int) -> int:
+    """Full fp32 streams (4 lanes x 128, the vector personality's chunk
+    grain) that carry ``n_ops`` elementwise operations; at least one."""
+    return max(1, ceil(n_ops / (4 * 128)))
 
 
 @dataclass(frozen=True)
@@ -71,13 +81,12 @@ class StageCost:
 class UnitMode:
     """One execution personality of a compute unit.
 
-    ``kind="array"`` modes cost through the Eqn-9 stream schedule:
-    a stream of ``N_X`` X-blocks takes ``slices * rows * N_X + 15``
-    compute cycles (``slices`` mantissa slices per product — 1 for bfp8,
-    2 for the dual-precision fp16 dot-product datapath) overlapped with
-    its operand DMA (``operand_bytes`` scales the 8-bit stream's byte
-    counts).  ``kind="vector"`` is the 4-lane fp32 personality:
-    ``L + 8`` cycles per length-``L`` stream.
+    ``kind="array"`` modes cost through the Eqn-9 stream schedule, with
+    ``slices`` mantissa slices per product (1 for bfp8, 2 for the
+    dual-precision fp16 dot-product datapath), overlapped with their
+    operand DMA (``operand_bytes`` scales the 8-bit stream's byte
+    counts).  ``kind="vector"`` is the 4-lane fp32 personality, costed by
+    Eqn 10.  :meth:`compute_cycles` holds both formulas.
 
     ``reconfig_cycles`` is charged by the scheduler once per transition
     *into* this mode (datapath reconfiguration, TransDot-style); modes
@@ -105,6 +114,39 @@ class UnitMode:
             raise ConfigurationError("reconfig_cycles must be >= 0")
 
     # -- cycle truth ---------------------------------------------------------
+    def compute_cycles(
+        self,
+        length: int,
+        *,
+        clock: ClockConfig = DEFAULT_CLOCK,
+        align_narrow_frac: float | None = None,
+    ) -> int:
+        """Compute cycles of one stream of ``length``, with no memory term.
+
+        For array modes ``length`` is the Eqn-9 ``N_X`` (X blocks per
+        stream): ``slices * rows * N_X + 15``.  For the vector mode it is
+        the element count ``L`` of one lane-parallel fp32 stream: Eqn 10's
+        ``L + 8``.  ``align_narrow_frac`` (array modes only) is the
+        fraction of PSU accumulate steps predicted narrow by the
+        shift-aware alignment predictor — each narrow step saves one cycle
+        of the upper-half alignment shift (see
+        :func:`repro.hw.shifter.alignment_shift_cycles`).
+        """
+        if length <= 0:
+            raise ConfigurationError("stream length must be positive")
+        if self.kind == "vector":
+            return length + 8
+        cycles = self.slices * clock.rows * length + 15
+        if align_narrow_frac:
+            if not 0.0 <= align_narrow_frac <= 1.0:
+                raise ConfigurationError(
+                    "align_narrow_frac must be within [0, 1]"
+                )
+            # One PSU alignment per accumulated X block after the first;
+            # a predicted-narrow alignment skips the upper shifter stage.
+            cycles -= min(int(align_narrow_frac * (length - 1)), length - 1)
+        return cycles
+
     def stream_cycles(
         self,
         length: int,
@@ -113,31 +155,14 @@ class UnitMode:
         clock: ClockConfig = DEFAULT_CLOCK,
         align_narrow_frac: float | None = None,
     ) -> int:
-        """End-to-end cycles of one stream of ``length`` including memory.
-
-        For array modes ``length`` is the Eqn-9 ``N_X`` (X blocks per
-        stream); for the vector mode it is the element count ``L`` of one
-        lane-parallel fp32 stream.  ``align_narrow_frac`` (array modes
-        only) is the fraction of PSU accumulate steps predicted narrow by
-        the shift-aware alignment predictor — each narrow step saves one
-        cycle of the upper-half alignment shift (see
-        :func:`repro.hw.shifter.alignment_shift_cycles`).
-        """
-        if length <= 0:
-            raise ConfigurationError("stream length must be positive")
+        """End-to-end cycles of one stream of ``length``: the
+        :meth:`compute_cycles` overlapped with the stream's memory I/O."""
+        compute = self.compute_cycles(
+            length, clock=clock, align_narrow_frac=align_narrow_frac
+        )
         if self.kind == "vector":
-            compute = length + 8
             rd, wr = mem.fp32_stream_bytes(length, clock.fp32_lanes)
             return mem.stream_total_cycles("fp32", compute, rd, wr)
-        compute = self.slices * clock.rows * length + 15
-        if align_narrow_frac:
-            if not 0.0 <= align_narrow_frac <= 1.0:
-                raise ConfigurationError(
-                    "align_narrow_frac must be within [0, 1]"
-                )
-            # One PSU alignment per accumulated X block after the first;
-            # a predicted-narrow alignment skips the upper shifter stage.
-            compute -= min(int(align_narrow_frac * (length - 1)), length - 1)
         rd, wr = mem.bfp_stream_bytes(length, clock.rows, clock.cols)
         return mem.stream_total_cycles(
             "bfp8", compute, rd * self.operand_bytes, wr * self.operand_bytes
@@ -163,7 +188,7 @@ class UnitMode:
         if self.kind == "vector":
             fpu_ops = 2 * m * k * n * copies
             return StageCost(
-                chunks=max(1, ceil(fpu_ops / FP32_STREAM_ELEMS)),
+                chunks=vector_chunks(fpu_ops),
                 chunk_cycles=self.stream_cycles(
                     FP32_STREAM_LENGTH, mem=mem, clock=clock
                 ),

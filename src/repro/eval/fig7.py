@@ -9,6 +9,7 @@ fp32 stays well below theory (short-burst random access).
 
 from __future__ import annotations
 
+from repro.cost.modes import get_mode
 from repro.eval.reporting import header, render_series
 from repro.hw.systolic import SystolicArray
 from repro.perf.latency import (
@@ -38,7 +39,9 @@ def bfp_series(verify_cycles: bool = False) -> dict[str, list[float]]:
                 rng.integers(-127, 128, (8, 8)), rng.integers(-127, 128, (8, 8))
             )
             res = arr.run_bfp8_stream(rng.integers(-127, 128, (n_x, 8, 8)))
-            assert res.cycles == 8 * n_x + 15, "cycle model drift"
+            assert res.cycles == get_mode("bfp8_mac").compute_cycles(n_x), (
+                "cycle model drift"
+            )
     return {"theoretical_GOPS": theo, "measured_GOPS": meas,
             "measured/theoretical": [m / t for m, t in zip(meas, theo)]}
 

@@ -28,15 +28,9 @@ from repro.hw.cosim import ScalarArray
 from repro.hw.selftest import SelfTestReport, run_self_test
 from repro.hw.systolic import BfpStreamResult, Fp32MulResult, SystolicArray
 from repro.hw.trace import ArrayTrace, TraceEvent, trace_bfp8_stream
-from repro.hw.unit import (
-    BFP_STREAM_OVERHEAD,
-    FP32_PIPELINE_FILL,
-    MultiModePU,
-    PUStats,
-)
+from repro.hw.unit import MultiModePU, PUStats
 
 __all__ = [
-    "BFP_STREAM_OVERHEAD",
     "BRAM18_BYTES",
     "BfpStreamResult",
     "Bram18",
@@ -45,7 +39,6 @@ __all__ = [
     "DSP48E2",
     "ExponentUnit",
     "FP32_LANES",
-    "FP32_PIPELINE_FILL",
     "Int8Array",
     "Int8ArrayStats",
     "Job",

@@ -43,6 +43,10 @@ class SelfTestReport:
 
 def run_self_test(seed: int = 0) -> SelfTestReport:
     """Cross-check every datapath on randomized workloads."""
+    # Imported on use: the cost registry reaches this package through the
+    # matmul planner.
+    from repro.cost.modes import get_mode
+
     rng = np.random.default_rng(seed)
     report = SelfTestReport(seed=seed)
 
@@ -57,7 +61,7 @@ def run_self_test(seed: int = 0) -> SelfTestReport:
     if not (
         np.array_equal(vec.z_hi, s_hi)
         and np.array_equal(vec.z_lo, s_lo)
-        and vec.cycles == s_cycles == 8 * 3 + 15
+        and vec.cycles == s_cycles == get_mode("bfp8_mac").compute_cycles(3)
     ):
         raise HardwareContractError("bfp8 co-simulation mismatch")
     for i in range(3):

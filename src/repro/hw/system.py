@@ -4,9 +4,8 @@ The paper deploys 15 independent units, each with two 256-bit AXI channels
 into HBM, "running with independent instructions" (Section III-B).  This
 module models that system level: a pool of units, a work queue of
 independent jobs, greedy earliest-available dispatch, and aggregate
-throughput/utilization reporting.  Jobs either carry explicit cycle costs
-(from the compiler/latency models) or are executed functionally on a
-:class:`~repro.hw.unit.MultiModePU`.
+throughput/utilization reporting.  Jobs carry explicit cycle costs from
+the cost models (:mod:`repro.cost.modes`, :mod:`repro.perf.latency`).
 
 :class:`UnitPool` is the reusable online core: it tracks per-unit busy
 intervals and supports assigning work at arbitrary points in simulated
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.perf.memory import DEFAULT_MEMORY, MemoryModel
 from repro.perf.throughput import DEFAULT_CLOCK, ClockConfig
 
 __all__ = ["Job", "UnitTimeline", "UnitPool", "SystemReport", "MultiUnitSystem"]
@@ -131,7 +129,6 @@ class MultiUnitSystem:
     """Greedy earliest-available scheduler over identical units."""
 
     clock: ClockConfig = DEFAULT_CLOCK
-    memory: MemoryModel = DEFAULT_MEMORY
 
     def schedule(self, jobs: list[Job]) -> SystemReport:
         """Dispatch independent jobs to the earliest-free unit.
@@ -150,20 +147,3 @@ class MultiUnitSystem:
             pool.assign(idx, start, job.cycles, job.name)
             total_ops[job.mode] = total_ops.get(job.mode, 0.0) + job.ops
         return SystemReport(pool.makespan, pool.timelines, total_ops, self.clock)
-
-    # -- convenience job builders -------------------------------------------
-    def bfp_stream_job(self, name: str, n_x: int) -> Job:
-        """One bfp8 stream of ``n_x`` X blocks, including memory I/O."""
-        compute = self.clock.rows * n_x + 15
-        rd, wr = self.memory.bfp_stream_bytes(n_x, self.clock.rows, self.clock.cols)
-        cycles = self.memory.stream_total_cycles("bfp8", compute, rd, wr)
-        ops = 2.0 * 2 * n_x * self.clock.rows * self.clock.rows * self.clock.cols
-        return Job(name, "bfp8", cycles, ops)
-
-    def fp32_stream_job(self, name: str, length: int) -> Job:
-        """One fp32 stream of per-lane length ``length``, including I/O."""
-        compute = length + 8
-        rd, wr = self.memory.fp32_stream_bytes(length, self.clock.fp32_lanes)
-        cycles = self.memory.stream_total_cycles("fp32", compute, rd, wr)
-        ops = 2.0 * self.clock.fp32_lanes * length
-        return Job(name, "fp32", cycles, ops)

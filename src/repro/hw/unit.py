@@ -17,8 +17,9 @@ Each method supports two engines:
 * ``engine="cycle"`` drives the register-accurate simulator and produces
   emergent cycle counts — the ground truth, but slow;
 * ``engine="fast"`` (default) uses the bit-identical vectorized arithmetic
-  from :mod:`repro.arith` and the cycle formulas that the test suite proves
-  equal to the cycle engine's emergent counts (Eqns 9/10).
+  from :mod:`repro.arith` and the unit-mode registry's stream cycles
+  (:meth:`repro.cost.modes.UnitMode.compute_cycles`, Eqns 9/10), which
+  the test suite holds equal to the cycle engine's emergent counts.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arith.bfp_matmul import WideBlock, accumulate, block_matmul
+from repro.arith.bfp_matmul import WideBlock, accumulate
 from repro.arith.fp_align_add import aligned_add
 from repro.arith.fp_sliced import sliced_multiply
 from repro.errors import ConfigurationError, HardwareContractError
@@ -49,13 +50,27 @@ from repro.hw.quantizer import OutputQuantizer
 from repro.hw.systolic import FP32_COLS, SystolicArray
 from repro.obs.metrics import get_registry
 
-__all__ = ["MultiModePU", "PUStats", "FP32_PIPELINE_FILL", "BFP_STREAM_OVERHEAD"]
+__all__ = ["MultiModePU", "PUStats"]
 
-# Validated against the cycle engine (tests/hw/test_cycle_counts.py): one
-# bfp8 stream of N blocks takes 8N + 15 cycles; one fp32 stream of length L
-# takes L + 8 cycles.  These constants are the paper's Eqn 9/10 terms.
-BFP_STREAM_OVERHEAD = 15
-FP32_PIPELINE_FILL = 8
+
+def _compute_cycles(mode: str, length: int) -> int:
+    """Compute cycles of one stream under a registered unit mode.
+
+    Imported on use: :mod:`repro.cost` prices matmuls through
+    :mod:`repro.runtime.compiler`, which imports this module.
+    """
+    from repro.cost.modes import get_mode
+
+    return get_mode(mode).compute_cycles(length)
+
+
+def _fp32_streams(n: int):
+    """``(start, elements, L)`` of each ``(lanes, L)`` stream, L <= 128
+    (buffer capacity), that carries ``n`` elementwise operations."""
+    per_stream = FP32_LANES * MAX_FP32_STREAM
+    for start in range(0, n, per_stream):
+        m = min(per_stream, n - start)
+        yield start, m, -(-m // FP32_LANES)
 
 
 @dataclass
@@ -220,7 +235,7 @@ class MultiModePU:
                     ]
                 )
                 z = [z_hi, z_lo]
-                cycles = self.rows * n_x + BFP_STREAM_OVERHEAD
+                cycles = _compute_cycles("bfp8_mac", n_x)
             self.stats.cycles_bfp += cycles
             self.stats.bfp_streams += 1
             self.stats.bfp_macs += 2 * n_x * self.rows * self.rows * self.cols
@@ -264,39 +279,46 @@ class MultiModePU:
         flat_x = x.reshape(-1)
         flat_y = y.reshape(-1)
 
-        # Chunk into (4, L) streams, L <= 128 (buffer capacity).
-        per_stream = FP32_LANES * MAX_FP32_STREAM
         outs = []
         cycles = 0
-        for s0 in range(0, n, per_stream):
-            cx = flat_x[s0 : s0 + per_stream]
-            cy = flat_y[s0 : s0 + per_stream]
-            m = cx.size
-            lanes_len = -(-m // FP32_LANES)  # ceil
+        for s0, m, lanes_len in _fp32_streams(n):
             pad = lanes_len * FP32_LANES - m
-            sx = np.pad(cx, (0, pad)).reshape(FP32_LANES, lanes_len)
-            sy = np.pad(cy, (0, pad)).reshape(FP32_LANES, lanes_len)
+            sx = np.pad(flat_x[s0 : s0 + m], (0, pad)).reshape(FP32_LANES, lanes_len)
+            sy = np.pad(flat_y[s0 : s0 + m], (0, pad)).reshape(FP32_LANES, lanes_len)
             if engine == "cycle":
                 res, c = self._fp32_stream_cycle(sx, sy, op)
             else:
                 res = (
                     sliced_multiply(sx, sy) if op == "mul" else aligned_add(sx, sy)
                 )
-                c = lanes_len + FP32_PIPELINE_FILL
+                c = _compute_cycles("fp32_vector", lanes_len)
             cycles += c
             outs.append(res.reshape(-1)[:m])
             self.stats.fp32_streams += 1
+        self._charge_fp32(op, n, cycles)
+        reg = get_registry()
+        if reg.enabled:
+            reg.counter(f"hw.pu.occupancy.fp32_{op}").inc(cycles)
+            reg.counter("hw.pu.fp32_streams").inc(len(outs))
+        return np.concatenate(outs).reshape(x.shape).astype(np.float32)
+
+    def account_fp32(self, op: str, n: int) -> None:
+        """Charge ``n`` elementwise fp32 ops (``op`` is ``"mul"`` or
+        ``"add"``) at the fast engine's stream cycles, without computing
+        them: the accounting of an IEEE stand-in for the datapath."""
+        cycles = sum(
+            _compute_cycles("fp32_vector", length)
+            for _, _, length in _fp32_streams(n)
+        )
+        self._charge_fp32(op, n, cycles)
+
+    def _charge_fp32(self, op: str, n: int, cycles: int) -> None:
         if op == "mul":
             self.stats.cycles_fp32_mul += cycles
             self.stats.fp32_mul_ops += n
         else:
             self.stats.cycles_fp32_add += cycles
             self.stats.fp32_add_ops += n
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(f"hw.pu.occupancy.fp32_{op}").inc(cycles)
-            reg.counter("hw.pu.fp32_streams").inc(len(outs))
-        return np.concatenate(outs).reshape(x.shape).astype(np.float32)
 
     def _fp32_stream_cycle(
         self, sx: np.ndarray, sy: np.ndarray, op: str
@@ -323,7 +345,9 @@ class MultiModePU:
             r = self.array.run_fp32_mul_stream(m_x, m_y, s_x, s_y, e_x, e_y)
             return r.results, r.cycles
         # fpadd: DSPs idle; exponent unit + shifter + ACC, one element per
-        # lane per cycle with the same pipeline fill as the mul path.
+        # lane per cycle.  The paper gives no stage-level add pipeline, so a
+        # counting model could only restate Eqn 10: the count is the
+        # registry's, the same as the fast engine's.
         out = np.zeros((FP32_COLS, L), dtype=np.float32)
         for lane in range(FP32_COLS):
             for pos in range(L):
@@ -331,7 +355,7 @@ class MultiModePU:
                     (int(s_x[lane, pos]), int(e_x[lane, pos]), int(m_x[lane, pos])),
                     (int(s_y[lane, pos]), int(e_y[lane, pos]), int(m_y[lane, pos])),
                 )
-        return out, L + FP32_PIPELINE_FILL
+        return out, _compute_cycles("fp32_vector", L)
 
     def _fpadd_element(
         self, xa: tuple[int, int, int], yb: tuple[int, int, int]

@@ -28,7 +28,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil
 
 __all__ = [
     "ProfileEntry",
@@ -37,8 +36,6 @@ __all__ = [
     "fp32_elementwise_cycles",
     "nonlinear_op_counts",
 ]
-
-_FP32_STREAM_ELEMS = 4 * 128  # one full (lanes x L) fp32 stream
 
 
 @lru_cache(maxsize=4096)
@@ -54,12 +51,12 @@ def mode_matmul_unit_cycles(m: int, k: int, n: int, mode: str) -> int:
 
 def fp32_elementwise_cycles(n_ops: int) -> int:
     """Cycles for ``n_ops`` elementwise fp32 operations on the vector unit."""
+    from repro.cost.modes import FP32_STREAM_LENGTH, vector_chunks
     from repro.perf.latency import measured_fp32_stream_cycles
 
     if n_ops <= 0:
         return 0
-    chunks = ceil(n_ops / _FP32_STREAM_ELEMS)
-    return chunks * measured_fp32_stream_cycles(128)
+    return vector_chunks(n_ops) * measured_fp32_stream_cycles(FP32_STREAM_LENGTH)
 
 
 @lru_cache(maxsize=None)

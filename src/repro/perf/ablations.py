@@ -28,7 +28,7 @@ from repro.perf.resources import (
     runtime_controller,
     shifter_acc,
 )
-from repro.perf.throughput import DEFAULT_CLOCK, ClockConfig
+from repro.perf.throughput import DEFAULT_CLOCK, ClockConfig, bfp_efficiency
 
 __all__ = [
     "PackingAblation",
@@ -146,12 +146,11 @@ def ablate_psu_depth(
     rows = []
     for depth in depths:
         n_x = depth // cfg.rows
-        stream = cfg.rows * n_x
         rows.append(
             PsuDepthAblation(
                 depth=depth,
                 max_n_x=n_x,
-                eqn9_efficiency=stream / (stream + 15),
+                eqn9_efficiency=bfp_efficiency(n_x, cfg.rows),
                 psu_brams_per_column=depth / 512.0,  # 512x36 BRAM18 units
             )
         )

@@ -57,11 +57,13 @@ def bfp_peak_ops(cfg: ClockConfig = DEFAULT_CLOCK) -> float:
 
 
 def bfp_efficiency(n_x: int, rows: int = 8) -> float:
-    """Eqn 9 utilization factor: ``8 N_X / (8 N_X + 15)``."""
+    """Eqn 9 utilization factor: ``8 N_X`` useful of the stream's cycles."""
+    from repro.cost.modes import get_mode
+
     if n_x <= 0:
         raise ValueError("N_X must be positive")
-    stream = rows * n_x
-    return stream / (stream + 15)
+    clock = ClockConfig(rows=rows)
+    return rows * n_x / get_mode("bfp8_mac").compute_cycles(n_x, clock=clock)
 
 
 def batched_bfp_efficiency(batch_rows: int, rows: int = 8) -> float:
@@ -92,10 +94,12 @@ def fp32_peak_flops(cfg: ClockConfig = DEFAULT_CLOCK) -> float:
 
 
 def fp32_efficiency(length: int) -> float:
-    """Eqn 10 utilization factor: ``L / (L + 8)``."""
+    """Eqn 10 utilization factor: ``L`` useful of the stream's cycles."""
+    from repro.cost.modes import get_mode
+
     if length <= 0:
         raise ValueError("stream length must be positive")
-    return length / (length + 8)
+    return length / get_mode("fp32_vector").compute_cycles(length)
 
 
 def fp32_throughput_flops(length: int, cfg: ClockConfig = DEFAULT_CLOCK) -> float:

@@ -4,8 +4,8 @@ The compiler plans a dense ``(M, K) @ (K, N)`` multiplication as the
 hardware schedule of Section II-D — row-block chunks of at most 64 X blocks
 (the PSU depth), output column-block pairs (combined MAC), and one
 Y-stationary stream per K block — and reports the analytic cost (streams,
-cycles, MACs, memory traffic).  :meth:`MatmulPlan.run` executes the plan on
-a :class:`MultiModePU`.
+cycles from the ``bfp8_mac`` unit mode, MACs).  :meth:`MatmulPlan.run`
+executes the plan on a :class:`MultiModePU`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from math import ceil
 
 import numpy as np
 
+from repro.cost.modes import get_mode
 from repro.errors import ConfigurationError
 from repro.formats.blocking import BfpMatrix
 from repro.hw.buffers import MAX_X_BLOCKS
-from repro.hw.unit import BFP_STREAM_OVERHEAD, MultiModePU
-from repro.perf.memory import DEFAULT_MEMORY, MemoryModel
+from repro.hw.unit import MultiModePU
 
 __all__ = ["MatmulPlan", "plan_matmul"]
 
@@ -52,24 +52,6 @@ class MatmulPlan:
         peak_macs = self.compute_cycles * 128  # 64 DSPs x 2 MACs
         return self.macs / peak_macs if peak_macs else 0.0
 
-    def memory_bytes(self) -> tuple[int, int]:
-        """(read, write) bytes over the whole plan."""
-        read = 0
-        write = 0
-        mem = MemoryModel()
-        for _ in range(self.streams):
-            r, w = mem.bfp_stream_bytes(self.stream_len)
-            read += r
-            write += w
-        return read, write
-
-    def total_cycles_with_memory(self, mem: MemoryModel = DEFAULT_MEMORY) -> int:
-        """End-to-end cycles including per-stream memory I/O."""
-        per_stream_compute = 8 * self.stream_len + BFP_STREAM_OVERHEAD
-        rd, wr = mem.bfp_stream_bytes(self.stream_len)
-        per_stream = mem.stream_total_cycles("bfp8", per_stream_compute, rd, wr)
-        return per_stream * self.streams
-
     def run(self, a: np.ndarray, b: np.ndarray, pu: MultiModePU | None = None,
             *, engine: str = "fast") -> np.ndarray:
         """Execute the plan; returns the dequantized dense result."""
@@ -93,12 +75,12 @@ def plan_matmul(m: int, k: int, n: int) -> MatmulPlan:
     pairs = ceil(cb / 2)
     streams = chunks * pairs * kb
     # Cycle cost: chunks may be ragged; account exactly.
+    bfp8 = get_mode("bfp8_mac")
     cycles = 0
     macs = 0
     for c in range(chunks):
         n_x = min(MAX_X_BLOCKS, rb - c * MAX_X_BLOCKS)
-        per_stream = 8 * n_x + BFP_STREAM_OVERHEAD
-        cycles += per_stream * pairs * kb
+        cycles += bfp8.compute_cycles(n_x) * pairs * kb
         macs += 2 * n_x * 8 * 8 * 8 * pairs * kb
     return MatmulPlan(
         m=m, k=k, n=n,

@@ -153,11 +153,11 @@ class VectorExecutor:
             if self._half is not None:
                 from repro.arith.fp_sliced_half import sliced_multiply_half
 
-                self._account_cycles("mul", a_b.size)
+                self.pu.account_fp32("mul", a_b.size)
                 return sliced_multiply_half(a_b, b_b, self._half)
             if self.faithful:
                 return self.pu.fp32_multiply(a_b, b_b)
-            self._account_cycles("mul", a_b.size)
+            self.pu.account_fp32("mul", a_b.size)
             return (a_b * b_b).astype(np.float32)
         if op is OpCode.VSUB:
             b_b = np.negative(b_b)  # sign flip is free in signed magnitude
@@ -167,14 +167,14 @@ class VectorExecutor:
             if self._half is not None:
                 from repro.formats.halfprec import quantize_half
 
-                self._account_cycles("add", a_b.size)
+                self.pu.account_fp32("add", a_b.size)
                 return quantize_half(
                     (a_b.astype(np.float64) + b_b.astype(np.float64)).astype(np.float32),
                     self._half,
                 )
             if self.faithful:
                 return self.pu.fp32_add(a_b, b_b)
-            self._account_cycles("add", a_b.size)
+            self.pu.account_fp32("add", a_b.size)
             return (a_b + b_b).astype(np.float32)
         raise ProgramError(f"unhandled FPU opcode {ins.op}")  # pragma: no cover
 
@@ -188,34 +188,14 @@ class VectorExecutor:
             if self._half is not None:
                 from repro.formats.halfprec import quantize_half
 
-                self._account_cycles("add", lo.size)
+                self.pu.account_fp32("add", lo.size)
                 merged = quantize_half((lo + hi).astype(np.float32), self._half)
             elif self.faithful:
                 merged = self.pu.fp32_add(lo, hi)
             else:
-                self._account_cycles("add", lo.size)
+                self.pu.account_fp32("add", lo.size)
                 merged = (lo + hi).astype(np.float32)
             if n % 2:
                 merged = np.concatenate([merged, work[..., -1:]], axis=-1)
             work = merged
         return work
-
-    def _account_cycles(self, kind: str, n: int) -> None:
-        """Eqn-10 cycle accounting for the fast path (mirrors MultiModePU)."""
-        from repro.hw.buffers import FP32_LANES, MAX_FP32_STREAM
-        from repro.hw.unit import FP32_PIPELINE_FILL
-
-        per_stream = FP32_LANES * MAX_FP32_STREAM
-        cycles = 0
-        remaining = n
-        while remaining > 0:
-            chunk = min(remaining, per_stream)
-            lanes_len = -(-chunk // FP32_LANES)
-            cycles += lanes_len + FP32_PIPELINE_FILL
-            remaining -= chunk
-        if kind == "mul":
-            self.pu.stats.cycles_fp32_mul += cycles
-            self.pu.stats.fp32_mul_ops += n
-        else:
-            self.pu.stats.cycles_fp32_add += cycles
-            self.pu.stats.fp32_add_ops += n

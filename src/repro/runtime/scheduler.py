@@ -18,14 +18,19 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import TYPE_CHECKING
 
-from repro.cost.modes import ModeOptions, UnitMode, get_mode, resolve_unit_mode
+from repro.cost.modes import (
+    FP32_STREAM_LENGTH,
+    ModeOptions,
+    UnitMode,
+    get_mode,
+    resolve_unit_mode,
+    vector_chunks,
+)
 from repro.errors import ConfigurationError
 from repro.models.configs import ViTConfig
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import Tracer
-from repro.perf.latency import (
-    measured_fp32_stream_cycles,
-)
+from repro.perf.latency import measured_fp32_stream_cycles
 from repro.perf.memory import DEFAULT_MEMORY, MemoryModel
 from repro.perf.throughput import DEFAULT_CLOCK, ClockConfig
 from repro.runtime.instructions import OpCount
@@ -41,8 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.models.policy import PrecisionPolicy
 
 __all__ = ["Stage", "CompiledModel", "compile_vit", "compile_decoder"]
-
-_FP32_STREAM_ELEMS = 4 * 128  # one full (lanes x L) stream
 
 
 @dataclass(frozen=True)
@@ -297,27 +300,24 @@ def _vector_stage(
     fpu_ops = elements * per_element.fpu_total + int(
         elements * reduction_ops_per_element
     )
-    chunks = max(1, ceil(fpu_ops / _FP32_STREAM_ELEMS))
-    chunk_cycles = measured_fp32_stream_cycles(128, mem)
     return Stage(
         name=name,
         kind=kind,
         mode="fp32",
-        chunks=chunks,
-        chunk_cycles=chunk_cycles,
+        chunks=vector_chunks(fpu_ops),
+        chunk_cycles=measured_fp32_stream_cycles(FP32_STREAM_LENGTH, mem),
         ops=2.0 * fpu_ops,
         host_ops=float(elements * per_element.host),
     )
 
 
 def _residual_stage(name: str, elements: int, mem: MemoryModel) -> Stage:
-    chunks = max(1, ceil(elements / _FP32_STREAM_ELEMS))
     return Stage(
         name=name,
         kind="residual_add",
         mode="fp32",
-        chunks=chunks,
-        chunk_cycles=measured_fp32_stream_cycles(128, mem),
+        chunks=vector_chunks(elements),
+        chunk_cycles=measured_fp32_stream_cycles(FP32_STREAM_LENGTH, mem),
         ops=2.0 * elements,
     )
 

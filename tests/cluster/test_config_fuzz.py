@@ -1,14 +1,18 @@
 """Config fuzz: every drawn run raises ConfigurationError or runs clean.
 
 Each example draws serving, batching, clock, traffic, fleet and
-autoscaler settings, eager or compiled decode and an optional latency
-spike, then builds the configs and the trace and runs the single pool
-or the cluster.  Up to two of the settings the run uses are drawn
-degenerate: a zero or negative capacity, count, rate or duration, an
-empty user pool, an empty token range, or a spike whose window ends at
-or before its start or that adds no cycles.  Every other setting is
-drawn from values a run can take, which include one-unit boards, a
-one-item queue, zero requests and a spike window inside the trace.
+autoscaler settings, eager or compiled decode, a precision policy preset
+or none, unit-mode options or none, and an optional latency spike, then
+builds the configs and the trace and runs the single pool or the
+cluster.  The unit-mode options are an alignment-prediction fraction, or
+fp16 routed onto the ``fp16_dot`` array; the latter is drawn with the
+``fp16-linear`` preset, the one preset it changes.  Up to two of the
+settings the run uses are drawn degenerate: a zero or negative capacity,
+count, rate or duration, an empty user pool, an empty token range, an
+alignment fraction outside [0, 1], or a spike whose window ends at or
+before its start or that adds no cycles.  Every other setting is drawn
+from values a run can take, which include one-unit boards, a one-item
+queue, zero requests and a spike window inside the trace.
 
 A degenerate setting must raise :class:`~repro.errors.ConfigurationError`
 with a message.  Otherwise the configs may still be rejected as a
@@ -39,7 +43,9 @@ from repro.cluster import (
     ShardPlan,
     simulate_cluster,
 )
+from repro.cost.modes import ModeOptions
 from repro.errors import ConfigurationError
+from repro.models.policy import POLICY_PRESETS
 from repro.obs.incident_cli import SpikeInjection
 from repro.obs.tracer import NULL_TRACER, RequestPathConfig, Tracer, validate_chrome_trace
 from repro.perf.throughput import ClockConfig
@@ -81,6 +87,10 @@ SERVE = {
     "prompt_tokens": (TOKENS, EMPTY_TOKENS),
     "gen_tokens": (TOKENS, EMPTY_TOKENS),
     "n_users": (st.one_of(st.none(), st.integers(1, 4)), NON_POSITIVE),
+    # Usable: no options, fp16 routed onto the fp16_dot array, or an
+    # alignment-prediction fraction; degenerate: a fraction outside [0, 1].
+    "modes": (st.sampled_from([None, "fp16", 0.0, 0.5, 1.0]),
+              st.sampled_from([-0.5, 1.5])),
     # Usable: whether to inject a spike, its window drawn once the trace
     # is known.
     "spike": (st.booleans(), BAD_SPIKES),
@@ -114,6 +124,11 @@ def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool,
     for name, (usable, degenerate) in settings_used.items():
         v[name] = draw(degenerate if name in bad else usable)
     clock = ClockConfig(freq_hz=v["freq_hz"], n_units=v.get("n_units", 15))
+    modes, preset = None, draw(st.sampled_from([None, *sorted(POLICY_PRESETS)]))
+    if v["modes"] == "fp16":
+        modes, preset = ModeOptions(overrides=(("fp16", "fp16_dot"),)), "fp16-linear"
+    elif v["modes"] is not None:
+        modes = ModeOptions(align_narrow_frac=v["modes"])
     serve = ServeConfig(
         policy=BatchPolicy(max_batch=v["max_batch"],
                            max_wait_us=v["max_wait_us"],
@@ -121,6 +136,8 @@ def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool,
         max_queue=v["max_queue"],
         max_sessions_per_unit=v["max_sessions_per_unit"],
         clock=clock,
+        precision=POLICY_PRESETS[preset]() if preset is not None else None,
+        modes=modes,
         compiled=draw(st.booleans()),
     )
     traffic = TrafficConfig(

@@ -8,7 +8,7 @@ design bugs).  These tests drive each contract boundary.
 import numpy as np
 import pytest
 
-from repro.errors import HardwareContractError, ProgramError, SpecialValueError
+from repro.errors import HardwareContractError, SpecialValueError
 from repro.formats.blocking import BfpMatrix
 from repro.hw.systolic import SystolicArray
 from repro.hw.unit import MultiModePU
@@ -83,13 +83,6 @@ class TestSchedulerContracts:
         ]
         with pytest.raises(HardwareContractError):
             XBuffer().load_bfp_blocks(blocks)
-
-    def test_interpreter_runaway_guard(self):
-        from repro.runtime.isa import PUInterpreter, assemble
-
-        words, _ = assemble("MODE bfp8\nHALT")
-        with pytest.raises(ProgramError):
-            PUInterpreter().run(words, max_instructions=0)
 
 
 class TestRecoveryAfterError:

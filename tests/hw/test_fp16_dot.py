@@ -10,7 +10,10 @@ up with the cycle/resource model the cost registry charges for the mode.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.cost.modes import get_mode
 from repro.errors import HardwareContractError
 from repro.formats.halfprec import FP16, quantize_half
 from repro.hw.fp16_dot import (
@@ -91,13 +94,23 @@ def test_fp16_dot_zero_handling():
     assert r.dsp_passes == 2  # one live pair, two passes
 
 
-def test_fp16_dot_dsp_pass_accounting():
-    n = 32
-    r = fp16_dot(np.ones(n), np.full(n, 0.5))
-    # The dual-MAC packing: 2 DSP passes per live element pair — the
-    # registry's slices=2, against the fp32 path's 3x3 slicing.
-    assert r.dsp_passes == 2 * n
-    assert r.align_steps == n - 1
+@given(st.integers(1, 64), st.floats(0.0, 1.0), st.integers(0, 10_000))
+def test_fp16_dot_dsp_pass_accounting(n, zero_frac, seed):
+    # The dual-MAC packing: the registry's fp16_dot ``slices`` DSP passes
+    # per live element pair, against the fp32 path's 3x3 slicing.  Zero
+    # operands (including values that flush to zero on the fp16 grid) are
+    # clock-gated and cost nothing.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * np.exp2(rng.integers(-30, 8, n))
+    y = rng.standard_normal(n) * (rng.random(n) >= zero_frac)
+    x[rng.random(n) < zero_frac] = 0.0
+    live = int(np.count_nonzero(
+        (quantize_half(x.astype(np.float32), FP16) != 0)
+        & (quantize_half(y.astype(np.float32), FP16) != 0)
+    ))
+    r = fp16_dot(x, y)
+    assert r.dsp_passes == get_mode("fp16_dot").slices * live
+    assert r.align_steps == max(live - 1, 0)
 
 
 def test_fp16_dot_shape_mismatch_raises():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw.system import Job, MultiUnitSystem
+from repro.perf.latency import measured_bfp_stream_cycles
 from repro.perf.throughput import ClockConfig
 
 
@@ -58,22 +59,9 @@ class TestScheduling:
 
 
 class TestJobBuilders:
-    def test_bfp_stream_job(self):
-        sys = MultiUnitSystem()
-        j = sys.bfp_stream_job("s", 64)
-        assert j.mode == "bfp8"
-        assert j.cycles > 8 * 64 + 15  # memory included
-        assert j.ops == 2.0 * 2 * 64 * 512
-
-    def test_fp32_stream_job(self):
-        sys = MultiUnitSystem()
-        j = sys.fp32_stream_job("v", 128)
-        assert j.mode == "fp32"
-        assert j.cycles > 128 + 8
-        assert j.ops == 2.0 * 4 * 128
-
     def test_system_scales_with_units(self):
-        jobs15 = [MultiUnitSystem().bfp_stream_job(f"j{i}", 64) for i in range(60)]
+        cycles = measured_bfp_stream_cycles(64)
+        jobs15 = [Job(f"j{i}", "bfp8", cycles, 2.0 * 2 * 64 * 512) for i in range(60)]
         r15 = MultiUnitSystem(clock=ClockConfig(n_units=15)).schedule(jobs15)
         r1 = MultiUnitSystem(clock=ClockConfig(n_units=1)).schedule(jobs15)
         assert r15.makespan_cycles * 10 < r1.makespan_cycles

@@ -1,12 +1,17 @@
 """Tests for PU scheduling at the PSU-depth boundary (row-block chunking)."""
 
 import numpy as np
-import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.arith.bfp_matmul import bfp_matmul
+from repro.cost.modes import get_mode
 from repro.formats.blocking import BfpMatrix
 from repro.hw.buffers import MAX_X_BLOCKS
-from repro.hw.unit import BFP_STREAM_OVERHEAD, MultiModePU
+from repro.hw.unit import MultiModePU
+from repro.runtime.compiler import plan_matmul
+
+STREAM = get_mode("bfp8_mac").compute_cycles
 
 
 class TestRowChunking:
@@ -16,7 +21,7 @@ class TestRowChunking:
         pu = MultiModePU()
         out = pu.matmul(a, b)
         assert pu.stats.bfp_streams == 1  # one maximal stream
-        assert pu.stats.cycles_bfp == 8 * MAX_X_BLOCKS + BFP_STREAM_OVERHEAD
+        assert pu.stats.cycles_bfp == STREAM(MAX_X_BLOCKS)
         ref = bfp_matmul(a, b)
         assert np.array_equal(out.mantissas, ref.mantissas)
 
@@ -30,11 +35,7 @@ class TestRowChunking:
         out = pu.matmul(a, b)
         # 2 chunks x 1 pair x 2 K blocks = 4 streams.
         assert pu.stats.bfp_streams == 4
-        expected = 2 * (
-            (8 * MAX_X_BLOCKS + BFP_STREAM_OVERHEAD)
-            + (8 * 1 + BFP_STREAM_OVERHEAD)
-        )
-        assert pu.stats.cycles_bfp == expected
+        assert pu.stats.cycles_bfp == 2 * (STREAM(MAX_X_BLOCKS) + STREAM(1))
         ref = bfp_matmul(a, b)
         assert np.array_equal(out.mantissas, ref.mantissas)
         assert np.array_equal(out.exponents, ref.exponents)
@@ -49,15 +50,16 @@ class TestRowChunking:
         ref = bfp_matmul(a, b)
         assert np.array_equal(out.mantissas, ref.mantissas)
 
-    def test_plan_matches_pu_chunking(self, rng):
-        from repro.runtime.compiler import plan_matmul
-
-        m = 8 * (MAX_X_BLOCKS + 1)
-        plan = plan_matmul(m, 16, 8)
+    @given(st.integers(1, 8 * 135), st.integers(1, 40), st.integers(1, 40))
+    def test_plan_matches_pu_chunking(self, m, k, n):
+        """The planner's cycles equal the PU's stream sum, ragged last
+        chunk included, for shapes up to three 64-block PSU chunks."""
+        rng = np.random.default_rng(m * 1681 + k * 41 + n)
+        plan = plan_matmul(m, k, n)
         pu = MultiModePU()
-        plan.run(rng.normal(size=(m, 16)), rng.normal(size=(16, 8)), pu)
-        assert pu.stats.cycles_bfp == plan.compute_cycles
-        assert pu.stats.bfp_streams == plan.streams
+        plan.run(rng.normal(size=(m, k)), rng.normal(size=(k, n)), pu)
+        assert plan.compute_cycles == pu.stats.cycles_bfp
+        assert plan.streams == pu.stats.bfp_streams
 
 
 class TestErrorPropagationWithDepth:

@@ -60,11 +60,3 @@ class TestExecution:
         plan = plan_matmul(8, 8, 8)
         with pytest.raises(ConfigurationError):
             plan.run(rng.normal(size=(9, 8)), rng.normal(size=(8, 8)))
-
-    def test_memory_cycles_exceed_compute(self):
-        plan = plan_matmul(64, 64, 64)
-        assert plan.total_cycles_with_memory() > plan.compute_cycles
-
-    def test_memory_bytes_positive(self):
-        rd, wr = plan_matmul(16, 16, 16).memory_bytes()
-        assert rd > 0 and wr > 0
