@@ -204,6 +204,12 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
     assert compiled_speedup > 1.2, (
         f"compiled decode speedup only {compiled_speedup:.2f}x"
     )
+    # Absolute floors: 0.9 x 15 and 0.9 x 33 tokens/s, ~4x below the dev
+    # references (~63 cached, ~95 compiled), so only a hot-path collapse
+    # trips them on a shared runner.
+    assert cached_tps >= 15.0 * 0.9, f"cached decode {cached_tps:.1f} tok/s"
+    assert compiled_tps >= 33.0 * 0.9, (
+        f"compiled decode {compiled_tps:.1f} tok/s")
 
 
 def test_encode_kernel_shapes(results_dir, bench_artifact):

@@ -4,71 +4,31 @@ Headline numbers for the unit-mode registry (:mod:`repro.cost.modes`):
 the cycle cost of an fp16 decode schedule on the ``fp16_dot`` array
 personality against the fp32 vector cliff it replaces and the bfp8
 baseline it approaches, plus the measured shift-aware alignment savings.
-All cycle numbers are deterministic (cycle model, not wall clock), so the
-bench-gate pins them tightly.
+All cycle numbers are deterministic (cycle model, not wall clock); the
+claims ledger (:mod:`repro.eval.claims`) pins the fp16_dot speedup, its
+tokens/s and the alignment savings, computed with the same helpers.
 """
 
-import numpy as np
-
-from repro.arith.bfp_matmul import (
-    AlignmentProbe,
-    bfp_matmul_emulate,
-    set_alignment_probe,
-)
 from repro.cost.modes import ModeOptions, get_mode
-from repro.models.policy import get_policy
+from repro.eval.claims import measured_narrow_frac, unit_cycles
 from repro.perf.resources import fp16_dot_extension
 from repro.perf.throughput import DEFAULT_CLOCK
-from repro.runtime.scheduler import compile_decoder
-
-DECODER = dict(vocab=1000, dim=128, depth=4, n_heads=4, context=128)
-
-
-def _decode_cycles(policy, modes):
-    return compile_decoder(
-        **DECODER, phase="decode", batch=8, policy=policy, modes=modes,
-    ).unit_cycles_per_item()
-
-
-def _prefill_cycles(policy, modes):
-    return compile_decoder(
-        **DECODER, phase="prefill", batch=4, policy=policy, modes=modes,
-    ).unit_cycles_per_item()
-
-
-def _measured_narrow_frac() -> float:
-    """The alignment probe's narrow fraction on a seeded workload."""
-    probe = AlignmentProbe()
-    prev = set_alignment_probe(probe)
-    try:
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            a = rng.standard_normal((32, 64))
-            b = rng.standard_normal((64, 32))
-            bfp_matmul_emulate(a, b)
-    finally:
-        set_alignment_probe(prev)
-    assert probe.under_predictions == 0
-    return probe.narrow_frac
 
 
 def test_unit_modes_report(benchmark, save_report, bench_artifact):
-    fp16_pol = get_policy("fp16-linear")
-    bfp8_pol = get_policy("bfp8-mixed")
-    fp16_modes = ModeOptions.parse("fp16")
-
     cycles = {
-        "bfp8_mac": _decode_cycles(bfp8_pol, None),
-        "fp16_vector": _decode_cycles(fp16_pol, None),
-        "fp16_dot": benchmark(_decode_cycles, fp16_pol, fp16_modes),
+        "bfp8_mac": unit_cycles("decode", "bfp8-mixed"),
+        "fp16_vector": unit_cycles("decode", "fp16-linear"),
+        "fp16_dot": benchmark(unit_cycles, "decode", "fp16-linear",
+                              ModeOptions.parse("fp16")),
     }
     freq = DEFAULT_CLOCK.freq_hz
     tokens_per_s = {k: freq / v for k, v in cycles.items()}
 
-    narrow_frac = _measured_narrow_frac()
-    align_base = _prefill_cycles(bfp8_pol, None)
-    align_pred = _prefill_cycles(
-        bfp8_pol, ModeOptions(align_narrow_frac=narrow_frac))
+    narrow_frac = measured_narrow_frac()
+    align_base = unit_cycles("prefill", "bfp8-mixed")
+    align_pred = unit_cycles(
+        "prefill", "bfp8-mixed", ModeOptions(align_narrow_frac=narrow_frac))
 
     ext = fp16_dot_extension()
     summary = {

@@ -13,7 +13,7 @@ Usage::
                                      # quantization health vs golden baseline
     python -m repro slo-report --trace run.perfetto.json --summary run.json
                                      # SLO story rebuilt from the trace alone
-    python -m repro bench-gate       # history append + headline-metric gate
+    python -m repro claims [--full]  # every paper claim and pin, checked live
     python -m repro serve-sim --record --slo --requests 2000 --seed 0
                                      # flight recorder: anomaly-triggered
                                      # incident bundles under results/incidents
@@ -78,7 +78,7 @@ def main() -> None:
                         help="directory to write per-artifact text files")
     subparsers = parser.add_subparsers(dest="command")
 
-    from repro.obs.bench_gate import add_bench_gate_parser, run_bench_gate
+    from repro.eval.claims import run_claims
     from repro.obs.incident_cli import (
         add_incident_replay_parser,
         add_incident_report_parser,
@@ -102,7 +102,8 @@ def main() -> None:
     add_align_predict_parser(subparsers)
     add_numerics_report_parser(subparsers)
     add_slo_report_parser(subparsers)
-    add_bench_gate_parser(subparsers)
+    claims = subparsers.add_parser("claims", help="check every paper value and pin")
+    claims.add_argument("--full", action="store_true", help="also run the training-based entries")
     add_incident_replay_parser(subparsers)
     add_incident_report_parser(subparsers)
 
@@ -112,7 +113,7 @@ def main() -> None:
         "align-predict": run_align_predict,
         "numerics-report": run_numerics_report,
         "slo-report": run_slo_report,
-        "bench-gate": run_bench_gate,
+        "claims": run_claims,
         "incident-replay": run_incident_replay,
         "incident-report": run_incident_report,
     }

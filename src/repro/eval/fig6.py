@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
+from repro.eval.claims import FIG6
 from repro.eval.reporting import header, render_table
 from repro.perf.resources import fig6_designs
 
-__all__ = ["PAPER_FIG6_CLAIMS", "run", "normalized_utilization"]
-
-# The quantitative claims the paper states about Fig. 6 (Section III-A and
-# the abstract); the bars themselves are only published graphically.
-PAPER_FIG6_CLAIMS = {
-    "bfp8_ff_vs_int8": 1.19,
-    "ours_pe_lut_vs_bfp8_pe": 2.94,
-    "indiv_dsp_saving_pct": 20.0,
-    "indiv_ff_saving_pct": 61.2,
-    "indiv_lut_saving_pct": 43.6,
-}
+__all__ = ["run", "normalized_utilization"]
 
 
 def normalized_utilization(
@@ -42,33 +33,17 @@ def run(*, include_fp16: bool = True) -> str:
         ["Design", "LUT", "LUT/int8", "FF", "FF/int8", "DSP", "DSP/int8"],
         rows, float_fmt="{:.3f}",
     ))
-    ours, indiv, bfp8 = designs["ours"], designs["indiv"], designs["bfp8"]
     out.append("\nPaper claims vs model:")
-    claims = [
-        ("bfp8 FF vs int8", PAPER_FIG6_CLAIMS["bfp8_ff_vs_int8"],
-         bfp8.ff / base.ff),
-        ("multimode PE-array LUT vs bfp8-only PE-array",
-         PAPER_FIG6_CLAIMS["ours_pe_lut_vs_bfp8_pe"], 1317.0 / 448.0),
-        ("DSP saving vs individual (%)",
-         PAPER_FIG6_CLAIMS["indiv_dsp_saving_pct"],
-         100 * (1 - ours.dsp / indiv.dsp)),
-        ("FF saving vs individual (%)",
-         PAPER_FIG6_CLAIMS["indiv_ff_saving_pct"],
-         100 * (1 - ours.ff / indiv.ff)),
-        ("LUT saving vs individual (%)",
-         PAPER_FIG6_CLAIMS["indiv_lut_saving_pct"],
-         100 * (1 - ours.lut / indiv.lut)),
-    ]
     out.append(render_table(
         ["Claim", "Paper", "Model"],
-        [[c, p, m] for c, p, m in claims],
+        [[c.name, c.reference, c.model()] for c in FIG6],
         float_fmt="{:.2f}",
     ))
     if include_fp16:
         from repro.perf.resources import fp16_dot_extension
 
         ext = fp16_dot_extension()
-        fp16 = designs["ours+fp16"]
+        ours, indiv, fp16 = designs["ours"], designs["indiv"], designs["ours+fp16"]
         out.append(
             "\nfp16 dot-product extension (not in the paper; TransDot-style "
             "dual-precision MAC): "

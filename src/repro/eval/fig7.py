@@ -16,6 +16,7 @@ from repro.perf.latency import (
     measured_bfp_throughput_ops,
     measured_fp32_throughput_flops,
 )
+from repro.perf.related_work import PAPER_OURS
 from repro.perf.throughput import bfp_throughput_ops, fp32_throughput_flops
 
 __all__ = ["BFP_SWEEP", "FP32_SWEEP", "bfp_series", "fp32_series", "run"]
@@ -70,7 +71,7 @@ def run(verify_cycles: bool = True) -> str:
     out.append(
         "\nSystem scale (15 units): bfp8 measured "
         f"{15 * measured_bfp_throughput_ops(64) / 1e9:.0f} GOPS "
-        f"(paper reports 2052.06 GOPS; Eqn-9 theoretical ceiling "
+        f"(paper reports {PAPER_OURS.throughput_gops} GOPS; Eqn-9 theoretical ceiling "
         f"{15 * bfp_throughput_ops(64) / 1e9:.0f} GOPS -- see EXPERIMENTS.md); "
         f"fp32 measured {15 * measured_fp32_throughput_flops(128) / 1e9:.1f} "
         f"GFLOPS (paper Table IV implies 15.0; theoretical 33.88)."

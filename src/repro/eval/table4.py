@@ -10,6 +10,7 @@ from repro.models.ops_count import (
     table4_partitions,
 )
 from repro.perf.latency import deit_latency_split
+from repro.perf.related_work import PAPER_OURS
 
 __all__ = ["run", "reproduce_paper_table", "analytic_table"]
 
@@ -36,7 +37,7 @@ def reproduce_paper_table(cfg: ViTConfig = DEIT_SMALL):
     """Paper op counts + paper effective rates (2052 GOPS / 15 GFLOPS)."""
     return deit_latency_split(
         table4_partitions(cfg, use_paper_counts=True),
-        bfp_system_ops=2052.06e9,
+        bfp_system_ops=PAPER_OURS.throughput_gops * 1e9,
         fp32_system_flops=15.0e9,
     )
 

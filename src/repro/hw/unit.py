@@ -271,10 +271,9 @@ class MultiModePU:
         y = np.asarray(y, dtype=np.float32)
         if x.shape != y.shape:
             raise ConfigurationError("fp32 op requires equal shapes")
-        mode = Mode.FP32_MUL if op == "mul" else Mode.FP32_ADD
-        self.stats.cycles_reconfig += self.controller.set_mode(mode)
         n = x.size
         if n == 0:
+            self._charge_fp32(op, 0, 0, 0)
             return x.copy()
         flat_x = x.reshape(-1)
         flat_y = y.reshape(-1)
@@ -294,31 +293,33 @@ class MultiModePU:
                 c = _compute_cycles("fp32_vector", lanes_len)
             cycles += c
             outs.append(res.reshape(-1)[:m])
-            self.stats.fp32_streams += 1
-        self._charge_fp32(op, n, cycles)
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(f"hw.pu.occupancy.fp32_{op}").inc(cycles)
-            reg.counter("hw.pu.fp32_streams").inc(len(outs))
+        self._charge_fp32(op, n, cycles, len(outs))
         return np.concatenate(outs).reshape(x.shape).astype(np.float32)
 
     def account_fp32(self, op: str, n: int) -> None:
         """Charge ``n`` elementwise fp32 ops (``op`` is ``"mul"`` or
         ``"add"``) at the fast engine's stream cycles, without computing
         them: the accounting of an IEEE stand-in for the datapath."""
-        cycles = sum(
-            _compute_cycles("fp32_vector", length)
-            for _, _, length in _fp32_streams(n)
-        )
-        self._charge_fp32(op, n, cycles)
+        lengths = [length for _, _, length in _fp32_streams(n)]
+        cycles = sum(_compute_cycles("fp32_vector", L) for L in lengths)
+        self._charge_fp32(op, n, cycles, len(lengths))
 
-    def _charge_fp32(self, op: str, n: int, cycles: int) -> None:
+    def _charge_fp32(self, op: str, n: int, cycles: int, streams: int) -> None:
+        """The one place an fp32 op is charged: the mode switch, the
+        stream cycles and counts, and the occupancy counters."""
+        mode = Mode.FP32_MUL if op == "mul" else Mode.FP32_ADD
+        self.stats.cycles_reconfig += self.controller.set_mode(mode)
         if op == "mul":
             self.stats.cycles_fp32_mul += cycles
             self.stats.fp32_mul_ops += n
         else:
             self.stats.cycles_fp32_add += cycles
             self.stats.fp32_add_ops += n
+        self.stats.fp32_streams += streams
+        reg = get_registry()
+        if reg.enabled and streams:
+            reg.counter(f"hw.pu.occupancy.fp32_{op}").inc(cycles)
+            reg.counter("hw.pu.fp32_streams").inc(streams)
 
     def _fp32_stream_cycle(
         self, sx: np.ndarray, sy: np.ndarray, op: str

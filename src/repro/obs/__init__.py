@@ -14,8 +14,6 @@ Complementary views of where simulated cycles go:
   trace-side reconstruction for ``repro slo-report``;
 * :mod:`repro.obs.profile` — per-layer, per-precision cycle and op
   attribution for the functional models;
-* :mod:`repro.obs.bench_gate` — NDJSON history of ``BENCH_*.json`` runs
-  and the pinned headline-metric regression gate;
 * :mod:`repro.obs.anomaly` — online EWMA/z-score detectors and trigger
   taxonomy for the flight recorder;
 * :mod:`repro.obs.recorder` — always-on bounded flight recorder with

@@ -261,6 +261,13 @@ class AnomalyConfig:
     sqnr_min_std: float = 1.0
     burn_threshold: float = 8.0
 
+    def __post_init__(self) -> None:
+        for name in ("latency_z", "queue_z", "occupancy_z", "sqnr_z",
+                     "burn_threshold"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"anomaly {name} must be >= 0, got {getattr(self, name)}")
+
     def as_dict(self) -> dict:
         return {
             "warmup": self.warmup,

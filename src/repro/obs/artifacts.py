@@ -17,7 +17,7 @@ __all__ = ["ARTIFACT_SCHEMA_VERSION", "git_rev", "jsonable",
            "write_bench_artifact"]
 
 #: Bump when the artifact envelope (not the per-bench summary) changes
-#: shape; history consumers key migrations off this.
+#: shape; readers key migrations off this.
 ARTIFACT_SCHEMA_VERSION = 1
 
 

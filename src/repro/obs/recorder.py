@@ -108,6 +108,17 @@ class RecorderConfig:
     cooldown_cycles: int = 30_000_000
     anomaly: AnomalyConfig = AnomalyConfig()
 
+    def __post_init__(self) -> None:
+        for name in ("ring_requests", "ring_metrics", "ring_decisions",
+                     "ring_numerics", "max_epoch_requests"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"recorder {name} must be >= 1, got {getattr(self, name)}")
+        if self.cooldown_cycles < 0:
+            raise ConfigurationError(
+                f"recorder cooldown must be >= 0, got {self.cooldown_cycles} "
+                "cycles")
+
     def as_dict(self) -> dict:
         return {
             "ring_requests": self.ring_requests,

@@ -30,7 +30,6 @@ __all__ = [
     "fp32_throughput_flops",
     "system_bfp_throughput_ops",
     "system_fp32_throughput_flops",
-    "paper_headline_bfp_tops",
     "paper_headline_fp32_gflops",
 ]
 
@@ -147,14 +146,3 @@ def half_throughput_flops(
 ) -> float:
     """Eqn-10-style achieved FLOPS for a half-precision stream."""
     return half_peak_flops(fmt_name, cfg) * fp32_efficiency(length)
-
-
-def paper_headline_bfp_tops() -> float:
-    """The paper's measured system bfp8 figure (2.052 TOPS).
-
-    Note (EXPERIMENTS.md): this *measured* number exceeds 15 units' Eqn-9
-    throughput at 300 MHz (1.12 TOPS); the paper does not reconcile the two.
-    We expose the reported constant for Table III/IV reproduction and the
-    Eqn-9 value via :func:`system_bfp_throughput_ops`.
-    """
-    return 2.05206e12 / 1e12

@@ -22,6 +22,7 @@ from repro.arith.bfp_matmul import (
 from repro.errors import ConfigurationError, HardwareContractError
 from repro.formats.bfp8 import BfpBlock
 from repro.formats.blocking import BfpMatrix
+from tests.conftest import BLOCK_REGIMES, block_scaled
 
 
 def _rand_block(rng, exp=0):
@@ -120,15 +121,16 @@ class TestRequantize:
 
 
 class TestTiledMatmul:
-    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30))
-    @settings(max_examples=20)
-    def test_emulate_matches_oracle(self, m, k, n):
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30),
+           BLOCK_REGIMES)
+    def test_emulate_matches_oracle(self, m, k, n, regime):
         rng = np.random.default_rng(m * 7 + k * 3 + n)
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
+        a = block_scaled(rng, (m, k), regime)
+        b = block_scaled(rng, (k, n), regime)
         oracle = bfp_matmul_dense(BfpMatrix.from_dense(a), BfpMatrix.from_dense(b))
         fast = bfp_matmul_emulate(a, b)
-        assert np.array_equal(oracle, fast)
+        assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
+        assert fast.tobytes() == oracle.tobytes()
 
     def test_error_vs_exact(self, rng):
         a = rng.normal(size=(32, 64))

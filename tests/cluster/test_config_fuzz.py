@@ -2,17 +2,21 @@
 
 Each example draws serving, batching, clock, traffic, fleet and
 autoscaler settings, eager or compiled decode, a precision policy preset
-or none, unit-mode options or none, and an optional latency spike, then
-builds the configs and the trace and runs the single pool or the
-cluster.  The unit-mode options are an alignment-prediction fraction, or
-fp16 routed onto the ``fp16_dot`` array; the latter is drawn with the
-``fp16-linear`` preset, the one preset it changes.  Up to two of the
-settings the run uses are drawn degenerate: a zero or negative capacity,
-count, rate or duration, an empty user pool, an empty token range, an
-alignment fraction outside [0, 1], or a spike whose window ends at or
-before its start or that adds no cycles.  Every other setting is drawn
-from values a run can take, which include one-unit boards, a one-item
-queue, zero requests and a spike window inside the trace.
+or none, unit-mode options or none, an optional latency spike, and
+optional SLO and flight-recorder settings, then builds the configs and
+the trace and runs the single pool or the cluster.  The unit-mode
+options are an alignment-prediction fraction, or fp16 routed onto the
+``fp16_dot`` array; the latter is drawn with the ``fp16-linear`` preset,
+the one preset it changes.  Up to two of the settings the run uses are
+drawn degenerate: a zero or negative capacity, count, rate or duration,
+an empty user pool, an empty token range, an alignment fraction outside
+[0, 1], a spike whose window ends at or before its start or that adds
+no cycles, an SLO objective outside (0, 1) or a window pair out of
+order, or a recorder ring, epoch bound, cooldown or anomaly threshold
+below its floor.  Every other setting is drawn from values a run can
+take, which include one-unit boards, a one-item queue, zero requests, a
+spike window inside the trace, one-entry recorder rings and anomaly
+thresholds of 0 (a z threshold of 0 disables its stream).
 
 A degenerate setting must raise :class:`~repro.errors.ConfigurationError`
 with a message.  Otherwise the configs may still be rejected as a
@@ -46,7 +50,10 @@ from repro.cluster import (
 from repro.cost.modes import ModeOptions
 from repro.errors import ConfigurationError
 from repro.models.policy import POLICY_PRESETS
+from repro.obs.anomaly import AnomalyConfig
 from repro.obs.incident_cli import SpikeInjection
+from repro.obs.recorder import FlightRecorder, RecorderConfig
+from repro.obs.slo import NULL_SLO, SLOClass, SLOConfig, SLOTracker
 from repro.obs.tracer import NULL_TRACER, RequestPathConfig, Tracer, validate_chrome_trace
 from repro.perf.throughput import ClockConfig
 from repro.serve.batcher import BatchPolicy
@@ -115,15 +122,64 @@ AUTOSCALER = {
                      st.just(-5000.0)),
 }
 
+SLO = {
+    "objective": (st.sampled_from([0.5, 0.99, 0.999]),
+                  st.sampled_from([0.0, 1.0, 1.5])),
+    # (short, long) burn windows in ms.
+    "windows": (st.sampled_from([(0.1, 1.0), (250.0, 1000.0)]),
+                st.sampled_from([(0.0, 10.0), (50.0, 50.0), (100.0, 10.0)])),
+}
+Z = (st.sampled_from([0.0, 1.0, 5.0]), st.just(-1.0))
+RECORDER = {
+    "ring_requests": (st.integers(1, 64), NON_POSITIVE),
+    "ring_metrics": (st.integers(1, 64), NON_POSITIVE),
+    "ring_decisions": (st.integers(1, 64), NON_POSITIVE),
+    "ring_numerics": (st.integers(1, 8), NON_POSITIVE),
+    "max_epoch_requests": (st.integers(1, 64), NON_POSITIVE),
+    "cooldown_cycles": (st.sampled_from([0, 10**4, 3 * 10**7]), st.just(-1)),
+    "latency_z": Z,
+    "queue_z": Z,
+    "occupancy_z": Z,
+    "sqnr_z": Z,
+    "burn_threshold": (st.sampled_from([0.0, 0.5, 8.0]), st.just(-1.0)),
+}
+
+
+def _observers(draw, v: dict, clock: ClockConfig, cluster: bool,
+               tracer) -> dict:
+    """The SLO tracker and flight recorder the drawn settings ask for."""
+    obs = {}
+    if "objective" in v:
+        short, long = v["windows"]
+        obs["slo"] = SLOTracker(SLOConfig(
+            classes=(SLOClass("vit", v["objective"]), SLOClass("llm")),
+            short_window_ms=short, long_window_ms=long,
+            count_rejections=draw(st.booleans())), clock=clock)
+    if "ring_requests" in v:
+        anomaly = AnomalyConfig(**{k: v[k] for k in (
+            "latency_z", "queue_z", "occupancy_z", "sqnr_z",
+            "burn_threshold")}, warmup=draw(st.sampled_from([0, 4, 64])))
+        config = RecorderConfig(anomaly=anomaly, **{k: v[k] for k in (
+            "ring_requests", "ring_metrics", "ring_decisions",
+            "ring_numerics", "max_epoch_requests", "cooldown_cycles")})
+        slo = obs.get("slo", NULL_SLO)
+        capture = ({"slo": {"long_window_cycles": slo._long_cycles}}
+                   if slo.enabled else {})
+        obs["recorder"] = FlightRecorder(
+            config, capture=capture, tracer=tracer, replayable=not cluster)
+    return obs
+
 
 def _run(draw, settings_used: dict, bad: set, cluster: bool, autoscale: bool,
          obs: dict):
     """Build the configs and the trace from the drawn settings and run
-    with the ``obs`` keywords (tracer and request path)."""
+    with the ``obs`` keywords (tracer and request path), plus the SLO
+    tracker and recorder the drawn settings ask for."""
     v = {}
     for name, (usable, degenerate) in settings_used.items():
         v[name] = draw(degenerate if name in bad else usable)
     clock = ClockConfig(freq_hz=v["freq_hz"], n_units=v.get("n_units", 15))
+    obs = {**obs, **_observers(draw, v, clock, cluster, obs["tracer"])}
     modes, preset = None, draw(st.sampled_from([None, *sorted(POLICY_PRESETS)]))
     if v["modes"] == "fp16":
         modes, preset = ModeOptions(overrides=(("fp16", "fp16_dot"),)), "fp16-linear"
@@ -193,7 +249,9 @@ def test_config_fuzz_raises_cleanly_or_runs_clean(data):
     cluster = draw(st.booleans())
     autoscale = cluster and draw(st.booleans())
     used = {**SERVE, **(CLUSTER if cluster else SINGLE_POOL),
-            **(AUTOSCALER if autoscale else {})}
+            **(AUTOSCALER if autoscale else {}),
+            **(SLO if draw(st.booleans()) else {}),
+            **(RECORDER if draw(st.booleans()) else {})}
     bad = draw(st.sets(st.sampled_from(sorted(used)), max_size=2))
     obs = {"tracer": NULL_TRACER, "path": None}
     if draw(st.booleans()):

@@ -1,0 +1,61 @@
+"""The claims ledger passes, fails by name on a miss, and renders the
+committed EXPERIMENTS.md tables exactly."""
+
+import dataclasses
+import re
+from argparse import Namespace
+
+import pytest
+
+from repro.eval import claims
+from repro.eval.claims import EXPERIMENTS, LEDGER
+
+
+@pytest.fixture(scope="module")
+def values():
+    return claims.check()
+
+
+def test_entries_are_well_formed():
+    names = [c.name for c in LEDGER]
+    assert len(names) == len(set(names))
+    for c in LEDGER:
+        assert c.source and c.tolerance >= 0, c
+        assert c.direction in ("at least", "at most", "within"), c
+        assert "inf" not in c.check_text(), c
+
+
+def test_ledger_passes_and_prints_every_entry(capsys):
+    assert claims.run_claims(Namespace(full=False)) == 0
+    out = capsys.readouterr().out
+    for c in LEDGER:
+        assert c.name in out
+    assert " 0 missed" in out
+
+
+def test_perturbed_entry_fails_by_name(monkeypatch, capsys):
+    target = next(c for c in LEDGER if c.name == "scaling_1_to_2")
+    bad = dataclasses.replace(target, model=lambda: target.reference * 0.8)
+    monkeypatch.setattr(claims, "LEDGER", tuple(
+        bad if c is target else c for c in LEDGER))
+    assert claims.run_claims(Namespace(full=False)) == 1
+    out = capsys.readouterr().out
+    assert "MISS scaling_1_to_2 (pin)" in out
+    assert out.count("MISS") == 2  # the table's status cell and the line
+
+
+def test_experiments_tables_equal_the_render(values):
+    text = EXPERIMENTS.read_text()
+    marked = re.findall(r"<!-- claims:(\w+) -->", text)
+    assert sorted(marked) == sorted({c.table for c in LEDGER})
+    assert claims.render_document(text, values) == text, (
+        "EXPERIMENTS.md tables drifted from the ledger; rewrite them with "
+        "`PYTHONPATH=src python -m repro.eval.claims`"
+    )
+
+
+def test_hand_edited_digit_is_caught(values):
+    text = EXPERIMENTS.read_text()
+    edited = text.replace("| 1.201 | 1.201 |", "| 1.201 | 1.202 |", 1)
+    assert edited != text
+    assert claims.render_document(edited, values) == text

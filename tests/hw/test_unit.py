@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arith.bfp_matmul import bfp_matmul
@@ -10,22 +10,23 @@ from repro.cost.modes import get_mode
 from repro.errors import ConfigurationError
 from repro.formats.blocking import BfpMatrix
 from repro.hw.unit import MultiModePU
+from tests.conftest import BLOCK_REGIMES, block_scaled
 
 
 class TestMatmul:
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20),
-           st.integers(0, 1000))
-    @settings(max_examples=10)
-    def test_engines_agree_and_match_oracle(self, m, k, n, seed):
+           BLOCK_REGIMES, st.integers(0, 1000))
+    def test_engines_agree_and_match_oracle(self, m, k, n, regime, seed):
         rng = np.random.default_rng(seed)
-        a = BfpMatrix.from_dense(rng.normal(size=(m, k)))
-        b = BfpMatrix.from_dense(rng.normal(size=(k, n)))
+        a = BfpMatrix.from_dense(block_scaled(rng, (m, k), regime))
+        b = BfpMatrix.from_dense(block_scaled(rng, (k, n), regime))
         fast = MultiModePU().matmul(a, b, engine="fast")
         cyc = MultiModePU().matmul(a, b, engine="cycle")
         oracle = bfp_matmul(a, b)
         assert np.array_equal(fast.mantissas, cyc.mantissas)
         assert np.array_equal(fast.exponents, cyc.exponents)
         assert np.array_equal(fast.mantissas, oracle.mantissas)
+        assert np.array_equal(fast.exponents, oracle.exponents)
 
     def test_cycle_accounting_formula(self, rng):
         """fast-engine cycle charges equal the registry's stream cycles."""

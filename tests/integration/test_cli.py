@@ -278,39 +278,6 @@ def test_cli_slo_report_round_trip(tmp_path):
     assert "cross-check FAILED" in proc.stdout
 
 
-def test_cli_bench_gate(tmp_path):
-    results = tmp_path / "results"
-    results.mkdir()
-    (results / "BENCH_demo.json").write_text(json.dumps({
-        "bench": "demo", "seed": 0, "git_rev": "aaa",
-        "summary": {"tps": 100.0},
-    }))
-    (results / "bench_baselines.json").write_text(json.dumps({
-        "metrics": {"demo:tps": {"value": 100.0, "direction": "higher",
-                                 "tolerance": 0.10}},
-    }))
-    proc = _repro("bench-gate", "--results", str(results))
-    assert proc.returncode == 0, proc.stdout[-2000:]
-    assert "1 pinned metrics ok" in proc.stdout
-    assert (results / "history" / "demo.ndjson").exists()
-
-    # a >10% regression fails the gate
-    (results / "BENCH_demo.json").write_text(json.dumps({
-        "bench": "demo", "seed": 0, "git_rev": "bbb",
-        "summary": {"tps": 80.0},
-    }))
-    proc = _repro("bench-gate", "--results", str(results))
-    assert proc.returncode == 1
-    assert "FAIL demo:tps" in proc.stdout
-
-    # --update-baselines re-pins and the gate goes green again
-    proc = _repro("bench-gate", "--results", str(results),
-                  "--update-baselines")
-    assert proc.returncode == 0, proc.stdout[-2000:]
-    proc = _repro("bench-gate", "--results", str(results))
-    assert proc.returncode == 0, proc.stdout[-2000:]
-
-
 def test_cli_serve_sim_prom_metrics_and_numerics(tmp_path):
     metrics_out = tmp_path / "metrics.prom"
     numerics_out = tmp_path / "serve_numerics.json"

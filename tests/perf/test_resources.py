@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.eval.table2 import PAPER_TABLE2
 from repro.perf.resources import (
     Resources,
     design_bfp8_only,
@@ -15,20 +16,16 @@ from repro.perf.resources import (
     table2_breakdown,
 )
 
-PAPER_TABLE2 = {
-    "PE Array": (1317, 1536, 0.0, 64),
-    "Shifter & ACC": (768, 644, 0.0, 8),
-    "Buffer & Layout Converter": (752, 764, 50.0, 0),
-    "Exponent Unit": (269, 195, 0.0, 0),
-    "Quantizer": (348, 524, 0.0, 0),
-    "Misc.": (483, 1944, 3.0, 0),
-}
-
 
 class TestTable2:
     def test_component_rows_exact(self):
+        """Every paper row the model keeps whole (it splits the merged
+        memory-interface + controller row in two)."""
         got = table2_breakdown()
+        assert len(got) == 8
         for name, (lut, ff, bram, dsp) in PAPER_TABLE2.items():
+            if name not in got:
+                continue
             r = got[name]
             assert r.lut == pytest.approx(lut), name
             assert r.ff == pytest.approx(ff), name

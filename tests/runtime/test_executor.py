@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ProgramError
 from repro.runtime.executor import VectorExecutor
 from repro.runtime.instructions import OpCode, Program
-from repro.runtime.vector_ops import build_gelu, build_softmax
+from repro.runtime.vector_ops import build_gelu, build_layernorm, build_softmax
 
 
 class TestExecution:
@@ -16,10 +16,24 @@ class TestExecution:
             ex.run(build_softmax(), {})
 
     def test_faithful_and_fast_agree_closely(self, rng):
-        x = rng.normal(size=(4, 32)).astype(np.float32)
-        fast, _ = VectorExecutor(faithful=False).run(build_softmax(), {"x": x})
-        faith, _ = VectorExecutor(faithful=True).run(build_softmax(), {"x": x})
+        x = rng.normal(size=(4, 40)).astype(np.float32)
+        fast_ex, faith_ex = VectorExecutor(faithful=False), VectorExecutor()
+        fast, _ = fast_ex.run(build_softmax(), {"x": x})
+        faith, _ = faith_ex.run(build_softmax(), {"x": x})
         assert np.abs(fast.astype(np.float64) - faith.astype(np.float64)).max() < 1e-6
+        # Identical accounting, field for field: the fast path charges the
+        # same mode switches and counts the same fp32 streams.
+        assert fast_ex.pu.stats == faith_ex.pu.stats
+        affine = {"gamma": np.ones(40, np.float32),
+                  "beta": np.zeros(40, np.float32),
+                  "inv_n": np.full((4, 1), 1 / 40, np.float32),
+                  "eps": np.full((4, 1), 1e-5, np.float32)}
+        for program, inputs in ((build_gelu(), {"x": x}),
+                                (build_layernorm(), {"x": x, **affine})):
+            fast_ex, faith_ex = VectorExecutor(faithful=False), VectorExecutor()
+            fast_ex.run(program, inputs)
+            faith_ex.run(program, inputs)
+            assert fast_ex.pu.stats == faith_ex.pu.stats, program.name
 
     def test_trace_counts(self, rng):
         x = rng.normal(size=(2, 8)).astype(np.float32)
