@@ -9,13 +9,16 @@ prepared-operand cache (:mod:`repro.perf.prepared`) quantizes each weight
 once — the emulation analogue of the hardware's Y-stationary weight
 residency — and its tokens/sec advantage over a ``capacity=0`` cache
 (requantize every call) is recorded in ``results/BENCH_kernels.json``,
-next to the bfp kernel's time on each encode matmul shape.
+next to the bfp kernel's time on each encode matmul shape, on one thread
+and with its column blocks split across the process's CPUs.
 Timing uses ``perf_counter`` directly so the numbers exist even under
 ``pytest --benchmark-disable`` (the CI perf-smoke job).
 """
 
+import importlib
 import json
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -215,32 +218,38 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
 def test_encode_kernel_shapes(results_dir, bench_artifact):
     """The bfp kernel on each encode matmul shape, against the oracle.
 
-    Times ``bfp_matmul_prepared`` (best of 5) on a prepared weight and
-    compares its output byte for byte with the integer
-    ``_emulate_blocks``.  Both land in ``BENCH_kernels.json``, merged into
-    the decode summary the test above writes.
+    Times ``bfp_matmul_prepared`` (best of 5) on a prepared weight twice
+    in the same run: held to one part on the calling thread, and as it
+    runs by default, its column blocks split across the CPUs this process
+    may use.  Both outputs must equal the integer ``_emulate_blocks`` byte
+    for byte.  Times land in ``BENCH_kernels.json``, merged into the
+    decode summary the test above writes; none is asserted, because the
+    split's gain depends on how many cores are free.
     """
+    bm = importlib.import_module("repro.arith.bfp_matmul")
     rng = np.random.default_rng(DECODE_SEED)
-    kernel_ms, identical = {}, True
+    one_ms, split_ms, identical = {}, {}, True
     for name, (m, k, n) in ENCODE_SHAPES.items():
         am = activation_blocks(rng.normal(size=(m, k)))
-        bw = BfpWeight.from_matrix(BfpMatrix.from_dense(rng.normal(size=(k, n))))
-        best = float("inf")
-        for _ in range(5):
-            t0 = time.perf_counter()
-            out = bfp_matmul_prepared(am, bw)
-            best = min(best, time.perf_counter() - t0)
-        kernel_ms[name] = 1e3 * best
-        want = _emulate_blocks(
-            am.mantissas, am.exponents, bw.man64, bw.exp64
-        )[:m, :n]
-        identical &= out.tobytes() == want.tobytes()
+        bw = BfpWeight.from_dense(rng.normal(size=(k, n)))
+        want = _emulate_blocks(am.man64, am.exp64, bw.man64, bw.exp64)[:m, :n]
+        for ms, threads in ((one_ms, lambda: 1), (split_ms, bm._threads)):
+            best = float("inf")
+            with mock.patch.object(bm, "_threads", threads):
+                for _ in range(5):
+                    t0 = time.perf_counter()
+                    out = bfp_matmul_prepared(am, bw)
+                    best = min(best, time.perf_counter() - t0)
+            ms[name] = 1e3 * best
+            identical &= out.tobytes() == want.tobytes()
 
     path = results_dir / "BENCH_kernels.json"
     summary = json.loads(path.read_text())["summary"] if path.exists() else {}
     bench_artifact("kernels", {
         **summary,
-        "encode_kernel_ms": kernel_ms,
+        "encode_kernel_ms": split_ms,
+        "encode_kernel_one_part_ms": one_ms,
+        "encode_kernel_threads": bm._threads(),
         "encode_kernel_bit_identical": identical,
     }, seed=DECODE_SEED)
     assert identical, "fast bfp kernel diverged from the integer oracle"

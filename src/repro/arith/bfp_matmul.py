@@ -12,14 +12,17 @@ The per-block functions (:func:`block_matmul`, :func:`accumulate`,
 simulator in ``repro.hw``.  Model emulation has one bfp kernel,
 :func:`fast_emulate_blocks`: every emulated bfp matmul — eager ViT and
 prefill, the format registry, compiled decode replay — runs it through
-:func:`bfp_matmul_prepared`, :func:`bfp_matmul_from_tiles` or
-:func:`bfp_matmul_resident`.  Like the
+:func:`bfp_matmul_prepared` or :func:`bfp_matmul_from_tiles`.  Like the
 PSU accumulator, it aligns each partial block once to the running PSU
 exponent as the block arrives, rescales the PSU only at K steps where
 some running exponent grows, and streams K in L2-sized chunks, so the
-full ``(Kb, M, N)`` tensor of block products never exists.  It computes
-in float64 and stays exact, because every intermediate is an integer
-below 2^52 and every scaling is a power of two.  The integer
+full ``(Kb, M, N)`` tensor of block products never exists.  Like the
+array's columns, each output column block is its own chain, so large
+calls run disjoint column blocks on every core the process may use.  It
+computes in float64 and stays exact, because every intermediate is an
+integer below 2^52 and every scaling is a power of two.  Operands are
+quantized once, straight into the layouts the kernel reads
+(:func:`stream_tiles`, :func:`resident_tiles`).  The integer
 :func:`_emulate_blocks` is its bit-exact reference: the tests compare
 the two, and it still runs in exactly two cases the float64 kernel does
 not cover — an attached :class:`AlignmentProbe` (the probe lives in the
@@ -29,6 +32,9 @@ integer loop), and a reduction too deep for float64 to stay exact
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +45,15 @@ from repro.formats.bfp8 import (
     BLOCK_ROWS,
     MAN_MAX,
     BfpBlock,
-    quantize_tiles,
+    quantize_dense,
 )
 from repro.formats.blocking import BfpMatrix
-from repro.formats.rounding import shift_right
+from repro.formats.rounding import RoundingMode, shift_right
 
 __all__ = [
     "WideBlock",
     "BfpWeight",
+    "BfpStream",
     "PSU_WIDTH",
     "AlignmentProbe",
     "set_alignment_probe",
@@ -60,9 +67,10 @@ __all__ = [
     "bfp_matmul_prepared",
     "bfp_batched_tiles",
     "bfp_matmul_from_tiles",
-    "bfp_matmul_resident",
     "stream_tiles",
     "resident_tiles",
+    "stream_grid",
+    "resident_grid",
     "fast_emulate_blocks",
     "activation_blocks",
 ]
@@ -286,30 +294,66 @@ def bfp_matmul(a: BfpMatrix, b: BfpMatrix) -> BfpMatrix:
     return BfpMatrix(man, exps, (a.shape[0], b.shape[1]))
 
 
-def _flatten_cols(b_man: np.ndarray) -> np.ndarray:
-    """Right-operand mantissas ``(..., Kb, Cb, h, c)`` -> ``(..., Kb, h, Cb*c)``.
+#: :func:`~repro.formats.bfp8.quantize_dense` orders of the tile axes (row
+#: block, row in block, column block, column in block) for the kernel's two
+#: operands.  The streamed left operand is one ``(M, h)`` slab per K block,
+#: ``(..., Kb, Rb*r, h)``.  The resident right operand ``(..., Kb, h, Cb*c)``
+#: is the zero-padded matrix itself, so all Cb column blocks of one K block
+#: form a single matmul operand: one BLAS slice per K block.
+_STREAM_ORDER = (2, 0, 1, 3)
+_RESIDENT_ORDER = (0, 1, 2, 3)
 
-    The column-flattened float64 layout the emulation kernels multiply
-    against: all Cb column blocks of one K block form a single matmul
-    operand, so the mantissa product is one BLAS slice per (K block,
-    row block) instead of one per output block.  The integer oracle
-    widens it to int64 itself.
-    """
+
+def _flatten_cols(b_man: np.ndarray) -> np.ndarray:
+    """Right-operand block grid ``(..., Kb, Cb, h, c)`` -> the kernel's
+    float64 ``(..., Kb, h, Cb*c)``."""
     kb, cb, h, c = b_man.shape[-4:]
     return np.ascontiguousarray(
         b_man.astype(np.float64).swapaxes(-2, -3)
     ).reshape(*b_man.shape[:-4], kb, h, cb * c)
 
 
+def _stream_layout(a_man: np.ndarray) -> np.ndarray:
+    """Left-operand block grid ``(..., Rb, Kb, r, h)`` -> the kernel's
+    float64 ``(..., Kb, Rb*r, h)``."""
+    rb, kb, r, h = a_man.shape[-4:]
+    return np.ascontiguousarray(
+        np.swapaxes(a_man, -4, -3), dtype=np.float64
+    ).reshape(*a_man.shape[:-4], kb, rb * r, h)
+
+
+def stream_grid(
+    a_man: np.ndarray, a_exp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel-layout left-operand tiles back on the block grid:
+    ``(..., Kb, Rb*r, h)`` mantissas -> ``(..., Rb, Kb, r, h)``, exponents
+    unchanged, the layout the numerics monitor reads."""
+    kb, rows, h = a_man.shape[-3:]
+    rb = a_exp.shape[-2]
+    grid = a_man.reshape(*a_man.shape[:-2], rb, rows // max(rb, 1), h)
+    return grid.swapaxes(-4, -3), a_exp
+
+
+def resident_grid(
+    b_man: np.ndarray, b_exp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel-layout right-operand tiles back on the block grid:
+    ``(..., Kb, h, Cb*c)`` mantissas -> ``(..., Kb, Cb, h, c)``, exponents
+    unchanged."""
+    cb = b_exp.shape[-1]
+    grid = b_man.reshape(*b_man.shape[:-1], cb, b_man.shape[-1] // max(cb, 1))
+    return grid.swapaxes(-3, -2), b_exp
+
+
 @dataclass(frozen=True)
 class BfpWeight:
     """A quantized right-hand operand in matmul-ready layout.
 
-    Built once per weight (prepare time): the :class:`BfpMatrix`
-    mantissas column-flattened to ``(Kb, h, Cb*c)`` float64 (see
-    :func:`_flatten_cols`) so the kernel's mantissa product needs no
-    per-call cast or re-layout — the per-call work the Y-stationary
-    hardware also never repeats.
+    Built once per weight (prepare time): :meth:`from_dense` quantizes
+    straight into the kernel's ``(Kb, h, Cb*c)`` float64 layout, so the
+    kernel's mantissa product needs no per-call cast or re-layout — the
+    per-call work the Y-stationary hardware also never repeats.
+    ``matrix`` holds the same codes on the block grid.
     """
 
     matrix: BfpMatrix
@@ -321,6 +365,24 @@ class BfpWeight:
         return cls(
             bm, _flatten_cols(bm.mantissas), bm.exponents.astype(np.int64)
         )
+
+    @classmethod
+    def from_dense(
+        cls,
+        w: np.ndarray,
+        *,
+        man_bits: int = 8,
+        rounding: RoundingMode = "nearest_even",
+    ) -> "BfpWeight":
+        w = np.asarray(w)
+        if w.ndim != 2:
+            raise ConfigurationError("BfpWeight.from_dense expects a 2-D array")
+        man, exp = quantize_dense(
+            w, order=_RESIDENT_ORDER, rounding=rounding, man_bits=man_bits
+        )
+        kb, h, cb, c = man.shape
+        man64 = man.reshape(kb, h, cb * c)
+        return cls(BfpMatrix(*resident_grid(man64, exp), w.shape), man64, exp)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -334,7 +396,37 @@ class BfpWeight:
         return self.matrix.to_dense()
 
 
-def activation_blocks(a: np.ndarray, *, man_bits: int = 8) -> BfpMatrix:
+@dataclass(frozen=True)
+class BfpStream:
+    """A quantized left-hand (streamed) operand in the kernel's layout.
+
+    The activation-side twin of :class:`BfpWeight`:
+    :func:`activation_blocks` quantizes straight into ``man64``, so the
+    kernel multiplies the mantissas with no cast or re-layout.
+    """
+
+    man64: np.ndarray  # (Kb, Rb*r, h) float64, integer-valued
+    exp64: np.ndarray  # (Rb, Kb) int64
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_matrix(cls, am: BfpMatrix) -> "BfpStream":
+        return cls(
+            _stream_layout(am.mantissas), am.exponents.astype(np.int64),
+            am.shape,
+        )
+
+    @property
+    def block_shape(self) -> tuple[int, int]:
+        rows, h = self.man64.shape[-2:]
+        return rows // max(self.exp64.shape[-2], 1), h
+
+    def to_matrix(self) -> BfpMatrix:
+        """The same codes on the block grid, for observers."""
+        return BfpMatrix(*stream_grid(self.man64, self.exp64), self.shape)
+
+
+def activation_blocks(a: np.ndarray, *, man_bits: int = 8) -> BfpStream:
     """Block-quantize an activation matrix with trimmed block rows.
 
     A decode-step activation is a single row; padding it to the full 8-row
@@ -344,82 +436,75 @@ def activation_blocks(a: np.ndarray, *, man_bits: int = 8) -> BfpMatrix:
     they leave the shared exponent unchanged (it is chosen from the tile's
     max magnitude) and contribute zero products to every partial sum.
     """
-    a = np.asarray(a, dtype=np.float64)
-    rows = BLOCK_ROWS if a.shape[0] >= BLOCK_ROWS else max(1, a.shape[0])
-    return BfpMatrix.from_dense(a, rows=rows, man_bits=man_bits)
-
-
-def _tile_batch(
-    x: np.ndarray, rows: int, cols: int, *, man_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize a ``(..., M, K)`` stack into ``(..., Mb, Kb, rows, cols)``."""
-    lead = x.shape[:-2]
-    m, k = x.shape[-2:]
-    pm, pk = (-m) % rows, (-k) % cols
-    if pm or pk:
-        x = np.pad(x, [(0, 0)] * len(lead) + [(0, pm), (0, pk)])
-    tiles = x.reshape(
-        *lead, (m + pm) // rows, rows, (k + pk) // cols, cols
-    ).swapaxes(-3, -2)
-    return quantize_tiles(tiles, man_bits=man_bits)
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ConfigurationError("activation_blocks expects a 2-D array")
+    return BfpStream(*stream_tiles(a, man_bits=man_bits), a.shape)
 
 
 def stream_tiles(
     a: np.ndarray, *, man_bits: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize the streamed (left) operand ``(B, M, K)`` of a batched
-    matmul into ``(B, Mb, Kb, r, 8)`` block-grid tiles, with row blocks
-    trimmed to ``M`` rows below one tile (see :func:`activation_blocks`)."""
+    """Quantize the streamed (left) operand ``(..., M, K)`` of a matmul
+    into the kernel's layout: ``(..., Kb, Mb*r, 8)`` float64 mantissas and
+    ``(..., Mb, Kb)`` int64 exponents, with row blocks trimmed to ``M``
+    rows below one tile (see :func:`activation_blocks`)."""
     m = a.shape[-2]
     rows = BLOCK_ROWS if m >= BLOCK_ROWS else max(1, m)
-    return _tile_batch(a, rows, BLOCK_COLS, man_bits=man_bits)
+    man, exp = quantize_dense(
+        a, rows, BLOCK_COLS, order=_STREAM_ORDER, man_bits=man_bits
+    )
+    kb, mb = man.shape[-4:-2]
+    return man.reshape(*man.shape[:-4], kb, mb * rows, BLOCK_COLS), exp
 
 
 def resident_tiles(
     b: np.ndarray, *, man_bits: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize the resident (right) operand ``(B, K, N)`` of a batched
-    matmul into the kernel's layout: ``(B, Kb, 8, Cb*8)`` float64
-    mantissas and ``(B, Kb, Cb)`` int64 exponents, the layout a
-    :class:`BfpWeight` holds for a weight (see :func:`_flatten_cols`).
+    """Quantize the resident (right) operand ``(..., K, N)`` of a matmul
+    into the kernel's layout: ``(..., Kb, 8, Cb*8)`` float64 mantissas and
+    ``(..., Kb, Cb)`` int64 exponents, the layout a :class:`BfpWeight`
+    holds for a weight.
 
     Quantization is per 8x8 block, so the tiles of a slab of whole K (or
     N) blocks are exactly those blocks' tiles in the whole operand.
     """
-    man, exp = _tile_batch(b, BLOCK_ROWS, BLOCK_COLS, man_bits=man_bits)
-    return _flatten_cols(man), exp.astype(np.int64)
+    man, exp = quantize_dense(b, order=_RESIDENT_ORDER, man_bits=man_bits)
+    cb = man.shape[-2]
+    return man.reshape(*man.shape[:-2], cb * BLOCK_COLS), exp
 
 
 def _emulate_blocks(
-    a_man: np.ndarray,
+    a_k: np.ndarray,
     a_exp: np.ndarray,
     b_flat: np.ndarray,
     b_exp: np.ndarray,
 ) -> np.ndarray:
     """Integer block-grid matmul: the reference for the float64 kernel.
 
-    ``a_man``: ``(..., Rb, Kb, r, h)`` block-grid mantissas; ``b_flat``:
-    ``(..., Kb, h, Cb*c)`` — the column-flattened right operand (a
-    :class:`BfpWeight`'s resident layout, see :func:`_flatten_cols`),
-    widened to int64 here; ``b_exp``: ``(..., Kb, Cb)``.  Leading batch
-    dimensions are optional and broadcast-compatible.  Returns the dense
-    padded result ``(..., Rb*r, Cb*c)`` in float64.
+    Takes the kernel's operand layouts (:func:`stream_tiles`,
+    :func:`resident_tiles`), widened to int64 here: ``a_k``:
+    ``(..., Kb, Rb*r, h)`` left mantissas; ``a_exp``: ``(..., Rb, Kb)``;
+    ``b_flat``: ``(..., Kb, h, Cb*c)`` right mantissas; ``b_exp``:
+    ``(..., Kb, Cb)``.  Leading batch dimensions are optional and
+    broadcast-compatible.  Returns the dense padded result
+    ``(..., Rb*r, Cb*c)`` in float64.
 
     It keeps the per-K-block Python loop: the running PSU exponent makes
     each alignment depend on the previous step, exactly as in hardware.
     """
-    a_man = np.asarray(a_man, dtype=np.int64)
+    a_k = np.asarray(a_k, dtype=np.int64)
     a_exp = np.asarray(a_exp, dtype=np.int64)
     b_flat = np.asarray(b_flat, dtype=np.int64)
     b_exp = np.asarray(b_exp, dtype=np.int64)
-    rb, kb, r = a_man.shape[-4], a_man.shape[-3], a_man.shape[-2]
-    cb = b_exp.shape[-1]
+    kb, rows, h = a_k.shape[-3:]
+    rb, cb = a_exp.shape[-2], b_exp.shape[-1]
     nc = b_flat.shape[-1]
-    lead = np.broadcast_shapes(a_man.shape[:-4], b_flat.shape[:-3])
-    if kb == 0 or cb == 0:
-        return np.zeros((*lead, rb * r, nc), dtype=np.float64)
-    c = nc // cb
-    a_sw = a_man.swapaxes(-4, -3)  # (..., Kb, Rb, r, h)
+    lead = np.broadcast_shapes(a_k.shape[:-3], b_flat.shape[:-3])
+    if kb == 0 or cb == 0 or rb == 0:
+        return np.zeros((*lead, rows, nc), dtype=np.float64)
+    r, c = rows // rb, nc // cb
+    a_sw = a_k.reshape(*a_k.shape[:-2], rb, r, h)  # (..., Kb, Rb, r, h)
 
     # Mantissa products are independent of accumulation order, so compute
     # them for every K block in one batched matmul up front — one gufunc
@@ -450,8 +535,7 @@ def _emulate_blocks(
         # Format-level magnitude bound on one product block: ``h`` MACs of
         # the operands' largest mantissa codes — the constant a hardware
         # exponent unit derives from the format alone.
-        h = a_man.shape[-1]
-        m_a = int(np.abs(a_man).max()) if a_man.size else 0
+        m_a = int(np.abs(a_k).max()) if a_k.size else 0
         m_b = int(np.abs(b_flat).max()) if b_flat.size else 0
         w0_bound = np.int64(h * m_a * m_b)
         pred_bound = np.full_like(exps[..., 0, :, :], w0_bound)
@@ -502,21 +586,65 @@ def _fast_ok(depth: int) -> bool:
     return depth * MAN_MAX * MAN_MAX < 1 << 52
 
 
-#: Float64 block products :func:`fast_emulate_blocks` holds at once: 1 MiB,
-#: half the 2 MiB per-core L2 of the x86 benchmark host.  K streams
-#: through in chunks of this many elements, or one K block at a time
-#: when a single block is larger.
+#: Float64 block products one kernel part holds at once: 1 MiB, half the
+#: 2 MiB per-core L2 of the x86 benchmark host.  K streams through in
+#: chunks of this many elements, or one K block at a time when a single
+#: block is larger.
 _CHUNK_ELEMS = 2**17
+
+#: PSU elements (output elements, padding included) from which a kernel
+#: call splits its column blocks across cores, each part keeping at least
+#: half of them.  Smaller calls stay on the calling thread, where thread
+#: hand-off and GIL contention cost more than a part saves.  On a 2-core
+#: host with single-threaded BLAS, splitting every call made a compiled
+#: batch-8 decode step's 13 calls (largest PSU 8 x 2,048 = 16,384) slower,
+#: 7.3 -> 10.4 ms, while one DeiT-Tiny image's 74 calls, all but the head
+#: at least 38,400, fell from 299 to 228 ms.
+_SPLIT_ELEMS = 30_000
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _threads() -> int:
+    """CPUs this process may run on: the threads a split call uses, the
+    calling thread included.  ``taskset -c 0`` makes it 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The worker threads of split kernel calls, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(
+                max_workers=max(1, _threads() - 1),
+                thread_name_prefix="bfp-kernel",
+            )
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads.
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def fast_emulate_blocks(
-    a_man: np.ndarray,
+    a_k: np.ndarray,
     a_exp: np.ndarray,
     b_flat: np.ndarray,
     b_exp: np.ndarray,
 ) -> np.ndarray:
     """The bfp kernel: :func:`_emulate_blocks` computed in float64, bit
-    for bit.
+    for bit, on the same operand layouts.
 
     Mantissa products run as float64 BLAS matmuls, one per K block over
     every row block, and the truncating alignment ``x >> d`` becomes
@@ -533,24 +661,65 @@ def fast_emulate_blocks(
     K streams through one reused slab of at most ``_CHUNK_ELEMS``
     products, so the full ``(Kb, M, N)`` product tensor never exists.
 
+    Every output column block is its own PSU chain, as every array
+    column has its own shifter and accumulator in hardware.  A call
+    whose PSU holds at least ``_SPLIT_ELEMS`` elements therefore cuts its
+    column blocks into contiguous parts, at most one per CPU this process
+    may use, and runs them concurrently: part 0 on the calling thread,
+    the rest on a pool of worker threads.  Each part runs the unchanged chain
+    on its own columns and writes them into one shared output.  Workers
+    call only private functions, never a public name that a profiler may
+    have wrapped.
+
     Exact: every intermediate is an integer below ``depth * 127^2 < 2^52``
     (the :func:`_fast_ok` gate), scalings are powers of two, float64 sums
     of such integers do not depend on order, and the bound makes a floor
-    by ``2^-d``, ``d >= 52``, the sign, like the oracle's ``>> 63``.
+    by ``2^-d``, ``d >= 52``, the sign, like the oracle's ``>> 63``.  No
+    value depends on which columns share a part.
     """
+    a_k = np.asarray(a_k, dtype=np.float64)
     a_exp = np.asarray(a_exp, dtype=np.int64)
-    b_exp = np.asarray(b_exp, dtype=np.int64)
-    rb, kb, r, h = a_man.shape[-4:]
-    cb = b_exp.shape[-1]
-    nc = b_flat.shape[-1]
-    lead = np.broadcast_shapes(a_man.shape[:-4], b_flat.shape[:-3])
-    if kb == 0 or cb == 0:
-        return np.zeros((*lead, rb * r, nc), dtype=np.float64)
-    a_k = np.ascontiguousarray(
-        np.swapaxes(a_man, -4, -3), dtype=np.float64
-    ).reshape(*a_man.shape[:-4], kb, rb * r, h)  # (..., Kb, Rb*r, h)
     b_flat = np.asarray(b_flat, dtype=np.float64)
+    b_exp = np.asarray(b_exp, dtype=np.int64)
+    kb, rows = a_k.shape[-3:-1]
+    rb, cb = a_exp.shape[-2], b_exp.shape[-1]
+    nc = b_flat.shape[-1]
+    lead = np.broadcast_shapes(a_k.shape[:-3], b_flat.shape[:-3])
+    if kb == 0 or cb == 0 or rb == 0:
+        return np.zeros((*lead, rows, nc), dtype=np.float64)
+    out = np.empty((*lead, rows, nc))
     exps = a_exp.swapaxes(-2, -1)[..., None] + b_exp[..., None, :]
+    # (..., Kb, Rb, Cb)
+    parts = 1
+    if out.size >= _SPLIT_ELEMS:
+        parts = min(_threads(), cb, 2 * out.size // _SPLIT_ELEMS)
+    c = nc // cb
+    edges = [cb * i // parts for i in range(parts + 1)]
+    jobs = [
+        (a_k, exps[..., j0:j1], b_flat[..., j0 * c : j1 * c],
+         out[..., j0 * c : j1 * c])
+        for j0, j1 in zip(edges, edges[1:])
+    ]
+    futures = [_pool().submit(_psu_chain, *job) for job in jobs[1:]]
+    try:
+        _psu_chain(*jobs[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()  # re-raises a worker's exception here
+    return out
+
+
+def _psu_chain(
+    a_k: np.ndarray, exps: np.ndarray, b_flat: np.ndarray, out: np.ndarray
+) -> None:
+    """One part of :func:`fast_emulate_blocks`: the PSU chain of the
+    column blocks in ``b_flat``, written to ``out`` (the matching columns
+    of the result, ``(..., Rb*r, cols)``)."""
+    kb, rows = a_k.shape[-3:-1]
+    rb, cb = exps.shape[-2:]
+    r, nc = rows // rb, b_flat.shape[-1]
+    lead = out.shape[:-2]
     run = np.maximum.accumulate(exps, axis=-3)  # (..., Kb, Rb, Cb)
     growth = np.diff(run, axis=-3, prepend=run[..., :1, :, :])
     grows = np.moveaxis(growth, -3, 0).reshape(kb, -1).any(axis=1)
@@ -563,7 +732,7 @@ def fast_emulate_blocks(
 
     psu = np.zeros((*lead, rb, r, nc))
     kc = min(kb, max(1, _CHUNK_ELEMS // max(psu.size, 1)))
-    slab = np.empty((*lead, kc, rb * r, nc))  # reused: no fresh pages per chunk
+    slab = np.empty((*lead, kc, rows, nc))  # reused: no fresh pages per chunk
     for k0 in range(0, kb, kc):
         k1 = min(k0 + kc, kb)
         pv = np.matmul(a_k[..., k0:k1, :, :], b_flat[..., k0:k1, :, :],
@@ -582,26 +751,27 @@ def fast_emulate_blocks(
         raise HardwareContractError("emulated PSU overflowed 48 bits")
     # +0.0 normalizes any -0.0 from all-zero f64 products: the integer
     # oracle decodes those lanes to +0.0.
-    dense = (psu + 0.0) * pow2(run[..., -1, :, :])
-    return dense.reshape(*lead, rb * r, nc)
+    psu += 0.0
+    np.multiply(psu, pow2(run[..., -1, :, :]),
+                out=out.reshape(*lead, rb, r, nc))
 
 
 def _emulate(
-    a_man: np.ndarray,
+    a_k: np.ndarray,
     a_exp: np.ndarray,
     b_flat: np.ndarray,
     b_exp: np.ndarray,
 ) -> np.ndarray:
     """Run :func:`fast_emulate_blocks`, or the integer oracle where the
     float64 kernel does not apply (see the module docstring)."""
-    depth = a_man.shape[-3] * a_man.shape[-1]
+    depth = a_k.shape[-3] * a_k.shape[-1]
     if _ALIGN_PROBE is not None or not _fast_ok(depth):
-        return _emulate_blocks(a_man, a_exp, b_flat, b_exp)
-    return fast_emulate_blocks(a_man, a_exp, b_flat, b_exp)
+        return _emulate_blocks(a_k, a_exp, b_flat, b_exp)
+    return fast_emulate_blocks(a_k, a_exp, b_flat, b_exp)
 
 
 def bfp_matmul_prepared(
-    am: BfpMatrix, bm: BfpMatrix | BfpWeight
+    am: BfpStream | BfpMatrix, bm: BfpMatrix | BfpWeight
 ) -> np.ndarray:
     """Emulated bfp matmul of two *already quantized* operands.
 
@@ -610,9 +780,11 @@ def bfp_matmul_prepared(
     :class:`BfpWeight`, whose matmul-ready layout is also precomputed —
     can be multiplied against any number of activation encodings without
     paying its quantization again, the emulation analogue of
-    Y-stationary weight residency.  The operands' inner block edges must
-    agree; the activation's row-block height may be trimmed (see
-    :func:`activation_blocks`).
+    Y-stationary weight residency.  Activations arrive as
+    :class:`BfpStream` (:func:`activation_blocks`); a :class:`BfpMatrix`
+    on either side is re-laid out first.  The operands' inner block
+    edges must agree; the activation's row-block height may be trimmed
+    (see :func:`activation_blocks`).
     """
     if am.shape[1] != bm.shape[0]:
         raise ConfigurationError(
@@ -623,8 +795,9 @@ def bfp_matmul_prepared(
             "inner block edges disagree: "
             f"{am.block_shape} @ {bm.block_shape}"
         )
+    sa = am if isinstance(am, BfpStream) else BfpStream.from_matrix(am)
     bw = bm if isinstance(bm, BfpWeight) else BfpWeight.from_matrix(bm)
-    dense = _emulate(am.mantissas, am.exponents, bw.man64, bw.exp64)
+    dense = _emulate(sa.man64, sa.exp64, bw.man64, bw.exp64)
     return dense[: am.shape[0], : bm.shape[1]]
 
 
@@ -633,42 +806,46 @@ def bfp_matmul_emulate(
 ) -> np.ndarray:
     """Fast vectorized emulation of bfp8 matmul on dense fp inputs.
 
-    Quantizes both operands to bfp tiles and multiplies with the same
-    aligned-truncating accumulation as the hardware, vectorized over the
-    whole output block grid.  A thin wrapper over
-    :func:`bfp_matmul_prepared`; pre-quantized operands (cached weights)
-    enter there directly.
+    Quantizes both operands straight into the kernel's layouts
+    (:func:`stream_tiles`, :func:`resident_tiles`) and multiplies with the
+    same aligned-truncating accumulation as the hardware, vectorized over
+    the whole output block grid.  Pre-quantized operands (cached weights)
+    enter :func:`bfp_matmul_prepared` instead.
 
     This is the workhorse of the Transformer accuracy experiments: a
     DeiT-Small layer is thousands of blocks, far too many for the
     per-block oracle above.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ConfigurationError(f"bad matmul shapes: {a.shape} @ {b.shape}")
-    am = activation_blocks(a, man_bits=man_bits)
-    bm = BfpMatrix.from_dense(b, man_bits=man_bits)
-    return bfp_matmul_prepared(am, bm)
+    dense = _emulate(
+        *stream_tiles(a, man_bits=man_bits), *resident_tiles(b, man_bits=man_bits)
+    )
+    return dense[: a.shape[0], : b.shape[1]]
 
 
 def bfp_batched_tiles(
     a: np.ndarray, b: np.ndarray, *, man_bits: int = 8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Quantize both operands of a batched matmul to block-grid tiles.
+    """Quantize both operands of a batched matmul into the kernel's
+    layouts.
 
     ``(B, M, K) @ (B, K, N)`` — the compute shape of per-head attention
     and of batched decode steps.  Returns ``(a_man, a_exp, b_man, b_exp,
-    m, n)`` for :func:`bfp_matmul_from_tiles`; the split exists so
-    callers that also *observe* the quantization (the numerics monitor)
-    can inspect the tiles without quantizing twice.
+    m, n)``, :func:`stream_tiles` and :func:`resident_tiles` of the two
+    operands, for :func:`bfp_matmul_from_tiles`; the split exists so
+    callers that also *observe* the quantization (the numerics monitor,
+    through :func:`stream_grid` and :func:`resident_grid`) can inspect
+    the tiles without quantizing twice.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ConfigurationError(f"bad batched matmul shapes: {a.shape} @ {b.shape}")
     a_man, a_exp = stream_tiles(a, man_bits=man_bits)
-    b_man, b_exp = _tile_batch(b, BLOCK_ROWS, BLOCK_COLS, man_bits=man_bits)
+    b_man, b_exp = resident_tiles(b, man_bits=man_bits)
     return a_man, a_exp, b_man, b_exp, a.shape[1], b.shape[2]
 
 
@@ -680,25 +857,13 @@ def bfp_matmul_from_tiles(
     m: int,
     n: int,
 ) -> np.ndarray:
-    """Finish a batched emulated matmul from pre-quantized tiles.
+    """Finish a batched emulated matmul from tiles in the kernel's
+    layouts: :func:`bfp_batched_tiles`, or a fresh left operand against
+    the bfp K/V tiles a decode plan's KV arena keeps.
 
     One fused kernel call for the whole stack; each slice's result is
     bit-identical to :func:`bfp_matmul_emulate` on that slice, because
     quantization grids and alignment decisions are per-block and blocks
     never span slices.
     """
-    return bfp_matmul_resident(a_man, a_exp, _flatten_cols(b_man), b_exp, m, n)
-
-
-def bfp_matmul_resident(
-    a_man: np.ndarray,
-    a_exp: np.ndarray,
-    b_flat: np.ndarray,
-    b_exp: np.ndarray,
-    m: int,
-    n: int,
-) -> np.ndarray:
-    """Finish a batched emulated matmul whose right operand is already in
-    the kernel's layout (:func:`resident_tiles`): the decode plan's
-    attention against the bfp K/V tiles a KV arena keeps."""
-    return _emulate(a_man, a_exp, b_flat, b_exp)[:, :m, :n]
+    return _emulate(a_man, a_exp, b_man, b_exp)[:, :m, :n]

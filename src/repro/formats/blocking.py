@@ -19,7 +19,7 @@ from repro.formats.bfp8 import (
     BLOCK_ROWS,
     BfpBlock,
     dequantize_tiles,
-    quantize_tiles,
+    quantize_dense,
 )
 from repro.formats.rounding import RoundingMode
 
@@ -88,13 +88,12 @@ class BfpMatrix:
         rounding: RoundingMode = "nearest_even",
         man_bits: int = 8,
     ) -> "BfpMatrix":
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim != 2:
             raise ConfigurationError("from_dense expects a 2-D array")
-        padded = pad_to_blocks(x, rows, cols)
-        pm, pn = padded.shape
-        tiles = padded.reshape(pm // rows, rows, pn // cols, cols).swapaxes(1, 2)
-        man, exp = quantize_tiles(tiles, rounding=rounding, man_bits=man_bits)
+        man, exp = quantize_dense(
+            x, rows, cols, rounding=rounding, man_bits=man_bits
+        )
         return cls(man, exp, x.shape)
 
     # -- views --------------------------------------------------------------

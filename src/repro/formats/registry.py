@@ -166,19 +166,17 @@ class BfpFormat(QuantFormat):
         return prepared
 
     def _weight_blocks(self, w, record: Recorder | None):
-        from repro.formats.blocking import BfpMatrix
+        from repro.arith.bfp_matmul import BfpWeight
         from repro.perf.prepared import PreparedTensor
 
         if isinstance(w, PreparedTensor):
             return w.payload
         _record(record, np.asarray(w).size)
-        bm = BfpMatrix.from_dense(
-            np.asarray(w, dtype=np.float64), man_bits=self.man_bits
-        )
+        bw = BfpWeight.from_dense(w, man_bits=self.man_bits)
         mon = get_monitor()
         if mon.enabled:
-            mon.observe_bfp("weight", w, bm, man_bits=self.man_bits)
-        return bm
+            mon.observe_bfp("weight", w, bw.matrix, man_bits=self.man_bits)
+        return bw
 
     def matmul(self, x, w, record: Recorder | None = None) -> np.ndarray:
         from repro.arith.bfp_matmul import activation_blocks, bfp_matmul_prepared
@@ -188,11 +186,18 @@ class BfpFormat(QuantFormat):
         am = activation_blocks(x, man_bits=self.man_bits)
         mon = get_monitor()
         if mon.enabled:
-            mon.observe_bfp("activation", x, am, man_bits=self.man_bits)
+            mon.observe_bfp(
+                "activation", x, am.to_matrix(), man_bits=self.man_bits
+            )
         return bfp_matmul_prepared(am, wm).astype(np.float32)
 
     def matmul_batched(self, a, b, record: Recorder | None = None) -> np.ndarray:
-        from repro.arith.bfp_matmul import bfp_batched_tiles, bfp_matmul_from_tiles
+        from repro.arith.bfp_matmul import (
+            bfp_batched_tiles,
+            bfp_matmul_from_tiles,
+            resident_grid,
+            stream_grid,
+        )
 
         _record(record, a.size + b.size)
         tiles = bfp_batched_tiles(a, b, man_bits=self.man_bits)
@@ -203,9 +208,12 @@ class BfpFormat(QuantFormat):
             # is KV-cache-derived (K^T, V).
             a_man, a_exp, b_man, b_exp = tiles[:4]
             mon.observe_bfp_tiles(
-                "activation", a, a_man, a_exp, man_bits=self.man_bits
+                "activation", a, *stream_grid(a_man, a_exp),
+                man_bits=self.man_bits,
             )
-            mon.observe_bfp_tiles("kv", b, b_man, b_exp, man_bits=self.man_bits)
+            mon.observe_bfp_tiles(
+                "kv", b, *resident_grid(b_man, b_exp), man_bits=self.man_bits
+            )
         return bfp_matmul_from_tiles(*tiles).astype(np.float32)
 
     def nonlinear(self, kind, fn, x) -> np.ndarray:

@@ -223,19 +223,15 @@ class PreparedOperandCache:
         matmul-ready flat layout, so a cache hit skips the per-call
         re-layout as well as the quantization."""
         from repro.arith.bfp_matmul import BfpWeight
-        from repro.formats.blocking import BfpMatrix
 
         def build(a: np.ndarray) -> tuple["BfpWeight", int]:
-            bm = BfpMatrix.from_dense(
-                np.asarray(a, dtype=np.float64), man_bits=man_bits,
-                rounding=rounding,
-            )
+            bw = BfpWeight.from_dense(a, man_bits=man_bits, rounding=rounding)
+            bm = bw.matrix
             mon = get_monitor()
             if mon.enabled:
                 # Build runs only on a miss — weights are observed exactly
                 # once per residency, matching quantize-once semantics.
                 mon.observe_bfp("weight", a, bm, man_bits=man_bits)
-            bw = BfpWeight.from_matrix(bm)
             _freeze(bm.mantissas, bm.exponents, bw.man64, bw.exp64)
             nbytes = (
                 bm.mantissas.nbytes + bm.exponents.nbytes

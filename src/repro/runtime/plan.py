@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arith.bfp_matmul import (
-    bfp_matmul_resident,
+    bfp_matmul_from_tiles,
     # Re-exported under its historical path, which profiling span lists name.
     fast_emulate_blocks,
     resident_tiles,
@@ -404,7 +404,7 @@ class _BfpAttentionOp(_AttentionOp):
 
     def _matmul(self, a, b_man, b_exp, n: int) -> np.ndarray:
         a_man, a_exp = stream_tiles(a, man_bits=self.fmt.man_bits)
-        return bfp_matmul_resident(
+        return bfp_matmul_from_tiles(
             a_man, a_exp, b_man, b_exp, a.shape[1], n
         ).astype(np.float32)
 

@@ -5,12 +5,20 @@ production bfp kernel; the integer ``_emulate_blocks`` is its reference.
 The two must agree bit for bit — raw bytes, so a ``-0.0`` where the
 oracle has ``+0.0`` is a failure — over every block geometry and
 exponent regime, including the ``d >= 63`` sign saturation of the
-truncating alignment and all-zero blocks, and wherever the kernel's K
-chunks end.  The dispatch tests pin which kernel each entry point runs.
+truncating alignment and all-zero blocks, wherever the kernel's K
+chunks end, and however its column blocks are split across threads.
+The dispatch tests pin which kernel each entry point runs and that only
+large calls hand work to worker threads.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,13 +32,21 @@ from repro.arith.bfp_matmul import (
     _emulate_blocks,
     _fast_ok,
     _flatten_cols,
+    _stream_layout,
     activation_blocks,
     fast_emulate_blocks,
+    resident_grid,
+    resident_tiles,
     set_alignment_probe,
+    stream_grid,
+    stream_tiles,
 )
 from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, EXP_MIN
 from repro.formats.blocking import BfpMatrix
 from repro.formats.registry import get_format
+from repro.models.backend import get_backend
+from repro.models.decoder import TinyLM
+from tests.conftest import BLOCK_REGIMES, block_scaled
 
 # The module itself: ``repro.arith`` re-exports a *function* named
 # ``bfp_matmul``, which shadows the submodule as a package attribute.
@@ -54,7 +70,7 @@ def _operands(rng, lead_a, lead_b, rb, kb, cb, r, man_bits, spread, zero_frac):
     b_man[b_zero] = 0
     b_exp[b_zero] = EXP_MIN
     return (
-        a_man.astype(np.int16), a_exp.astype(np.int16),
+        _stream_layout(a_man.astype(np.int16)), a_exp.astype(np.int16),
         _flatten_cols(b_man.astype(np.int16)), b_exp.astype(np.int16),
     )
 
@@ -105,15 +121,15 @@ def _deep_k_operands():
     x = rng.normal(size=(197, 768)) * k_scale
     w = rng.normal(size=(768, 192)) * k_scale[::-1, None]
     am = activation_blocks(x)
-    bw = BfpWeight.from_matrix(BfpMatrix.from_dense(w))
-    return am.mantissas, am.exponents, bw.man64, bw.exp64
+    bw = BfpWeight.from_dense(w)
+    return am.man64, am.exp64, bw.man64, bw.exp64
 
 
 def test_deep_k_matches_oracle_at_default_chunk():
     """A 96-block K spans many default chunks with growth steps inside."""
     args = _deep_k_operands()
     assert args[0].shape[-3] == 96
-    exps = args[1].astype(np.int64)[:, :, None] + args[3][None, :, :]
+    exps = args[1][:, :, None] + args[3][None, :, :]
     assert np.ptp(exps) >= 3
     want = _emulate_blocks(*args)
     got = fast_emulate_blocks(*args)
@@ -125,7 +141,7 @@ def test_kernel_never_holds_the_product_tensor():
     NumPy buffers) under a quarter of the ``(Kb, M, N)`` float64 product
     tensor, 29.5 MB on this shape."""
     args = _deep_k_operands()
-    kb, m, n = args[0].shape[-3], 8 * args[0].shape[-4], args[2].shape[-1]
+    kb, m, n = args[0].shape[-3], args[0].shape[-2], args[2].shape[-1]
     tracemalloc.start()
     try:
         fast_emulate_blocks(*args)
@@ -138,7 +154,7 @@ def test_kernel_never_holds_the_product_tensor():
 def test_sign_saturation_is_exercised():
     """A 70-wide exponent spread really produces clamped d=63 shifts of
     negative partials (floor and >> must both give -1 there)."""
-    a_man = np.full((1, 2, 1, 8), -5, dtype=np.int16)
+    a_man = _stream_layout(np.full((1, 2, 1, 8), -5, dtype=np.int16))
     a_exp = np.array([[70, 0]], dtype=np.int16)
     b_flat = _flatten_cols(np.ones((2, 1, 8, 8), dtype=np.int16))
     b_exp = np.zeros((2, 1), dtype=np.int16)
@@ -152,7 +168,7 @@ def test_sign_saturation_is_exercised():
 def test_zero_products_decode_to_positive_zero():
     """Zero mantissas times negative ones are ``-0.0`` in IEEE arithmetic
     on some BLAS builds; the integer oracle has no negative zero."""
-    a_man = np.zeros((1, 1, 1, 8), dtype=np.int16)
+    a_man = np.zeros((1, 1, 8))
     a_exp = np.zeros((1, 1), dtype=np.int16)
     b_flat = _flatten_cols(np.full((1, 1, 8, 8), -3, dtype=np.int16))
     b_exp = np.zeros((1, 1), dtype=np.int16)
@@ -163,6 +179,124 @@ def test_zero_products_decode_to_positive_zero():
 def test_fast_ok_bound():
     assert _fast_ok(BLOCK_COLS * 100_000)
     assert not _fast_ok(1 << 40)
+
+
+@given(
+    n_slices=st.integers(0, 3),
+    m=st.integers(1, 20),
+    n=st.integers(1, 40),
+    man_bits=st.integers(2, 8),
+    regime=BLOCK_REGIMES,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_layouts_hold_the_block_grid_codes(
+    n_slices, m, n, man_bits, regime, seed
+):
+    """The one-pass quantizer writes each operand straight into the
+    kernel's layout; re-laid out on the block grid, its codes are exactly
+    :meth:`BfpMatrix.from_dense`'s, slice by slice."""
+    rng = np.random.default_rng(seed)
+    xs = [block_scaled(rng, (m, n), regime) for _ in range(max(n_slices, 1))]
+    x = np.stack(xs) if n_slices else xs[0]
+    stream = stream_grid(*stream_tiles(x, man_bits=man_bits))
+    resident = resident_grid(*resident_tiles(x, man_bits=man_bits))
+    for i, xi in enumerate(xs):
+        pick = (i,) if n_slices else ()
+        for (man, exp), rows in ((stream, min(m, BLOCK_ROWS)),
+                                 (resident, BLOCK_ROWS)):
+            grid = BfpMatrix.from_dense(xi, rows=rows, man_bits=man_bits)
+            assert np.array_equal(man[pick], grid.mantissas)
+            assert np.array_equal(exp[pick], grid.exponents)
+
+
+# ---------------------------------------------------------------------------
+# Column split: parts of one call on worker threads
+# ---------------------------------------------------------------------------
+
+
+def _stacked(rng, lead, shape, regime):
+    count = int(np.prod(lead))
+    slices = [block_scaled(rng, shape, regime) for _ in range(count)]
+    return np.stack(slices).reshape(*lead, *shape)
+
+
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    broadcast_b=st.booleans(),
+    m=st.integers(1, 20),
+    k=st.integers(1, 100),
+    cb=st.sampled_from([1, 2, 3, 5, 7]),
+    n_cut=st.integers(0, BLOCK_COLS - 1),
+    threads=st.integers(2, 5),
+    regime=BLOCK_REGIMES,
+    chunk_kb=st.sampled_from([None, 1, 2, 3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_kernel_matches_one_part_and_oracle(
+    lead, broadcast_b, m, k, cb, n_cut, threads, regime, chunk_kb, seed
+):
+    """With the split threshold patched to one element, a call cuts its
+    ``Cb`` column blocks into ``min(threads, Cb)`` parts on the pool.  The
+    split result must equal the one-part kernel and the integer oracle
+    byte for byte, over broadcast lead dims, single and odd column-block
+    counts, K chunk edges and the quantizer's block regimes."""
+    rng = np.random.default_rng(seed)
+    lead_b = () if broadcast_b else tuple(lead)
+    a = _stacked(rng, tuple(lead), (m, k), regime)
+    b = _stacked(rng, lead_b, (k, BLOCK_COLS * cb - n_cut), regime)
+    args = (*stream_tiles(a), *resident_tiles(b))
+    want = _emulate_blocks(*args)
+    chunk = bm._CHUNK_ELEMS
+    if chunk_kb is not None:
+        chunk = chunk_kb * want.size if chunk_kb > 1 else 1
+    with mock.patch.object(bm, "_CHUNK_ELEMS", chunk):
+        with mock.patch.object(bm, "_threads", lambda: 1):
+            one = fast_emulate_blocks(*args)
+        with mock.patch.object(bm, "_SPLIT_ELEMS", 1), \
+                mock.patch.object(bm, "_threads", lambda: threads):
+            split = fast_emulate_blocks(*args)
+    assert one.tobytes() == want.tobytes()
+    assert split.shape == want.shape and split.tobytes() == want.tobytes()
+
+
+def test_split_under_thread_churn_matches_one_part():
+    """Nine parts on a pool of eight, more threads than cores, with the
+    interpreter switching threads every microsecond: a part that wrote
+    outside its columns, or a lost write, would change the bytes."""
+    args = _deep_k_operands()
+    with mock.patch.object(bm, "_threads", lambda: 1):
+        want = fast_emulate_blocks(*args).tobytes()
+    pool = ThreadPoolExecutor(max_workers=8)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with mock.patch.object(bm, "_POOL", pool), \
+                mock.patch.object(bm, "_SPLIT_ELEMS", 1), \
+                mock.patch.object(bm, "_threads", lambda: 9):
+            for _ in range(3):
+                assert fast_emulate_blocks(*args).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+
+
+def test_worker_exception_reaches_caller_and_pool_survives(monkeypatch):
+    args = _deep_k_operands()
+    want = _emulate_blocks(*args).tobytes()
+    chain, caller = bm._psu_chain, threading.get_ident()
+
+    def failing_on_workers(*part):
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker part failed")
+        return chain(*part)
+
+    monkeypatch.setattr(bm, "_threads", lambda: 2)
+    monkeypatch.setattr(bm, "_psu_chain", failing_on_workers)
+    with pytest.raises(RuntimeError, match="worker part failed"):
+        fast_emulate_blocks(*args)
+    monkeypatch.setattr(bm, "_psu_chain", chain)
+    assert fast_emulate_blocks(*args).tobytes() == want
+    assert bm._POOL is not None
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +349,53 @@ def test_inexact_depth_routes_to_oracle(calls, monkeypatch, rng):
     _run_both(get_format("bfp8"), rng)
     assert calls == {"fast": 0, "oracle": 2}
 
+
+
+def test_compiled_decode_never_splits(monkeypatch):
+    """Compiled batch-8 TinyLM decode steps (the decode benchmark's model)
+    complete with a pool that refuses all work, even with eight CPUs
+    claimed: every decode PSU sits below the split threshold.  The largest,
+    gate/up's 8 x 2,048, does not grow with the context; attention's
+    32 x t stays below it up to the 264-token window."""
+
+    class RefusingPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a decode kernel call split across threads")
+
+    monkeypatch.setattr(bm, "_threads", lambda: 8)
+    monkeypatch.setattr(bm, "_pool", lambda: RefusingPool())
+    model = TinyLM(vocab=32, dim=384, depth=2, n_heads=4, seq_len=264, seed=7)
+    backend = get_backend("bfp8-mixed")
+    model.prepare(backend)
+    caches = [model.init_cache() for _ in range(8)]
+    for pos in range(2):  # the trace step, then a replay
+        logits = model.forward_step_batch(
+            [1] * 8, [pos] * 8, caches, backend, compiled=True
+        )
+    assert logits.shape == (8, model.vocab) and np.isfinite(logits).all()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"),
+    reason="no CPU affinity API on this platform",
+)
+def test_one_cpu_affinity_starts_no_worker_thread():
+    """Pinned to one CPU (as ``taskset -c 0`` would), a call far above the
+    split threshold runs on the calling thread and no pool is created."""
+    code = """if True:
+        import importlib, os, threading
+        import numpy as np
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        bm = importlib.import_module("repro.arith.bfp_matmul")
+        rng = np.random.default_rng(0)
+        out = bm.bfp_matmul_emulate(rng.normal(size=(197, 768)),
+                                    rng.normal(size=(768, 192)))
+        assert out.shape == (197, 192)
+        assert bm._POOL is None, bm._POOL
+        assert threading.active_count() == 1, threading.enumerate()
+    """
+    src = Path(bm.__file__).resolve().parents[2]
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )

@@ -1,5 +1,7 @@
 """Tests for the bfp8 block format and quantizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import ConfigurationError, HardwareContractError
 from repro.formats.bfp8 import (
+    EXP_MAX,
     EXP_MIN,
     BfpBlock,
     align_add_mantissas,
@@ -15,6 +18,19 @@ from repro.formats.bfp8 import (
     dequantize_tiles,
     quantize_block,
     quantize_tiles,
+)
+from repro.formats.blocking import BfpMatrix
+
+ROUNDINGS = ("nearest_even", "truncate", "nearest_away")
+
+#: Tile scales ``2^e``: ordinary values, the EXP_MIN clamp, subnormals
+#: (float64 and, after a float32 cast, float32), the EXP_MAX clamp, and
+#: values past 2^190, whose scaled mantissas overflow an int64.
+TILE_EXPONENTS = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-160, -110),
+    st.integers(-1080, -1020),
+    st.integers(110, 300),
 )
 
 block_values = hnp.arrays(
@@ -99,16 +115,44 @@ class TestQuantizeBlock:
 
 
 class TestQuantizeTiles:
-    @given(hnp.arrays(np.float64, (3, 2, 8, 8),
-                      elements=st.floats(-1e4, 1e4, allow_nan=False)))
-    def test_matches_scalar_quantizer(self, tiles):
-        """The vectorized path is element-identical to quantize_block."""
-        man, exp = quantize_tiles(tiles)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exps=st.lists(TILE_EXPONENTS, min_size=6, max_size=6),
+        zero=st.lists(st.booleans(), min_size=6, max_size=6),
+        rounding=st.sampled_from(ROUNDINGS),
+        man_bits=st.integers(2, 8),
+        f32=st.booleans(),
+    )
+    def test_matches_scalar_quantizer(
+        self, seed, exps, zero, rounding, man_bits, f32
+    ):
+        """The one-pass path is element-identical to quantize_block in
+        every rounding mode and width, at both exponent clamps, on
+        subnormals, all-zero tiles and float32 input."""
+        rng = np.random.default_rng(seed)
+        tiles = np.ldexp(rng.normal(size=(6, 8, 8)), np.array(exps)[:, None, None])
+        tiles[np.array(zero)] = 0.0
+        if f32:
+            tiles = np.clip(tiles, -3e38, 3e38).astype(np.float32)
+        tiles = tiles.reshape(3, 2, 8, 8)
+        man, exp = quantize_tiles(tiles, rounding=rounding, man_bits=man_bits)
         for i in range(tiles.shape[0]):
             for j in range(tiles.shape[1]):
-                ref = quantize_block(tiles[i, j])
+                ref = quantize_block(
+                    tiles[i, j], rounding=rounding, man_bits=man_bits
+                )
                 assert exp[i, j] == ref.exponent
                 assert np.array_equal(man[i, j], ref.mantissas.astype(np.int16))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rejects_non_finite(self, bad, dtype):
+        tiles = np.ones((3, 2, 8, 8), dtype=dtype)
+        tiles[1, 0, 3, 5] = bad
+        with pytest.raises(ConfigurationError):
+            quantize_tiles(tiles)
+        with pytest.raises(ConfigurationError):
+            BfpMatrix.from_dense(tiles[1, 0])
 
     def test_dequantize_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -121,6 +165,27 @@ class TestQuantizeTiles:
     def test_rejects_low_rank(self):
         with pytest.raises(ConfigurationError):
             quantize_tiles(np.zeros(8))
+
+
+class TestHugeValues:
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
+    @pytest.mark.parametrize("value", [1e60, 2.0**200])
+    def test_saturate_with_their_own_sign(self, rounding, value):
+        """Finite values at or past 2^190 clamp to +/-127 x 2^127 with
+        their own signs; an int64 cast before the clamp used to wrap them
+        to -127."""
+        signs = np.where(np.arange(64).reshape(8, 8) % 3, 1.0, -1.0)
+        x = value * signs
+        want = 127 * 2.0**EXP_MAX * signs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            block = quantize_block(x, rounding=rounding)
+            man, exp = quantize_tiles(x[None], rounding=rounding)
+            dense = BfpMatrix.from_dense(x, rounding=rounding).to_dense()
+        assert block.exponent == EXP_MAX
+        assert np.array_equal(block.decode(), want)
+        assert np.array_equal(dequantize_tiles(man, exp)[0], want)
+        assert np.array_equal(dense, want)
 
 
 class TestAlignAdd:

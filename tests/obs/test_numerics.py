@@ -158,13 +158,19 @@ def test_observe_bfp_outlier_block_widens_spread(monitor, rng):
 
 
 def test_observe_bfp_tiles_batched_counts_slices(monitor, rng):
-    from repro.arith.bfp_matmul import bfp_batched_tiles
+    from repro.arith.bfp_matmul import (
+        bfp_batched_tiles,
+        resident_grid,
+        stream_grid,
+    )
 
     a = rng.normal(size=(3, 8, 16))
     b = rng.normal(size=(3, 16, 8))
     a_man, a_exp, b_man, b_exp, m, n = bfp_batched_tiles(a, b, man_bits=8)
-    monitor.observe_bfp_tiles("activation", a, a_man, a_exp, man_bits=8)
-    monitor.observe_bfp_tiles("kv", b, b_man, b_exp, man_bits=8)
+    monitor.observe_bfp_tiles(
+        "activation", a, *stream_grid(a_man, a_exp), man_bits=8
+    )
+    monitor.observe_bfp_tiles("kv", b, *resident_grid(b_man, b_exp), man_bits=8)
     sa = monitor.stats[("<root>", "bfp8", "activation")]
     sk = monitor.stats[("<root>", "bfp8", "kv")]
     assert sa.tensors == 3 and sk.tensors == 3
