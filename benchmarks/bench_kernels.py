@@ -10,7 +10,8 @@ once — the emulation analogue of the hardware's Y-stationary weight
 residency — and its tokens/sec advantage over a ``capacity=0`` cache
 (requantize every call) is recorded in ``results/BENCH_kernels.json``,
 next to the bfp kernel's time on each encode matmul shape, on one thread
-and with its column blocks split across the process's CPUs.
+and with its column blocks split across the process's CPUs, and its PSU
+chain's time in float32 and in float64 on each decode and encode call.
 Timing uses ``perf_counter`` directly so the numbers exist even under
 ``pytest --benchmark-disable`` (the CI perf-smoke job).
 """
@@ -232,7 +233,7 @@ def test_encode_kernel_shapes(results_dir, bench_artifact):
     for name, (m, k, n) in ENCODE_SHAPES.items():
         am = activation_blocks(rng.normal(size=(m, k)))
         bw = BfpWeight.from_dense(rng.normal(size=(k, n)))
-        want = _emulate_blocks(am.man64, am.exp64, bw.man64, bw.exp64)[:m, :n]
+        want = _emulate_blocks(am.man, am.exp, bw.man, bw.exp)[:m, :n]
         for ms, threads in ((one_ms, lambda: 1), (split_ms, bm._threads)):
             best = float("inf")
             with mock.patch.object(bm, "_threads", threads):
@@ -253,6 +254,97 @@ def test_encode_kernel_shapes(results_dir, bench_artifact):
         "encode_kernel_bit_identical": identical,
     }, seed=DECODE_SEED)
     assert identical, "fast bfp kernel diverged from the integer oracle"
+
+
+def _decode_kernel_calls(context: int = 40) -> list[tuple]:
+    """The operands of the 13 kernel calls of one compiled batch-8 decode
+    step at a ``context``-token context, on the decode benchmark's model
+    (``python3 -m bench run --workload decode``)."""
+    bm = importlib.import_module("repro.arith.bfp_matmul")
+    model = TinyLM(vocab=32, dim=384, depth=2, n_heads=4, seq_len=264,
+                   seed=DECODE_SEED)
+    backend = get_backend("bfp8-mixed")
+    model.prepare(backend)
+    caches = [model.init_cache() for _ in range(8)]
+    for pos in range(context):
+        model.forward_step_batch([1] * 8, [pos] * 8, caches, backend,
+                                 compiled=True)
+    calls, fast = [], bm.fast_emulate_blocks
+
+    def capture(*args):
+        calls.append(args)
+        return fast(*args)
+
+    with mock.patch.object(bm, "fast_emulate_blocks", capture):
+        model.forward_step_batch([1] * 8, [context] * 8, caches, backend,
+                                 compiled=True)
+    return calls
+
+
+def test_chain_dtype_times(results_dir, bench_artifact):
+    """The kernel's PSU chain in float32 and in float64 on the same calls.
+
+    Decode's 13 calls (captured from a compiled batch-8 step) and the
+    encode shapes run on their stored float32 operands, which take the
+    float32 chain, and on float64 copies with the float64 chain forced,
+    as every call ran before the float32 chain existed; both held to one
+    part on the calling thread, best of 7 (decode) or 3 (encode).  The
+    two outputs must be byte-identical; the times and their ratio land in
+    ``BENCH_kernels.json`` unasserted.
+    """
+    bm = importlib.import_module("repro.arith.bfp_matmul")
+    rng = np.random.default_rng(DECODE_SEED)
+    encode = {}
+    for name, (m, k, n) in ENCODE_SHAPES.items():
+        am = activation_blocks(rng.normal(size=(m, k)))
+        bw = BfpWeight.from_dense(rng.normal(size=(k, n)))
+        encode[name] = (am.man, am.exp, bw.man, bw.exp)
+    decode = {
+        f"{i:02d}:{'x'.join(map(str, a[0].shape))}@"
+        f"{'x'.join(map(str, a[2].shape))}": a
+        for i, a in enumerate(_decode_kernel_calls())
+    }
+
+    def best_ms(args, reps):
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            out = bm.fast_emulate_blocks(*args)
+            best = min(best, time.perf_counter() - t0)
+        return 1e3 * best, out
+
+    times, identical = {}, True
+    with mock.patch.object(bm, "_threads", lambda: 1):
+        for kind, calls, reps in (("decode", decode, 7), ("encode", encode, 3)):
+            for name, (a_man, a_exp, b_man, b_exp) in calls.items():
+                assert a_man.dtype == b_man.dtype == np.float32
+                f32_ms, f32 = best_ms((a_man, a_exp, b_man, b_exp), reps)
+                wide = (a_man.astype(np.float64), a_exp,
+                        b_man.astype(np.float64), b_exp)
+                with mock.patch.object(bm, "_chain_dtype",
+                                       lambda depth: np.float64):
+                    f64_ms, f64 = best_ms(wide, reps)
+                identical &= f32.tobytes() == f64.tobytes()
+                times.setdefault(kind, {})[name] = {
+                    "float32_ms": f32_ms, "float64_ms": f64_ms,
+                }
+
+    def total(kind, key):
+        return sum(t[key] for t in times[kind].values())
+
+    path = results_dir / "BENCH_kernels.json"
+    summary = json.loads(path.read_text())["summary"] if path.exists() else {}
+    bench_artifact("kernels", {
+        **summary,
+        "chain_ms": times,
+        "chain_f64_over_f32": {
+            kind: total(kind, "float64_ms") / total(kind, "float32_ms")
+            for kind in times
+        },
+        "chain_bit_identical": identical,
+    }, seed=DECODE_SEED)
+    assert len(times["decode"]) == 13
+    assert identical, "float32 and float64 PSU chains disagree"
 
 
 def test_numerics_monitor_overhead(save_report, bench_artifact):

@@ -19,12 +19,14 @@ some running exponent grows, and streams K in L2-sized chunks, so the
 full ``(Kb, M, N)`` tensor of block products never exists.  Like the
 array's columns, each output column block is its own chain, so large
 calls run disjoint column blocks on every core the process may use.  It
-computes in float64 and stays exact, because every intermediate is an
-integer below 2^52 and every scaling is a power of two.  Operands are
-quantized once, straight into the layouts the kernel reads
-(:func:`stream_tiles`, :func:`resident_tiles`).  The integer
+computes in float32 wherever that is exact (padded K up to 1,040, every
+matmul of TinyLM decode and DeiT-Tiny encode) and in float64 above, and
+stays exact either way, because every intermediate is an integer below
+``K * 127^2`` and every scaling is a power of two (:func:`_chain_dtype`).
+Operands are quantized once, straight into the float32 layouts the
+kernel reads (:func:`stream_tiles`, :func:`resident_tiles`).  The integer
 :func:`_emulate_blocks` is its bit-exact reference: the tests compare
-the two, and it still runs in exactly two cases the float64 kernel does
+the two, and it still runs in exactly two cases the float kernel does
 not cover — an attached :class:`AlignmentProbe` (the probe lives in the
 integer loop), and a reduction too deep for float64 to stay exact
 (:func:`_fast_ok`).
@@ -306,19 +308,19 @@ _RESIDENT_ORDER = (0, 1, 2, 3)
 
 def _flatten_cols(b_man: np.ndarray) -> np.ndarray:
     """Right-operand block grid ``(..., Kb, Cb, h, c)`` -> the kernel's
-    float64 ``(..., Kb, h, Cb*c)``."""
+    float32 ``(..., Kb, h, Cb*c)``."""
     kb, cb, h, c = b_man.shape[-4:]
     return np.ascontiguousarray(
-        b_man.astype(np.float64).swapaxes(-2, -3)
+        b_man.astype(np.float32).swapaxes(-2, -3)
     ).reshape(*b_man.shape[:-4], kb, h, cb * c)
 
 
 def _stream_layout(a_man: np.ndarray) -> np.ndarray:
     """Left-operand block grid ``(..., Rb, Kb, r, h)`` -> the kernel's
-    float64 ``(..., Kb, Rb*r, h)``."""
+    float32 ``(..., Kb, Rb*r, h)``."""
     rb, kb, r, h = a_man.shape[-4:]
     return np.ascontiguousarray(
-        np.swapaxes(a_man, -4, -3), dtype=np.float64
+        np.swapaxes(a_man, -4, -3), dtype=np.float32
     ).reshape(*a_man.shape[:-4], kb, rb * r, h)
 
 
@@ -350,15 +352,15 @@ class BfpWeight:
     """A quantized right-hand operand in matmul-ready layout.
 
     Built once per weight (prepare time): :meth:`from_dense` quantizes
-    straight into the kernel's ``(Kb, h, Cb*c)`` float64 layout, so the
+    straight into the kernel's ``(Kb, h, Cb*c)`` float32 layout, so the
     kernel's mantissa product needs no per-call cast or re-layout — the
     per-call work the Y-stationary hardware also never repeats.
     ``matrix`` holds the same codes on the block grid.
     """
 
     matrix: BfpMatrix
-    man64: np.ndarray  # (Kb, h, Cb*c) float64, integer-valued
-    exp64: np.ndarray  # (Kb, Cb) int64
+    man: np.ndarray  # (Kb, h, Cb*c) float32, integer-valued
+    exp: np.ndarray  # (Kb, Cb) int64
 
     @classmethod
     def from_matrix(cls, bm: BfpMatrix) -> "BfpWeight":
@@ -381,8 +383,8 @@ class BfpWeight:
             w, order=_RESIDENT_ORDER, rounding=rounding, man_bits=man_bits
         )
         kb, h, cb, c = man.shape
-        man64 = man.reshape(kb, h, cb * c)
-        return cls(BfpMatrix(*resident_grid(man64, exp), w.shape), man64, exp)
+        man = man.reshape(kb, h, cb * c)
+        return cls(BfpMatrix(*resident_grid(man, exp), w.shape), man, exp)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -401,12 +403,12 @@ class BfpStream:
     """A quantized left-hand (streamed) operand in the kernel's layout.
 
     The activation-side twin of :class:`BfpWeight`:
-    :func:`activation_blocks` quantizes straight into ``man64``, so the
+    :func:`activation_blocks` quantizes straight into ``man``, so the
     kernel multiplies the mantissas with no cast or re-layout.
     """
 
-    man64: np.ndarray  # (Kb, Rb*r, h) float64, integer-valued
-    exp64: np.ndarray  # (Rb, Kb) int64
+    man: np.ndarray  # (Kb, Rb*r, h) float32, integer-valued
+    exp: np.ndarray  # (Rb, Kb) int64
     shape: tuple[int, int]
 
     @classmethod
@@ -418,12 +420,12 @@ class BfpStream:
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        rows, h = self.man64.shape[-2:]
-        return rows // max(self.exp64.shape[-2], 1), h
+        rows, h = self.man.shape[-2:]
+        return rows // max(self.exp.shape[-2], 1), h
 
     def to_matrix(self) -> BfpMatrix:
         """The same codes on the block grid, for observers."""
-        return BfpMatrix(*stream_grid(self.man64, self.exp64), self.shape)
+        return BfpMatrix(*stream_grid(self.man, self.exp), self.shape)
 
 
 def activation_blocks(a: np.ndarray, *, man_bits: int = 8) -> BfpStream:
@@ -446,7 +448,7 @@ def stream_tiles(
     a: np.ndarray, *, man_bits: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantize the streamed (left) operand ``(..., M, K)`` of a matmul
-    into the kernel's layout: ``(..., Kb, Mb*r, 8)`` float64 mantissas and
+    into the kernel's layout: ``(..., Kb, Mb*r, 8)`` float32 mantissas and
     ``(..., Mb, Kb)`` int64 exponents, with row blocks trimmed to ``M``
     rows below one tile (see :func:`activation_blocks`)."""
     m = a.shape[-2]
@@ -462,7 +464,7 @@ def resident_tiles(
     b: np.ndarray, *, man_bits: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantize the resident (right) operand ``(..., K, N)`` of a matmul
-    into the kernel's layout: ``(..., Kb, 8, Cb*8)`` float64 mantissas and
+    into the kernel's layout: ``(..., Kb, 8, Cb*8)`` float32 mantissas and
     ``(..., Kb, Cb)`` int64 exponents, the layout a :class:`BfpWeight`
     holds for a weight.
 
@@ -480,7 +482,7 @@ def _emulate_blocks(
     b_flat: np.ndarray,
     b_exp: np.ndarray,
 ) -> np.ndarray:
-    """Integer block-grid matmul: the reference for the float64 kernel.
+    """Integer block-grid matmul: the reference for the float kernel.
 
     Takes the kernel's operand layouts (:func:`stream_tiles`,
     :func:`resident_tiles`), widened to int64 here: ``a_k``:
@@ -586,21 +588,40 @@ def _fast_ok(depth: int) -> bool:
     return depth * MAN_MAX * MAN_MAX < 1 << 52
 
 
-#: Float64 block products one kernel part holds at once: 1 MiB, half the
-#: 2 MiB per-core L2 of the x86 benchmark host.  K streams through in
-#: chunks of this many elements, or one K block at a time when a single
-#: block is larger.
+def _chain_dtype(depth: int) -> type[np.floating]:
+    """The float type :func:`fast_emulate_blocks` runs a ``depth``-long
+    reduction in: float32 while the same ``depth * MAN_MAX**2`` bound is
+    below 2^24, float32's exact-integer range (padded K up to 1,040),
+    float64 above it."""
+    return np.float32 if depth * MAN_MAX * MAN_MAX < 1 << 24 else np.float64
+
+
+#: The oracle's ``>> 63`` saturation: alignment and growth shifts are
+#: clamped here, which also keeps every float32 factor ``2^-d`` normal.
+_MAX_SHIFT = 63
+
+#: Block products one kernel part holds at once: 512 KiB of float32 (1 MiB
+#: on the float64 chain), a quarter of the 2 MiB per-core L2 of the x86
+#: benchmark host.  K streams through in chunks of this many elements, or
+#: one K block at a time when a single block is larger.  Re-measured for
+#: the float32 chain (2-core host, single-threaded BLAS, captured calls
+#: replayed in alternation): a batch-8 decode step's 13 calls took 5.8,
+#: 5.3, 5.2, 5.4 and 5.6 ms at 2^15 ... 2^19, a DeiT-Tiny image plus a
+#: 120-token prefill 131, 132, 124, 124 and 141 ms.
 _CHUNK_ELEMS = 2**17
 
 #: PSU elements (output elements, padding included) from which a kernel
 #: call splits its column blocks across cores, each part keeping at least
 #: half of them.  Smaller calls stay on the calling thread, where thread
-#: hand-off and GIL contention cost more than a part saves.  On a 2-core
-#: host with single-threaded BLAS, splitting every call made a compiled
-#: batch-8 decode step's 13 calls (largest PSU 8 x 2,048 = 16,384) slower,
-#: 7.3 -> 10.4 ms, while one DeiT-Tiny image's 74 calls, all but the head
-#: at least 38,400, fell from 299 to 228 ms.
-_SPLIT_ELEMS = 30_000
+#: hand-off and GIL contention cost more than a part saves.  The float32
+#: chain halves a part's arithmetic but not its Python per K step, so the
+#: threshold doubled from the float64 chain's 30,000: on a 2-core host
+#: with single-threaded BLAS, one encode round's 134 calls (a 12-block
+#: DeiT-Tiny image and four prefills) took 451 ms split from 30,000,
+#: 424 ms from 60,000, about the same from 100,000 to 200,000, and
+#: 478 ms unsplit; DeiT-Tiny's fc2 and P.V calls (38,400) now run
+#: 1.1-1.3x slower split.  Decode (at most 16,384) never splits.
+_SPLIT_ELEMS = 60_000
 
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
@@ -643,11 +664,11 @@ def fast_emulate_blocks(
     b_flat: np.ndarray,
     b_exp: np.ndarray,
 ) -> np.ndarray:
-    """The bfp kernel: :func:`_emulate_blocks` computed in float64, bit
-    for bit, on the same operand layouts.
+    """The bfp kernel: :func:`_emulate_blocks` computed in floating
+    point, bit for bit, on the same operand layouts.
 
-    Mantissa products run as float64 BLAS matmuls, one per K block over
-    every row block, and the truncating alignment ``x >> d`` becomes
+    Mantissa products run as BLAS matmuls, one per K block over every row
+    block, and the truncating alignment ``x >> d`` becomes
     ``floor(x * 2^-d)``.  With ``run_k`` the running PSU exponent after K
     step ``k`` (the prefix max of the product exponents ``e_k``), the
     oracle's keep/grow branches are one update, as in the PSU datapath::
@@ -671,15 +692,32 @@ def fast_emulate_blocks(
     call only private functions, never a public name that a profiler may
     have wrapped.
 
-    Exact: every intermediate is an integer below ``depth * 127^2 < 2^52``
-    (the :func:`_fast_ok` gate), scalings are powers of two, float64 sums
-    of such integers do not depend on order, and the bound makes a floor
-    by ``2^-d``, ``d >= 52``, the sign, like the oracle's ``>> 63``.  No
-    value depends on which columns share a part.
+    The chain — products, alignment floors, PSU sums and rescales — runs
+    in :func:`_chain_dtype` of the padded depth: float32 up to K = 1,040,
+    so every pass moves half the bytes at twice the SIMD width, and
+    float64 above, on operands cast per call.  Exact either way:
+
+    * *Products and sums.*  A product is ``h = 8`` terms of at most
+      ``127^2``, below 2^17, and every PSU value is an integer below
+      ``depth * 127^2``, which the dtype rule keeps inside the dtype's
+      exact-integer range.  So BLAS sums (FMA included) are exact in any
+      order, and aligned partials only shrink.
+    * *Shifts.*  Alignment and growth factors are exact powers of two,
+      computed in float64 and cast.  Each shift is clamped at
+      ``_MAX_SHIFT`` = 63, as the oracle clamps ``>> 63``: a floor by
+      ``2^-d`` is then the oracle's shift for every ``d`` (the sign once
+      ``2^d`` passes the bound), and ``2^-63`` is a normal float32.
+      Unclamped, a shift past 149 would underflow a negative partial to
+      ``-0.0`` and its floor would lose the ``-1``.
+    * *Final scale.*  ``psu * 2^run`` is computed in float64, because
+      ``run`` reaches +/-254, beyond float32's range.
+
+    No value depends on which columns share a part.
     """
-    a_k = np.asarray(a_k, dtype=np.float64)
+    dtype = _chain_dtype(np.shape(a_k)[-3] * np.shape(a_k)[-1])
+    a_k = np.asarray(a_k, dtype=dtype)
     a_exp = np.asarray(a_exp, dtype=np.int64)
-    b_flat = np.asarray(b_flat, dtype=np.float64)
+    b_flat = np.asarray(b_flat, dtype=dtype)
     b_exp = np.asarray(b_exp, dtype=np.int64)
     kb, rows = a_k.shape[-3:-1]
     rb, cb = a_exp.shape[-2], b_exp.shape[-1]
@@ -714,32 +752,36 @@ def _psu_chain(
     a_k: np.ndarray, exps: np.ndarray, b_flat: np.ndarray, out: np.ndarray
 ) -> None:
     """One part of :func:`fast_emulate_blocks`: the PSU chain of the
-    column blocks in ``b_flat``, written to ``out`` (the matching columns
-    of the result, ``(..., Rb*r, cols)``)."""
+    column blocks in ``b_flat``, in the operands' dtype, written to
+    ``out`` (the matching float64 columns of the result,
+    ``(..., Rb*r, cols)``)."""
     kb, rows = a_k.shape[-3:-1]
     rb, cb = exps.shape[-2:]
     r, nc = rows // rb, b_flat.shape[-1]
     lead = out.shape[:-2]
+    dtype = a_k.dtype
     run = np.maximum.accumulate(exps, axis=-3)  # (..., Kb, Rb, Cb)
     growth = np.diff(run, axis=-3, prepend=run[..., :1, :, :])
+    np.minimum(growth, _MAX_SHIFT, out=growth)
     grows = np.moveaxis(growth, -3, 0).reshape(kb, -1).any(axis=1)
 
-    def pow2(e: np.ndarray) -> np.ndarray:
-        # Block exponents (..., Rb, Cb) -> factors 2^e repeated over each
-        # block's columns, so every ufunc inner loop spans an output row.
-        f = np.exp2(e.astype(np.float64))
+    def pow2(e: np.ndarray, dtype: type = dtype) -> np.ndarray:
+        # Block exponents (..., Rb, Cb) -> factors 2^e, exact in float64
+        # and cast, repeated over each block's columns so every ufunc
+        # inner loop spans an output row.
+        f = np.exp2(e.astype(np.float64)).astype(dtype, copy=False)
         return np.repeat(f, nc // cb, axis=-1)[..., None, :]
 
-    psu = np.zeros((*lead, rb, r, nc))
+    psu = np.zeros((*lead, rb, r, nc), dtype=dtype)
     kc = min(kb, max(1, _CHUNK_ELEMS // max(psu.size, 1)))
-    slab = np.empty((*lead, kc, rows, nc))  # reused: no fresh pages per chunk
+    slab = np.empty((*lead, kc, rows, nc), dtype=dtype)  # reused: no fresh pages per chunk
     for k0 in range(0, kb, kc):
         k1 = min(k0 + kc, kb)
         pv = np.matmul(a_k[..., k0:k1, :, :], b_flat[..., k0:k1, :, :],
                        out=slab[..., : k1 - k0, :, :])
         pv = pv.reshape(*lead, k1 - k0, rb, r, nc)
-        np.multiply(pv, pow2(exps[..., k0:k1, :, :] - run[..., k0:k1, :, :]),
-                    out=pv)
+        shift = exps[..., k0:k1, :, :] - run[..., k0:k1, :, :]
+        np.multiply(pv, pow2(np.maximum(shift, -_MAX_SHIFT)), out=pv)
         np.floor(pv, out=pv)
         for k in range(k0, k1):
             if grows[k]:
@@ -749,10 +791,10 @@ def _psu_chain(
     limit = float(1 << (PSU_WIDTH - 1))
     if psu.size and (psu.min() < -limit or psu.max() >= limit):
         raise HardwareContractError("emulated PSU overflowed 48 bits")
-    # +0.0 normalizes any -0.0 from all-zero f64 products: the integer
+    # +0.0 normalizes any -0.0 from all-zero float products: the integer
     # oracle decodes those lanes to +0.0.
     psu += 0.0
-    np.multiply(psu, pow2(run[..., -1, :, :]),
+    np.multiply(psu, pow2(run[..., -1, :, :], np.float64),
                 out=out.reshape(*lead, rb, r, nc))
 
 
@@ -763,7 +805,7 @@ def _emulate(
     b_exp: np.ndarray,
 ) -> np.ndarray:
     """Run :func:`fast_emulate_blocks`, or the integer oracle where the
-    float64 kernel does not apply (see the module docstring)."""
+    float kernel does not apply (see the module docstring)."""
     depth = a_k.shape[-3] * a_k.shape[-1]
     if _ALIGN_PROBE is not None or not _fast_ok(depth):
         return _emulate_blocks(a_k, a_exp, b_flat, b_exp)
@@ -797,7 +839,7 @@ def bfp_matmul_prepared(
         )
     sa = am if isinstance(am, BfpStream) else BfpStream.from_matrix(am)
     bw = bm if isinstance(bm, BfpWeight) else BfpWeight.from_matrix(bm)
-    dense = _emulate(sa.man64, sa.exp64, bw.man64, bw.exp64)
+    dense = _emulate(sa.man, sa.exp, bw.man, bw.exp)
     return dense[: am.shape[0], : bm.shape[1]]
 
 

@@ -183,7 +183,7 @@ def quantize_dense(
     layout its consumer reads.
 
     Tiles are ``rows x cols``; a ragged edge is zero-padded.  Returns the
-    mantissas as integer-valued float64 with the four tile axes (row
+    mantissas as integer-valued float32 with the four tile axes (row
     block, row in block, column block, column in block) in ``order``,
     so no later pass re-casts or re-lays them out, and the
     ``(..., Mb, Nb)`` int64 shared exponents.  Semantics are
@@ -197,8 +197,13 @@ def quantize_dense(
     The input is then read once more, scaled by one multiply with
     ``2^-exp`` (exact: a power of two) into the output layout, and
     rounded in place.  Only a tile still over range after the bump,
-    whose exponent is already ``EXP_MAX``, needs a clamp, and it is
-    clamped as float, before any integer cast.
+    whose exponent is already ``EXP_MAX``, needs a clamp.  Scaling,
+    rounding and the clamp run in float64; only the final codes,
+    ``|m| <= 127``, are cast to float32, where they are exact.  Float32 arithmetic
+    before that point would not be: a float32 multiply can underflow a
+    small negative value to ``-0.0``, whose truncation loses the
+    ``-1``; ``nearest_away``'s ``+0.5`` rounds; and casting before the
+    clamp overflows.
     """
     man_max, target_msb = _man_limits(man_bits)
     rnd = _rounder(rounding)
@@ -248,7 +253,7 @@ def quantize_dense(
     rnd(out, out=out)
     if over.any():
         np.clip(out, -man_max, man_max, out=out)
-    return out, expb
+    return out.astype(np.float32), expb
 
 
 def quantize_tiles(

@@ -15,12 +15,13 @@ encoding plus its matmul-ready flat layout) for the block-fp formats, an
 grid-snapped float32 array for the half/minifloat formats — keyed by the
 full format id from the format registry (``bfp8``, ``int6``,
 ``fp8-e4m3``, ...) plus any residual parameters (rounding mode), crossed
-with a content fingerprint of the source array.  The fingerprint makes in-place mutation safe: updating
-a weight changes its digest, so the next lookup re-quantizes instead of
-serving stale data (an array-identity memo skips re-hashing only while
-the same array object provably cannot have changed).  Cached payload
-arrays are marked read-only so a consumer cannot corrupt the cache
-through a served reference.
+with a content fingerprint of the source array.  The fingerprint makes
+in-place mutation safe: updating a weight changes its digest, so the
+next lookup re-quantizes instead of serving stale data (an
+array-identity memo skips re-hashing only while the same array object
+provably cannot have changed).  Cached payload arrays are marked
+read-only so a consumer cannot corrupt the cache through a served
+reference.
 
 Hits, misses, evictions and resident bytes are published to the process
 :class:`~repro.obs.metrics.MetricsRegistry` under ``prepared.cache.*``;
@@ -220,8 +221,9 @@ class PreparedOperandCache:
         """Prepared :class:`BfpWeight` encoding of a dense matrix.
 
         The payload carries both the :class:`BfpMatrix` blocks and their
-        matmul-ready flat layout, so a cache hit skips the per-call
-        re-layout as well as the quantization."""
+        matmul-ready flat float32 layout, so a cache hit skips the
+        per-call re-layout as well as the quantization; ``nbytes``
+        counts both."""
         from repro.arith.bfp_matmul import BfpWeight
 
         def build(a: np.ndarray) -> tuple["BfpWeight", int]:
@@ -232,10 +234,10 @@ class PreparedOperandCache:
                 # Build runs only on a miss — weights are observed exactly
                 # once per residency, matching quantize-once semantics.
                 mon.observe_bfp("weight", a, bm, man_bits=man_bits)
-            _freeze(bm.mantissas, bm.exponents, bw.man64, bw.exp64)
+            _freeze(bm.mantissas, bm.exponents, bw.man, bw.exp)
             nbytes = (
                 bm.mantissas.nbytes + bm.exponents.nbytes
-                + bw.man64.nbytes + bw.exp64.nbytes
+                + bw.man.nbytes + bw.exp.nbytes
             )
             return bw, nbytes
 

@@ -13,7 +13,7 @@ taps and KV re-stacking.  This module hoists all of it out of the loop:
   bound up front; :meth:`DecodePlan.replay` executes it with no per-layer
   Python dispatch and **bit-identical** logits versus the eager path.
   Replay calls each format's own kernels (``fmt.matmul`` /
-  ``fmt.matmul_batched``), so block-fp layers run the same float64 kernel
+  ``fmt.matmul_batched``), so block-fp layers run the same bfp kernel
   as eager code, :func:`repro.arith.bfp_matmul.fast_emulate_blocks`
   (re-exported here under its historical path).
 * :class:`KvArena` keeps a batch group's K/V in one preallocated buffer
@@ -23,9 +23,10 @@ taps and KV re-stacking.  This module hoists all of it out of the loop:
   once, as the hardware's output quantizer does, instead of the whole
   cache every step: a step re-quantizes only the open tail block, plus
   whatever an eager step, a regroup or a width change left stale.  The
-  tiles are float64, twice the float32 K/V bytes when ``head_dim`` is a
-  multiple of 8 (about 6 MB for the repository benchmark's batch-8
-  ``dim=384`` decode at a 64-token context).
+  tiles are float32, the kernel's operand type, and take the float K/V's
+  own bytes when ``head_dim`` is a multiple of 8 (about 3 MB for the
+  repository benchmark's batch-8 ``dim=384`` decode at a 64-token
+  context).
 * Numerics-monitor taps become *sampled*: 1-in-N replay steps (default
   ``DEFAULT_TAP_SAMPLE``) re-run the full eager path with every tap live,
   recorded in a small ring buffer, so quantization health survives
@@ -52,7 +53,7 @@ from repro.arith.bfp_matmul import (
     stream_tiles,
 )
 from repro.errors import ConfigurationError
-from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS
+from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, quantize_dense
 from repro.formats.registry import BfpFormat
 from repro.models.attention import MultiHeadSelfAttention
 from repro.models.backend import PolicyBackend
@@ -98,6 +99,11 @@ class PlanUnsupported(Exception):
 #: V row block each span 8 tokens.
 _KV_BLOCK = BLOCK_ROWS
 
+#: :func:`~repro.formats.bfp8.quantize_dense` order that writes K's
+#: ``(t, hd)`` tiles in K^T's resident layout ``(hd block, hd in block,
+#: token block, token in block)``.
+_KT_ORDER = (2, 3, 0, 1)
+
 
 class KvArena:
     """A batch group's K/V cache in one preallocated, growable buffer.
@@ -110,7 +116,7 @@ class KvArena:
     counters make the no-copy property testable.
 
     For block-fp attention the arena also keeps the bfp tiles of K^T and
-    V beside the float values (:meth:`bfp_tiles`), in the float64 layout
+    V beside the float values (:meth:`bfp_tiles`), in the float32 layout
     the kernel multiplies against
     (:func:`~repro.arith.bfp_matmul.resident_tiles`), and grows them with
     the float buffers.  A request brings them up to date by quantizing
@@ -118,8 +124,8 @@ class KvArena:
     tail block: one block per step in a stable group, and a catch-up
     over every block that eager appends, a fresh arena (a regroup) or a
     change of mantissa width left stale.  ``quantized_tokens`` counts the
-    tokens quantized.  The tiles are float64: twice the float32 K/V bytes
-    when ``head_dim`` is a multiple of 8.
+    tokens quantized.  The tiles take the float K/V's own bytes when
+    ``head_dim`` is a multiple of 8.
     """
 
     __slots__ = (
@@ -187,9 +193,9 @@ class KvArena:
         r, bl = self.rows * self.n_heads, _KV_BLOCK
         tb, hb = -(-capacity // bl), -(-self.head_dim // bl)
         return (
-            np.zeros((r, hb, bl, tb * bl)),
+            np.zeros((r, hb, bl, tb * bl), dtype=np.float32),
             np.zeros((r, hb, tb), dtype=np.int64),
-            np.zeros((r, tb, bl, hb * bl)),
+            np.zeros((r, tb, bl, hb * bl), dtype=np.float32),
             np.zeros((r, tb, hb), dtype=np.int64),
         )
 
@@ -216,6 +222,10 @@ class KvArena:
         exact: quantization is per 8x8 block, a finished block covers 8
         fixed tokens, and positions at or past ``length`` are zero, so
         the tail block quantizes as the zero-padded whole tensor's does.
+        K^T's tiles are quantized from K's own ``(t, hd)`` layout, with
+        no transposed copy: its 8x8 blocks hold the same 64 values as
+        K^T's, transposed, so ``quantize_dense`` writes them straight into
+        K^T's tile order and the exponent grid is the transpose of K's.
         """
         if man_bits != self._tile_bits:
             self._tile_bits, self._tiled = man_bits, 0
@@ -227,9 +237,10 @@ class KvArena:
             start = self._tiled // _KV_BLOCK
             lo, hi = start * _KV_BLOCK, end * _KV_BLOCK
             r, hd = self.rows * self.n_heads, self.head_dim
-            kt = self._k[:, :, lo:hi].transpose(0, 1, 3, 2).reshape(r, hd, -1)
-            man, exp = resident_tiles(kt, man_bits=man_bits)
-            kt_man[..., lo:hi], kt_exp[..., start:end] = man, exp
+            k = self._k[:, :, lo:hi].reshape(r, -1, hd)
+            man, exp = quantize_dense(k, order=_KT_ORDER, man_bits=man_bits)
+            kt_man[..., lo:hi] = man.reshape(*kt_man.shape[:-1], hi - lo)
+            kt_exp[..., start:end] = exp.swapaxes(-1, -2)
             v = self._v[:, :, lo:hi].reshape(r, -1, hd)
             man, exp = resident_tiles(v, man_bits=man_bits)
             v_man[:, start:end], v_exp[:, start:end] = man, exp

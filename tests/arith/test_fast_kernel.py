@@ -1,14 +1,16 @@
-"""The float64 bfp kernel against its integer oracle, and kernel dispatch.
+"""The bfp kernel against its integer oracle, and kernel dispatch.
 
 :func:`~repro.arith.bfp_matmul.fast_emulate_blocks` is the only
 production bfp kernel; the integer ``_emulate_blocks`` is its reference.
 The two must agree bit for bit — raw bytes, so a ``-0.0`` where the
 oracle has ``+0.0`` is a failure — over every block geometry and
 exponent regime, including the ``d >= 63`` sign saturation of the
-truncating alignment and all-zero blocks, wherever the kernel's K
-chunks end, and however its column blocks are split across threads.
-The dispatch tests pin which kernel each entry point runs and that only
-large calls hand work to worker threads.
+truncating alignment, shifts across the whole 8-bit exponent field and
+all-zero blocks, on both sides of the float32/float64 depth boundary,
+wherever the kernel's K chunks end, and however its column blocks are
+split across threads.  The dispatch tests pin which kernel and which
+chain dtype each entry point runs and that only large calls hand work
+to worker threads.
 """
 
 import importlib
@@ -28,7 +30,9 @@ from hypothesis import strategies as st
 
 from repro.arith.bfp_matmul import (
     AlignmentProbe,
+    BfpStream,
     BfpWeight,
+    _chain_dtype,
     _emulate_blocks,
     _fast_ok,
     _flatten_cols,
@@ -41,7 +45,7 @@ from repro.arith.bfp_matmul import (
     stream_grid,
     stream_tiles,
 )
-from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, EXP_MIN
+from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, EXP_MAX, EXP_MIN
 from repro.formats.blocking import BfpMatrix
 from repro.formats.registry import get_format
 from repro.models.backend import get_backend
@@ -53,13 +57,17 @@ from tests.conftest import BLOCK_REGIMES, block_scaled
 bm = importlib.import_module("repro.arith.bfp_matmul")
 
 
-def _operands(rng, lead_a, lead_b, rb, kb, cb, r, man_bits, spread, zero_frac):
-    """Random block-grid operands in the kernels' input layout."""
+def _operands(rng, lead_a, lead_b, rb, kb, cb, r, man_bits, spread, zero_frac,
+              lo=None):
+    """Random block-grid operands in the kernels' input layout: block
+    exponents drawn from ``[lo, lo + spread]`` (centred on 0 by
+    default)."""
     m_max = (1 << (man_bits - 1)) - 1
     h, c = BLOCK_COLS, BLOCK_ROWS
     a_man = rng.integers(-m_max, m_max + 1, (*lead_a, rb, kb, r, h))
     b_man = rng.integers(-m_max, m_max + 1, (*lead_b, kb, cb, h, c))
-    lo = -(spread // 2)
+    if lo is None:
+        lo = -(spread // 2)
     a_exp = rng.integers(lo, lo + spread + 1, (*lead_a, rb, kb))
     b_exp = rng.integers(lo, lo + spread + 1, (*lead_b, kb, cb))
     # All-zero blocks take the quantizer's minimum exponent.
@@ -113,6 +121,118 @@ def test_fast_kernel_matches_integer_oracle_bytewise(
     assert got.tobytes() == want.tobytes()
 
 
+@given(
+    kb=st.sampled_from([1, 3, 16, 129, 130, 131, 140]),
+    rb=st.integers(1, 2),
+    cb=st.integers(1, 2),
+    r=st.integers(1, BLOCK_ROWS),
+    man_bits=st.integers(2, 8),
+    exp_bounds=st.tuples(st.integers(EXP_MIN, EXP_MAX),
+                         st.integers(EXP_MIN, EXP_MAX)),
+    zero_frac=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_oracle_across_dtype_boundary_and_exponent_field(
+    kb, rb, cb, r, man_bits, exp_bounds, zero_frac, seed
+):
+    """Kb 129 and 130 (padded K 1,032 and 1,040) run the float32 chain,
+    131 and 140 the float64 one.  Block exponents anywhere in the 8-bit
+    field make product exponents span [-256, 254], so alignment and
+    growth shifts reach 510: far past float32's smallest subnormal,
+    where only the clamp at 63 keeps the floor of a negative partial at
+    ``-1`` as the oracle's ``>> 63`` does."""
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(exp_bounds)
+    args = _operands(rng, (), (), rb, kb, cb, r, man_bits, hi - lo,
+                     zero_frac, lo=lo)
+    want = _emulate_blocks(*args)
+    got = fast_emulate_blocks(*args)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_shift_clamp_keeps_float32_floors_at_the_sign():
+    """Products of -40 whose exponents sit 255 apart: ``2^-255``
+    underflows float32 to zero, so only the shift clamped at 63 floors a
+    -40 aligned that far down to -1, as the oracle's ``>> 63`` does, both
+    for a product aligned to the PSU and for a PSU rescaled by a 255-step
+    growth."""
+    a_man = _stream_layout(np.full((1, 3, 1, 8), -5, dtype=np.int16))
+    b_flat = _flatten_cols(np.ones((3, 1, 8, 8), dtype=np.int16))
+    b_exp = np.zeros((3, 1), dtype=np.int16)
+    for a_exp, psu in (
+        ([127, -128, 127], -40 - 1 - 40),  # keep, shift 255; keep
+        ([-128, 127, -128], -1 - 40 - 1),  # grow by 255; keep, shift 255
+    ):
+        a_exp = np.array([a_exp], dtype=np.int16)
+        want = _emulate_blocks(a_man, a_exp, b_flat, b_exp)
+        got = fast_emulate_blocks(a_man, a_exp, b_flat, b_exp)
+        assert got.tobytes() == want.tobytes()
+        assert want[0, 0] == psu * 2.0**127
+
+
+@pytest.fixture
+def chain_dtypes(monkeypatch):
+    """The dtype of every PSU chain part the kernel runs."""
+    seen = []
+    chain = bm._psu_chain
+
+    def spy(a_k, *rest):
+        seen.append(a_k.dtype)
+        return chain(a_k, *rest)
+
+    monkeypatch.setattr(bm, "_psu_chain", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kb, dtype", [(130, np.float32), (131, np.float64)])
+def test_kernel_runs_the_chain_in_the_bound_dtype(chain_dtypes, kb, dtype):
+    """float32 while padded-K * 127^2 < 2^24: K = 1,040 (Kb 130) is the
+    deepest float32 chain, K = 1,048 (Kb 131) runs float64."""
+    depth = kb * BLOCK_COLS
+    assert (depth * 127**2 < 2**24) == (dtype is np.float32)
+    assert _chain_dtype(depth) is dtype
+    rng = np.random.default_rng(kb)
+    args = _operands(rng, (), (), 2, kb, 2, BLOCK_ROWS, 8, 40, 0.0)
+    assert all(a.dtype == np.float32 for a in args[::2])
+    got = fast_emulate_blocks(*args)
+    assert chain_dtypes == [dtype]
+    assert got.tobytes() == _emulate_blocks(*args).tobytes()
+
+
+def test_deit_small_fc2_runs_float64_and_matches_oracle(chain_dtypes):
+    """DeiT-Small's fc2 weight (1,536 x 384, K past the float32 bound) on
+    a 16-token activation: the float64 chain, on float32 operands cast
+    per call, equals the oracle byte for byte."""
+    rng = np.random.default_rng(21)
+    k_scale = np.exp2(rng.integers(0, 6, size=1536))
+    am = activation_blocks(rng.normal(size=(16, 1536)) * k_scale)
+    bw = BfpWeight.from_dense(rng.normal(size=(1536, 384)) * k_scale[:, None])
+    assert am.man.dtype == bw.man.dtype == np.float32
+    got = fast_emulate_blocks(am.man, am.exp, bw.man, bw.exp)
+    assert chain_dtypes == [np.float64]
+    want = _emulate_blocks(am.man, am.exp, bw.man, bw.exp)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_operands_are_stored_as_float32_codes(rng):
+    """Every stored kernel operand holds float32 integer codes, four
+    bytes each, half what float64 codes take; the block-grid views keep
+    their int16 codes."""
+    x, w = rng.normal(size=(13, 40)), rng.normal(size=(40, 24))
+    bw = BfpWeight.from_dense(w)
+    am = activation_blocks(x)
+    for man in (
+        bw.man, am.man, BfpWeight.from_matrix(bw.matrix).man,
+        BfpStream.from_matrix(am.to_matrix()).man,
+        stream_tiles(x)[0], resident_tiles(w)[0],
+    ):
+        assert man.dtype == np.float32
+        assert man.nbytes == 4 * man.size
+    assert bw.matrix.mantissas.dtype == np.int16
+    assert bw.exp.dtype == am.exp.dtype == np.int64
+
+
 def _deep_k_operands():
     """DeiT-Tiny fc2 operands, 197x768 @ 768x192 (Kb = 96): power-of-two
     scales on every K row of both sides spread the block exponents."""
@@ -122,7 +242,7 @@ def _deep_k_operands():
     w = rng.normal(size=(768, 192)) * k_scale[::-1, None]
     am = activation_blocks(x)
     bw = BfpWeight.from_dense(w)
-    return am.man64, am.exp64, bw.man64, bw.exp64
+    return am.man, am.exp, bw.man, bw.exp
 
 
 def test_deep_k_matches_oracle_at_default_chunk():
@@ -291,6 +411,7 @@ def test_worker_exception_reaches_caller_and_pool_survives(monkeypatch):
         return chain(*part)
 
     monkeypatch.setattr(bm, "_threads", lambda: 2)
+    monkeypatch.setattr(bm, "_SPLIT_ELEMS", 1)
     monkeypatch.setattr(bm, "_psu_chain", failing_on_workers)
     with pytest.raises(RuntimeError, match="worker part failed"):
         fast_emulate_blocks(*args)
@@ -375,6 +496,35 @@ def test_compiled_decode_never_splits(monkeypatch):
     assert logits.shape == (8, model.vocab) and np.isfinite(logits).all()
 
 
+def test_compiled_decode_runs_float32_operands_and_chains(monkeypatch):
+    """Every kernel call of a compiled batch-8 TinyLM decode step (the
+    decode benchmark's model, whose deepest matmul is down's K = 1,024)
+    receives float32 operands, as stored, and runs the float32 chain."""
+    calls, chains = [], []
+    fast, chain = bm.fast_emulate_blocks, bm._psu_chain
+
+    def spy_fast(a_k, a_exp, b_flat, b_exp):
+        calls.append((a_k.dtype, b_flat.dtype, a_k.shape[-3] * a_k.shape[-1]))
+        return fast(a_k, a_exp, b_flat, b_exp)
+
+    def spy_chain(a_k, *rest):
+        chains.append(a_k.dtype)
+        return chain(a_k, *rest)
+
+    model = TinyLM(vocab=32, dim=384, depth=2, n_heads=4, seq_len=264, seed=7)
+    backend = get_backend("bfp8-mixed")
+    model.prepare(backend)
+    caches = [model.init_cache() for _ in range(8)]
+    model.forward_step_batch([1] * 8, [0] * 8, caches, backend, compiled=True)
+    monkeypatch.setattr(bm, "fast_emulate_blocks", spy_fast)
+    monkeypatch.setattr(bm, "_psu_chain", spy_chain)
+    model.forward_step_batch([2] * 8, [1] * 8, caches, backend, compiled=True)
+    assert len(calls) == 13 and len(chains) == 13
+    assert all(a == b == np.float32 for a, b, _ in calls), calls
+    assert max(depth for *_, depth in calls) == 1024
+    assert set(chains) == {np.dtype(np.float32)}
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"),
     reason="no CPU affinity API on this platform",
@@ -388,9 +538,9 @@ def test_one_cpu_affinity_starts_no_worker_thread():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         bm = importlib.import_module("repro.arith.bfp_matmul")
         rng = np.random.default_rng(0)
-        out = bm.bfp_matmul_emulate(rng.normal(size=(197, 768)),
-                                    rng.normal(size=(768, 192)))
-        assert out.shape == (197, 192)
+        out = bm.bfp_matmul_emulate(rng.normal(size=(197, 192)),
+                                    rng.normal(size=(192, 768)))
+        assert out.shape == (197, 768)
         assert bm._POOL is None, bm._POOL
         assert threading.active_count() == 1, threading.enumerate()
     """

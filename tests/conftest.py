@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -20,6 +22,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+#: Test packages where any ``RuntimeWarning`` fails the test.  The kernel,
+#: the quantizer and the decode plan must stay exact without overflowing,
+#: underflowing or casting out of range, so a warning there is a bug even
+#: when the bytes still come out right.
+_STRICT_WARNING_PACKAGES = ("arith", "formats", "runtime")
+
+
+def pytest_collection_modifyitems(config, items):
+    strict = {Path(__file__).parent / name for name in _STRICT_WARNING_PACKAGES}
+    for item in items:
+        if item.path.parent in strict:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture

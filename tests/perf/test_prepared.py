@@ -105,7 +105,7 @@ class TestCacheMechanics:
     def test_payload_arrays_are_read_only(self, cache, rng):
         bfp, _ = cache.prepare_bfp(rng.normal(size=(16, 16)))
         with pytest.raises(ValueError):
-            bfp.payload.man64[0, 0, 0] = 1
+            bfp.payload.man[0, 0, 0] = 1
         with pytest.raises(ValueError):
             bfp.payload.matrix.mantissas[0, 0, 0, 0] = 1
         intq, _ = cache.prepare_int(rng.normal(size=(8, 8)))
@@ -146,6 +146,19 @@ class TestCacheMechanics:
         gauges = registry.as_dict()["gauges"]
         assert gauges["prepared.cache.bytes"]["value"] == float(cache.nbytes)
         assert gauges["prepared.cache.entries"]["value"] == 1.0
+
+    def test_bfp_bytes_count_float32_kernel_codes(self, cache, rng):
+        """A prepared bfp weight's bytes are its int16 block grid and
+        exponents, its int64 kernel exponents and the kernel layout at
+        four bytes per code: 9,456 bytes for a 32x48 weight (float64
+        codes would make it 15,600)."""
+        prepared, _ = cache.prepare_bfp(rng.normal(size=(32, 48)))
+        bw = prepared.payload
+        assert bw.man.dtype == np.float32 and bw.man.size == 32 * 48
+        assert prepared.nbytes == (
+            bw.matrix.mantissas.nbytes + bw.matrix.exponents.nbytes
+            + 4 * bw.man.size + bw.exp.nbytes
+        ) == 3_072 + 48 + 6_144 + 192
 
     def test_clear(self, cache, rng):
         cache.prepare_bfp(rng.normal(size=(8, 8)))

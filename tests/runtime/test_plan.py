@@ -492,6 +492,52 @@ class TestKvArena:
                 assert np.array_equal(got, ref)
         assert arena.grow_events >= 3
 
+    @pytest.mark.parametrize("hd", [8, 12, 32])
+    @pytest.mark.parametrize("man_bits", range(2, 9))
+    def test_kt_tiles_from_k_layout_equal_transposed_quantization(
+        self, rng, hd, man_bits
+    ):
+        """K^T's tiles, quantized from K's own ``(t, hd)`` layout, equal
+        ``resident_tiles`` of the transposed copy byte for byte, codes and
+        exponents, for finished blocks and partial tail blocks; the
+        quantized-token count is unchanged."""
+        rows, h = 2, 3
+        arena = KvArena(rows, h, hd, capacity=4, max_capacity=32)
+        quantized = tiled = 0
+        for t in range(1, 22):
+            kv = rng.normal(size=(2, rows, h, 1, hd)).astype(np.float32)
+            kv *= np.exp2(rng.integers(-30, 30, size=(2, 1, h, 1, 1)))
+            arena.append(kv[0], kv[1])
+            if t not in (3, 8, 13, 21):
+                continue
+            # From the first block not yet final through the tail block.
+            quantized += 8 * (-(-t // 8) - tiled // 8)
+            tiled = t
+            k, _ = arena.views()
+            want = resident_tiles(
+                k.transpose(0, 1, 3, 2).reshape(rows * h, hd, t),
+                man_bits=man_bits,
+            )
+            kt_man, kt_exp, _, _ = arena.bfp_tiles(man_bits)
+            assert kt_man.dtype == want[0].dtype == np.float32
+            assert kt_man.tobytes() == np.ascontiguousarray(want[0]).tobytes()
+            assert kt_exp.tobytes() == np.ascontiguousarray(want[1]).tobytes()
+            assert arena.quantized_tokens == quantized
+
+    def test_bfp_tiles_are_float32_at_the_kv_bytes(self):
+        """The tiles store float32 codes: with ``head_dim`` and the
+        capacity multiples of 8 they take exactly the float K/V's bytes,
+        half what float64 tiles take."""
+        arena = KvArena(2, 4, 16, capacity=16)
+        for _ in range(11):
+            arena.append(np.ones((2, 4, 1, 16), np.float32),
+                         np.ones((2, 4, 1, 16), np.float32))
+        arena.bfp_tiles(8)
+        kt_man, kt_exp, v_man, v_exp = arena._tiles
+        assert kt_man.dtype == v_man.dtype == np.float32
+        assert kt_man.nbytes == arena._k.nbytes and v_man.nbytes == arena._v.nbytes
+        assert kt_exp.dtype == v_exp.dtype == np.int64
+
     def test_quantize_work_per_step_is_constant(self):
         """A compiled step quantizes one 8-token K/V block per arena, not
         the whole cache; an eager step quantizes none, and the first replay
