@@ -128,9 +128,9 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
 
     Uncached = a ``capacity=0`` prepared-operand cache, i.e. every weight
     requantized on every matmul (what the emulation did before the
-    cache).  Outputs must be bit-identical; the committed artifact
-    records the >=5x achieved on an unloaded machine, while the assert
-    keeps a CI-safe margin for noisy shared runners.
+    cache).  Outputs must be bit-identical.  Requantizing is cheap since
+    the one-pass quantizer, so on a shared 2-core host the speedup reads
+    1.8-2.8x from run to run, and the 2x gate has little margin.
     """
     model = TinyLM(
         vocab=32, seq_len=DECODE_TOKENS + 8, dim=DECODE_DIM,
@@ -199,8 +199,6 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
 
     assert identical, "cached decode diverged from the uncached path"
     assert compiled_identical, "compiled decode diverged from the eager path"
-    # Locally this runs >=5x (recorded in the artifact); shared CI
-    # runners are noisy, so the hard gate is a conservative 2x.
     assert speedup > 2.0, f"prepared cache speedup only {speedup:.2f}x"
     # Compiled replay over the already-cached eager path, both on the one
     # float64 bfp kernel, so the ratio is the removed per-layer dispatch

@@ -354,18 +354,20 @@ class BfpWeight:
     Built once per weight (prepare time): :meth:`from_dense` quantizes
     straight into the kernel's ``(Kb, h, Cb*c)`` float32 layout, so the
     kernel's mantissa product needs no per-call cast or re-layout — the
-    per-call work the Y-stationary hardware also never repeats.
-    ``matrix`` holds the same codes on the block grid.
+    per-call work the Y-stationary hardware also never repeats.  The codes
+    are held once, in that layout; :attr:`matrix` rebuilds the block grid
+    for observers.
     """
 
-    matrix: BfpMatrix
     man: np.ndarray  # (Kb, h, Cb*c) float32, integer-valued
     exp: np.ndarray  # (Kb, Cb) int64
+    shape: tuple[int, int]
 
     @classmethod
     def from_matrix(cls, bm: BfpMatrix) -> "BfpWeight":
         return cls(
-            bm, _flatten_cols(bm.mantissas), bm.exponents.astype(np.int64)
+            _flatten_cols(bm.mantissas), bm.exponents.astype(np.int64),
+            bm.shape,
         )
 
     @classmethod
@@ -383,16 +385,18 @@ class BfpWeight:
             w, order=_RESIDENT_ORDER, rounding=rounding, man_bits=man_bits
         )
         kb, h, cb, c = man.shape
-        man = man.reshape(kb, h, cb * c)
-        return cls(BfpMatrix(*resident_grid(man, exp), w.shape), man, exp)
+        return cls(man.reshape(kb, h, cb * c), exp, w.shape)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+    def matrix(self) -> BfpMatrix:
+        """The same codes on the block grid (a fresh int16 copy), for
+        observers."""
+        return BfpMatrix(*resident_grid(self.man, self.exp), self.shape)
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        return self.matrix.block_shape
+        h, cols = self.man.shape[-2:]
+        return h, cols // max(self.exp.shape[-1], 1)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.to_dense()
@@ -726,8 +730,11 @@ def fast_emulate_blocks(
     if kb == 0 or cb == 0 or rb == 0:
         return np.zeros((*lead, rows, nc), dtype=np.float64)
     out = np.empty((*lead, rows, nc))
-    exps = a_exp.swapaxes(-2, -1)[..., None] + b_exp[..., None, :]
-    # (..., Kb, Rb, Cb)
+    # (..., Kb, Rb, Cb), C-contiguous: the broadcast sum's default layout
+    # follows the transposed a_exp, and every pass over it would stride.
+    exps = np.add(
+        a_exp.swapaxes(-2, -1)[..., None], b_exp[..., None, :], order="C"
+    )
     parts = 1
     if out.size >= _SPLIT_ELEMS:
         parts = min(_threads(), cb, 2 * out.size // _SPLIT_ELEMS)
@@ -766,12 +773,15 @@ def _psu_chain(
     grows = np.moveaxis(growth, -3, 0).reshape(kb, -1).any(axis=1)
 
     def pow2(e: np.ndarray, dtype: type = dtype) -> np.ndarray:
-        # Block exponents (..., Rb, Cb) -> factors 2^e, exact in float64
-        # and cast, repeated over each block's columns so every ufunc
-        # inner loop spans an output row.
-        f = np.exp2(e.astype(np.float64)).astype(dtype, copy=False)
+        # Block exponents -> factors 2^e, exact in float64 and cast.
+        return np.exp2(e.astype(np.float64)).astype(dtype, copy=False)
+
+    def spread(f: np.ndarray) -> np.ndarray:
+        # Block factors (..., Rb, Cb) repeated over each block's columns,
+        # so every ufunc inner loop spans an output row.
         return np.repeat(f, nc // cb, axis=-1)[..., None, :]
 
+    shrink = pow2(-growth)  # every K step's 2^-growth, one exp2 per call
     psu = np.zeros((*lead, rb, r, nc), dtype=dtype)
     kc = min(kb, max(1, _CHUNK_ELEMS // max(psu.size, 1)))
     slab = np.empty((*lead, kc, rows, nc), dtype=dtype)  # reused: no fresh pages per chunk
@@ -781,11 +791,11 @@ def _psu_chain(
                        out=slab[..., : k1 - k0, :, :])
         pv = pv.reshape(*lead, k1 - k0, rb, r, nc)
         shift = exps[..., k0:k1, :, :] - run[..., k0:k1, :, :]
-        np.multiply(pv, pow2(np.maximum(shift, -_MAX_SHIFT)), out=pv)
+        np.multiply(pv, spread(pow2(np.maximum(shift, -_MAX_SHIFT))), out=pv)
         np.floor(pv, out=pv)
         for k in range(k0, k1):
             if grows[k]:
-                np.multiply(psu, pow2(-growth[..., k, :, :]), out=psu)
+                np.multiply(psu, spread(shrink[..., k, :, :]), out=psu)
                 np.floor(psu, out=psu)
             psu += pv[..., k - k0, :, :, :]
     limit = float(1 << (PSU_WIDTH - 1))
@@ -794,7 +804,7 @@ def _psu_chain(
     # +0.0 normalizes any -0.0 from all-zero float products: the integer
     # oracle decodes those lanes to +0.0.
     psu += 0.0
-    np.multiply(psu, pow2(run[..., -1, :, :], np.float64),
+    np.multiply(psu, spread(pow2(run[..., -1, :, :], np.float64)),
                 out=out.reshape(*lead, rb, r, nc))
 
 

@@ -58,7 +58,7 @@ class RMSNorm(Module):
         inv64 = inv.astype(np.float64)
         # d/dx of x * (mean(x^2)+eps)^(-1/2)
         dot = (dnorm * x64).mean(-1, keepdims=True)
-        dx = dnorm * inv64 - x64 * (inv64**3) * dot
+        dx = dnorm * inv64 - x64 * (inv64 * inv64 * inv64) * dot
         return dx.astype(np.float32)
 
 

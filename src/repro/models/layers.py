@@ -36,17 +36,24 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-form GELU (the approximation the hardware programs implement)."""
+    """tanh-form GELU (the approximation the hardware programs implement).
+
+    ``x^3`` is ``(x * x) * x``, the two ``VMUL`` ops of
+    :func:`repro.runtime.vector_ops.build_gelu`.  Each multiply rounds
+    once in every SIMD loop, so the bytes do not depend on NumPy's CPU
+    dispatch, as those of ``x**3`` (its ``power`` loop) do.
+    """
     c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
     c = np.sqrt(2.0 / np.pi)
-    u = c * (x + 0.044715 * x**3)
+    x2 = x * x
+    u = c * (x + 0.044715 * (x2 * x))
     t = np.tanh(u)
-    du = c * (1.0 + 3 * 0.044715 * x**2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du
+    du = c * (1.0 + 3 * 0.044715 * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
 class Module:

@@ -220,26 +220,21 @@ class PreparedOperandCache:
     ) -> tuple[PreparedTensor, bool]:
         """Prepared :class:`BfpWeight` encoding of a dense matrix.
 
-        The payload carries both the :class:`BfpMatrix` blocks and their
-        matmul-ready flat float32 layout, so a cache hit skips the
-        per-call re-layout as well as the quantization; ``nbytes``
-        counts both."""
+        The payload holds the codes once, in the kernel's matmul-ready
+        float32 layout, so a cache hit skips the per-call re-layout as
+        well as the quantization; ``nbytes`` counts those codes and their
+        exponents."""
         from repro.arith.bfp_matmul import BfpWeight
 
         def build(a: np.ndarray) -> tuple["BfpWeight", int]:
             bw = BfpWeight.from_dense(a, man_bits=man_bits, rounding=rounding)
-            bm = bw.matrix
             mon = get_monitor()
             if mon.enabled:
                 # Build runs only on a miss — weights are observed exactly
                 # once per residency, matching quantize-once semantics.
-                mon.observe_bfp("weight", a, bm, man_bits=man_bits)
-            _freeze(bm.mantissas, bm.exponents, bw.man, bw.exp)
-            nbytes = (
-                bm.mantissas.nbytes + bm.exponents.nbytes
-                + bw.man.nbytes + bw.exp.nbytes
-            )
-            return bw, nbytes
+                mon.observe_bfp("weight", a, bw.matrix, man_bits=man_bits)
+            _freeze(bw.man, bw.exp)
+            return bw, bw.man.nbytes + bw.exp.nbytes
 
         return self.prepare(arr, f"bfp{man_bits}", (rounding,), build)
 

@@ -106,8 +106,10 @@ class TestCacheMechanics:
         bfp, _ = cache.prepare_bfp(rng.normal(size=(16, 16)))
         with pytest.raises(ValueError):
             bfp.payload.man[0, 0, 0] = 1
-        with pytest.raises(ValueError):
-            bfp.payload.matrix.mantissas[0, 0, 0, 0] = 1
+        # The block grid a payload hands out is a copy of its codes.
+        codes = bfp.payload.man.copy()
+        bfp.payload.matrix.mantissas[...] += 1
+        assert np.array_equal(bfp.payload.man, codes)
         intq, _ = cache.prepare_int(rng.normal(size=(8, 8)))
         with pytest.raises(ValueError):
             intq.payload.values[0] = 1
@@ -148,17 +150,14 @@ class TestCacheMechanics:
         assert gauges["prepared.cache.entries"]["value"] == 1.0
 
     def test_bfp_bytes_count_float32_kernel_codes(self, cache, rng):
-        """A prepared bfp weight's bytes are its int16 block grid and
-        exponents, its int64 kernel exponents and the kernel layout at
-        four bytes per code: 9,456 bytes for a 32x48 weight (float64
-        codes would make it 15,600)."""
+        """A prepared bfp weight's bytes are its codes, held once in the
+        kernel layout at four bytes per code, and its int64 exponents:
+        6,336 bytes for a 32x48 weight (float64 codes would make it
+        12,480)."""
         prepared, _ = cache.prepare_bfp(rng.normal(size=(32, 48)))
         bw = prepared.payload
         assert bw.man.dtype == np.float32 and bw.man.size == 32 * 48
-        assert prepared.nbytes == (
-            bw.matrix.mantissas.nbytes + bw.matrix.exponents.nbytes
-            + 4 * bw.man.size + bw.exp.nbytes
-        ) == 3_072 + 48 + 6_144 + 192
+        assert prepared.nbytes == 4 * bw.man.size + bw.exp.nbytes == 6_144 + 192
 
     def test_clear(self, cache, rng):
         cache.prepare_bfp(rng.normal(size=(8, 8)))
