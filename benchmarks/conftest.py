@@ -1,5 +1,7 @@
-"""Benchmark-suite helpers: every bench writes its reproduced table/figure
-to ``results/`` so the artifacts of the reproduction are inspectable."""
+"""Benchmark-suite helpers: every host-time bench writes its text report
+and ``BENCH_<name>.json`` to ``results/`` so its measurements are
+inspectable.  Deterministic numbers are claims-ledger entries instead
+(``python -m repro claims``)."""
 
 from __future__ import annotations
 

@@ -9,8 +9,8 @@ Usage::
                                      # online serving simulation
     python -m repro profile --model deit-tiny --trace-out deit.perfetto.json
                                      # compiled-schedule cycle profile
-    python -m repro numerics-report --check results/NUMERICS_golden_tinylm_bfp8.json
-                                     # quantization health vs golden baseline
+    python -m repro numerics-report --markdown-out numerics.md
+                                     # per-layer quantization health
     python -m repro slo-report --trace run.perfetto.json --summary run.json
                                      # SLO story rebuilt from the trace alone
     python -m repro claims [--full]  # every paper claim and pin, checked live

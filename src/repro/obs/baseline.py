@@ -1,54 +1,37 @@
-"""Golden-baseline numerics reports: build, validate, diff, render.
+"""Numerics reports: one monitored TinyLM run, its JSON report and markdown.
 
-The report is the serialized output of a :class:`~repro.obs.numerics.
-NumericsMonitor` run plus enough run configuration to make the comparison
-meaningful (model, backend, seed, decode length).  A *golden* report is
-committed to ``results/`` and CI re-runs the same configuration and diffs
-against it (``repro numerics-report --check``): the diff fails on
+:func:`monitored_run` runs the functional TinyLM under a quantizing backend
+with a fresh numerics monitor, operand cache, metrics registry and alignment
+probe attached, restores the previous ones afterwards, and memoizes the
+result per (backend, seed, decode length).  The report is the monitor's
+per-layer output plus the run configuration and the end-to-end logits SQNR
+against the fp32 reference forward.
 
-* per-layer SQNR degradation beyond a dB tolerance,
-* saturation / underflow rates rising above the golden rate plus an
-  absolute margin (the clip-rate ceiling),
-* precision-label changes (a bfp8 layer silently becoming bfp7 *is* the
-  regression the gate exists to catch),
-* entries appearing or disappearing, and
-* end-to-end logits SQNR (vs the fp32 reference forward) degrading.
-
-Improvements never fail the gate — the golden encodes a floor, not an
-exact fingerprint, so refactors that are bit-identical or better pass.
-
-Everything here is dependency-free on purpose: the schema validator is a
-small declarative walker, not an external jsonschema engine.
+``repro numerics-report`` prints and exports that run.  The claims ledger's
+``numerics`` table (:mod:`repro.eval.claims`) gates the same run: per-layer
+SQNR, saturation and underflow rates, the (layer, role, precision) set and
+the logits SQNR, on every ``python -m repro claims`` and tier-1 run.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.numerics import NumericsMonitor
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
-    "DEFAULT_SQNR_TOL_DB",
-    "DEFAULT_CLIP_MARGIN",
+    "NumericsRun",
     "build_report",
-    "validate_report",
-    "compare_reports",
+    "monitored_run",
     "render_markdown",
-    "load_report",
 ]
 
 REPORT_SCHEMA_VERSION = 1
-
-# A quantized run's SQNR is deterministic given (model, seed, backend);
-# the tolerance absorbs deliberate*small* numerical refactors (e.g. a
-# reassociated accumulation), not precision changes: dropping one
-# mantissa bit costs ~6 dB, far outside the default.
-DEFAULT_SQNR_TOL_DB = 1.0
-# Absolute ceiling margin on saturation/underflow rates (fraction of
-# elements): golden rate + margin is the highest acceptable rate.
-DEFAULT_CLIP_MARGIN = 0.005
 
 
 def build_report(
@@ -76,170 +59,78 @@ def build_report(
     }
 
 
-# -- schema --------------------------------------------------------------
-_ENTRY_FIELDS = {
-    "layer": str,
-    "precision": str,
-    "role": str,
-    "code_bits": int,
-    "tensors": int,
-    "elements": int,
-    "saturation_rate": float,
-    "underflow_rate": float,
-    "mantissa_utilization": float,
-    "sqnr_db": (float, type(None)),
-    "exponent": dict,
-    "nonzero_block_fraction": float,
-}
-_EXP_FIELDS = {
-    "min": int,
-    "max": int,
-    "hist": dict,
-    "spread_mean": float,
-    "spread_max": int,
-    "zero_blocks": int,
-    "blocks": int,
-}
-_RATE_FIELDS = ("saturation_rate", "underflow_rate")
+@dataclass(frozen=True)
+class NumericsRun:
+    """A finished monitored run: its report, monitor and metrics registry."""
+
+    report: dict
+    monitor: NumericsMonitor
+    registry: MetricsRegistry
 
 
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigurationError(f"invalid numerics report: {msg}")
+@lru_cache(maxsize=None)
+def monitored_run(backend: str = "bfp8-mixed", seed: int = 0,
+                  gen_tokens: int = 4) -> NumericsRun:
+    """TinyLM prefill plus a cached greedy decode under ``backend``, observed."""
+    import numpy as np
 
+    from repro.arith.bfp_matmul import AlignmentProbe, set_alignment_probe
+    from repro.models.backend import get_backend
+    from repro.models.decoder import TinyLM
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.obs.numerics import NumericsMonitor, set_monitor
+    from repro.perf.prepared import PreparedOperandCache, set_cache
 
-def _check_fields(obj: dict, fields: dict, where: str) -> None:
-    for name, typ in fields.items():
-        _expect(name in obj, f"{where} missing field {name!r}")
-        val = obj[name]
-        ok_types = typ if isinstance(typ, tuple) else (typ,)
-        # bool is an int subclass; reject it where an int is expected.
-        _expect(
-            isinstance(val, ok_types) and not (
-                isinstance(val, bool) and bool not in ok_types
-            ),
-            f"{where}.{name} has type {type(val).__name__}",
-        )
+    be = get_backend(backend)
+    model = TinyLM(seed=seed)
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, model.vocab, size=(2, model.seq_len))
 
+    # fp32 reference forward on the same inputs — the end-to-end anchor
+    # the per-layer streaming SQNR is judged against.
+    ref_logits = np.asarray(model.forward(tokens), dtype=np.float64)
 
-def validate_report(doc: dict) -> dict:
-    """Validate a report document against the schema; returns it.
+    monitor = NumericsMonitor()
+    prev_monitor = set_monitor(monitor)
+    # A fresh operand cache so every weight is quantized (and therefore
+    # observed) exactly once inside this run; a fresh registry so the
+    # published numerics.* metrics carry no prior-process state.
+    prev_cache = set_cache(PreparedOperandCache())
+    registry = MetricsRegistry()
+    prev_registry = set_registry(registry)
+    # The alignment probe rides along: aligned-width-prediction evidence
+    # (narrow fraction, zero under-predictions) joins the numerics story.
+    probe = AlignmentProbe()
+    prev_probe = set_alignment_probe(probe)
+    try:
+        logits = np.asarray(model.forward(tokens, be), dtype=np.float64)
+        model.generate_cached(tokens[0, :4], gen_tokens, be)
+        monitor.observe_alignment(probe)
+        monitor.publish(registry)
+    finally:
+        set_monitor(prev_monitor)
+        set_cache(prev_cache)
+        set_registry(prev_registry)
+        set_alignment_probe(prev_probe)
 
-    Raises :class:`~repro.errors.ConfigurationError` naming the first
-    violation — CI surfaces the message directly.
-    """
-    _expect(isinstance(doc, dict), "document is not an object")
-    _expect(doc.get("schema") == "repro.numerics-report",
-            f"unknown schema {doc.get('schema')!r}")
-    _expect(doc.get("version") == REPORT_SCHEMA_VERSION,
-            f"unsupported version {doc.get('version')!r}")
-    cfg = doc.get("config")
-    _expect(isinstance(cfg, dict), "config is not an object")
-    _check_fields(
-        cfg,
-        {"model": str, "backend": str, "seed": int, "gen_tokens": int},
-        "config",
+    err_sq = float(((logits - ref_logits) ** 2).sum())
+    ref_sq = float((ref_logits**2).sum())
+    logits_sqnr = (
+        float(10.0 * np.log10(ref_sq / err_sq))
+        if ref_sq > 0 and err_sq > 0
+        else None
     )
-    _expect(isinstance(doc.get("logits_sqnr_db"), (float, type(None))),
-            "logits_sqnr_db is neither a number nor null")
-    _expect(isinstance(doc.get("totals"), dict), "totals is not an object")
-    entries = doc.get("entries")
-    _expect(isinstance(entries, list) and entries, "entries missing or empty")
-    seen: set[tuple[str, str]] = set()
-    for i, e in enumerate(entries):
-        where = f"entries[{i}]"
-        _expect(isinstance(e, dict), f"{where} is not an object")
-        _check_fields(e, _ENTRY_FIELDS, where)
-        _check_fields(e["exponent"], _EXP_FIELDS, f"{where}.exponent")
-        for rate in _RATE_FIELDS:
-            _expect(0.0 <= e[rate] <= 1.0, f"{where}.{rate} outside [0, 1]")
-        key = (e["layer"], e["role"])
-        _expect(key not in seen, f"{where} duplicates key {key}")
-        seen.add(key)
-    return doc
+    report = build_report(monitor, model="tinylm", backend=be.name, seed=seed,
+                          gen_tokens=gen_tokens, logits_sqnr_db=logits_sqnr)
+    return NumericsRun(report, monitor, registry)
 
 
-def load_report(path: str | Path) -> dict:
-    """Read and validate a report file."""
-    return validate_report(json.loads(Path(path).read_text()))
-
-
-# -- diff ----------------------------------------------------------------
-def _keyed(doc: dict) -> dict[tuple[str, str], dict]:
-    return {(e["layer"], e["role"]): e for e in doc["entries"]}
-
-
-def compare_reports(
-    current: dict,
-    baseline: dict,
-    *,
-    sqnr_tol_db: float = DEFAULT_SQNR_TOL_DB,
-    clip_margin: float = DEFAULT_CLIP_MARGIN,
-) -> list[str]:
-    """Drift messages of ``current`` against the golden ``baseline``.
-
-    Empty list means the gate passes.  Entries are keyed on
-    ``(layer, role)`` — *not* precision, so a precision change on an
-    existing layer reports as a label drift rather than as one entry
-    vanishing and an unrelated one appearing.
-    """
-    drift: list[str] = []
-    cur_cfg, base_cfg = current["config"], baseline["config"]
-    for k in ("model", "backend"):
-        if cur_cfg[k] != base_cfg[k]:
-            drift.append(
-                f"config.{k}: {base_cfg[k]!r} -> {cur_cfg[k]!r} "
-                "(report configurations are not comparable)"
-            )
-    cur, base = _keyed(current), _keyed(baseline)
-    for key in sorted(base.keys() - cur.keys()):
-        drift.append(f"{key[0]}/{key[1]}: entry disappeared")
-    for key in sorted(cur.keys() - base.keys()):
-        drift.append(f"{key[0]}/{key[1]}: new entry not in golden")
-    for key in sorted(base.keys() & cur.keys()):
-        b, c = base[key], cur[key]
-        name = f"{key[0]}/{key[1]}"
-        if c["precision"] != b["precision"]:
-            drift.append(
-                f"{name}: precision {b['precision']} -> {c['precision']}"
-            )
-        if b["sqnr_db"] is not None and c["sqnr_db"] is not None:
-            loss = b["sqnr_db"] - c["sqnr_db"]
-            if loss > sqnr_tol_db:
-                drift.append(
-                    f"{name}: SQNR degraded {b['sqnr_db']:.2f} -> "
-                    f"{c['sqnr_db']:.2f} dB ({loss:.2f} dB > "
-                    f"tolerance {sqnr_tol_db:.2f})"
-                )
-        elif b["sqnr_db"] is not None and c["sqnr_db"] is None:
-            drift.append(f"{name}: SQNR became unmeasurable")
-        for rate in _RATE_FIELDS:
-            ceiling = b[rate] + clip_margin
-            if c[rate] > ceiling:
-                drift.append(
-                    f"{name}: {rate} {c[rate]:.4f} exceeds ceiling "
-                    f"{ceiling:.4f} (golden {b[rate]:.4f} + margin "
-                    f"{clip_margin:.4f})"
-                )
-    b_sqnr, c_sqnr = baseline["logits_sqnr_db"], current["logits_sqnr_db"]
-    if b_sqnr is not None and c_sqnr is not None:
-        if b_sqnr - c_sqnr > sqnr_tol_db:
-            drift.append(
-                f"logits: end-to-end SQNR degraded {b_sqnr:.2f} -> "
-                f"{c_sqnr:.2f} dB (> tolerance {sqnr_tol_db:.2f})"
-            )
-    elif b_sqnr is not None and c_sqnr is None:
-        drift.append("logits: end-to-end SQNR became unmeasurable")
-    return drift
-
-
-# -- rendering -----------------------------------------------------------
 def _fmt(v, nd: int = 2) -> str:
     return "-" if v is None else f"{v:.{nd}f}"
 
 
-def render_markdown(report: dict, *, drift: list[str] | None = None) -> str:
-    """Markdown summary: per-layer table, totals, and the drift verdict."""
+def render_markdown(report: dict) -> str:
+    """Markdown summary: the per-layer table and per-precision totals."""
     cfg = report["config"]
     lines = [
         "# Numerics report",
@@ -268,11 +159,4 @@ def render_markdown(report: dict, *, drift: list[str] | None = None) -> str:
             f"underflow {g['underflow_rate']:.4f}, "
             f"SQNR {_fmt(g['sqnr_db'])} dB"
         )
-    if drift is not None:
-        lines.append("")
-        if drift:
-            lines.append(f"## DRIFT ({len(drift)})")
-            lines.extend(f"- {d}" for d in drift)
-        else:
-            lines.append("## No drift against golden baseline")
     return "\n".join(lines) + "\n"

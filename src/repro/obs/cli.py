@@ -20,6 +20,8 @@ import json
 import re
 from pathlib import Path
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "add_profile_parser",
     "run_profile",
@@ -360,28 +362,27 @@ def run_align_predict(args) -> int:
 def add_numerics_report_parser(subparsers) -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "numerics-report",
-        help="value-domain quantization health report + golden-baseline gate",
+        help="value-domain quantization health report",
         description=(
             "Run the functional TinyLM under a quantizing backend with the "
             "numerics monitor attached, and report per-layer saturation/"
             "underflow rates, exponent spread, mantissa utilization and "
             "SQNR (plus end-to-end logits SQNR vs the fp32 reference). "
-            "With --check, diff against a committed golden report and exit "
-            "non-zero on drift."
+            "The claims ledger's numerics table gates the default run "
+            "(python -m repro claims)."
         ),
     )
     p.add_argument("--backend", default="bfp8-mixed",
                    help="arithmetic backend name (must quantize)")
     p.add_argument("--man-bits", type=int, default=8,
                    help="block-fp mantissa width for bfp backends "
-                        "(<8 injects extra truncation — the regression "
-                        "the gate must catch)")
+                        "(<8 injects extra truncation)")
     p.add_argument("--seed", type=int, default=0,
                    help="model/token seed")
     p.add_argument("--gen-tokens", type=int, default=4,
                    help="greedy decode steps after the prefill forward")
     p.add_argument("--json-out", type=Path, default=None, metavar="FILE",
-                   help="write the schema-validated JSON report")
+                   help="write the JSON report")
     p.add_argument("--markdown-out", type=Path, default=None, metavar="FILE",
                    help="write the markdown summary")
     p.add_argument("--metrics-out", type=Path, default=None, metavar="FILE",
@@ -389,27 +390,21 @@ def add_numerics_report_parser(subparsers) -> argparse.ArgumentParser:
     p.add_argument("--trace-out", type=Path, default=None, metavar="FILE",
                    help="write a Perfetto trace with the numerics summary "
                         "attached as span arguments")
-    p.add_argument("--check", type=Path, default=None, metavar="BASELINE",
-                   help="diff against a golden report; exit 1 on drift")
-    p.add_argument("--sqnr-tol-db", type=float, default=None,
-                   help="per-layer SQNR degradation tolerance in dB "
-                        "(default: baseline module default)")
-    p.add_argument("--clip-margin", type=float, default=None,
-                   help="absolute saturation/underflow rate ceiling margin "
-                        "(default: baseline module default)")
     return p
 
 
-def _numerics_backend(name: str, man_bits: int):
+def _numerics_backend(name: str, man_bits: int) -> str:
+    """The backend name ``--backend``/``--man-bits`` select."""
     from repro.models.backend import get_backend
 
-    backend = get_backend(name)
-    if man_bits != 8:
-        bfp = re.fullmatch(r"bfp\d+-(mixed|all)", name)
-        if bfp is None:
-            raise SystemExit(f"--man-bits applies to bfp backends, not {name}")
-        backend = get_backend(f"bfp{man_bits}-{bfp.group(1)}")
-    return backend
+    get_backend(name)  # an unknown --backend fails under its own name
+    if man_bits == 8:
+        return name
+    bfp = re.fullmatch(r"bfp\d+-(mixed|all)", name)
+    if bfp is None:
+        raise ConfigurationError(
+            f"--man-bits applies to bfp backends, not {name}")
+    return f"bfp{man_bits}-{bfp.group(1)}"
 
 
 def add_slo_report_parser(subparsers) -> argparse.ArgumentParser:
@@ -496,77 +491,17 @@ def run_slo_report(args) -> int:
 
 
 def run_numerics_report(args) -> int:
-    import numpy as np
+    from repro.obs.baseline import monitored_run, render_markdown
 
-    from repro.models.decoder import TinyLM
-    from repro.obs import baseline as bl
-    from repro.obs.metrics import MetricsRegistry, set_registry
-    from repro.obs.numerics import NumericsMonitor, set_monitor
-    from repro.perf.prepared import PreparedOperandCache, set_cache
+    run = monitored_run(_numerics_backend(args.backend, args.man_bits),
+                        args.seed, args.gen_tokens)
+    report = run.report
+    if not report["entries"]:
+        raise ConfigurationError(
+            f"--backend {report['config']['backend']} quantizes nothing, "
+            "so there are no numerics to report")
 
-    backend = _numerics_backend(args.backend, args.man_bits)
-    model = TinyLM(seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    tokens = rng.integers(0, model.vocab, size=(2, model.seq_len))
-
-    # fp32 reference forward on the same inputs — the end-to-end anchor
-    # the per-layer streaming SQNR is judged against.
-    ref_logits = np.asarray(model.forward(tokens), dtype=np.float64)
-
-    from repro.arith.bfp_matmul import AlignmentProbe, set_alignment_probe
-
-    monitor = NumericsMonitor()
-    prev_monitor = set_monitor(monitor)
-    # A fresh operand cache so every weight is quantized (and therefore
-    # observed) exactly once inside this run; a fresh registry so the
-    # published numerics.* metrics carry no prior-process state.
-    prev_cache = set_cache(PreparedOperandCache())
-    registry = MetricsRegistry()
-    prev_registry = set_registry(registry)
-    # The alignment probe rides along: aligned-width-prediction evidence
-    # (narrow fraction, zero under-predictions) joins the numerics story.
-    probe = AlignmentProbe()
-    prev_probe = set_alignment_probe(probe)
-    try:
-        logits = np.asarray(model.forward(tokens, backend), dtype=np.float64)
-        model.generate_cached(tokens[0, :4], args.gen_tokens, backend)
-        monitor.observe_alignment(probe)
-        monitor.publish(registry)
-    finally:
-        set_monitor(prev_monitor)
-        set_cache(prev_cache)
-        set_registry(prev_registry)
-        set_alignment_probe(prev_probe)
-
-    err_sq = float(((logits - ref_logits) ** 2).sum())
-    ref_sq = float((ref_logits**2).sum())
-    logits_sqnr = (
-        float(10.0 * np.log10(ref_sq / err_sq))
-        if ref_sq > 0 and err_sq > 0
-        else None
-    )
-
-    report = bl.build_report(
-        monitor,
-        model="tinylm",
-        backend=backend.name,
-        seed=args.seed,
-        gen_tokens=args.gen_tokens,
-        logits_sqnr_db=logits_sqnr,
-    )
-    bl.validate_report(report)
-
-    drift: list[str] | None = None
-    if args.check is not None:
-        golden = bl.load_report(args.check)
-        tol = {}
-        if args.sqnr_tol_db is not None:
-            tol["sqnr_tol_db"] = args.sqnr_tol_db
-        if args.clip_margin is not None:
-            tol["clip_margin"] = args.clip_margin
-        drift = bl.compare_reports(report, golden, **tol)
-
-    md = bl.render_markdown(report, drift=drift)
+    md = render_markdown(report)
     print(md, end="")
     if args.json_out is not None:
         args.json_out.write_text(
@@ -575,12 +510,13 @@ def run_numerics_report(args) -> int:
     if args.markdown_out is not None:
         args.markdown_out.write_text(md)
     if args.metrics_out is not None:
-        args.metrics_out.write_text(registry.to_json() + "\n")
+        args.metrics_out.write_text(run.registry.to_json() + "\n")
     if args.trace_out is not None:
         from repro.obs.tracer import Tracer
 
-        tracer = Tracer(meta={"model": "tinylm", "backend": backend.name,
+        tracer = Tracer(meta={"model": "tinylm",
+                              "backend": report["config"]["backend"],
                               "seed": args.seed})
-        monitor.annotate_tracer(tracer)
+        run.monitor.annotate_tracer(tracer)
         args.trace_out.write_text(tracer.to_json() + "\n")
-    return 1 if drift else 0
+    return 0

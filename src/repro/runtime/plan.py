@@ -69,8 +69,6 @@ __all__ = [
     "PlanUnsupported",
     "fast_emulate_blocks",
     "compiled_active",
-    "set_compiled_default",
-    "set_tap_sampling",
     "resolve_plan",
     "plan_stats",
     "DEFAULT_TAP_SAMPLE",
@@ -78,9 +76,6 @@ __all__ = [
 
 #: replay steps between full-tap eager samples when the monitor is enabled
 DEFAULT_TAP_SAMPLE = 32
-_TAP_SAMPLE = DEFAULT_TAP_SAMPLE
-
-_COMPILED_DEFAULT = True
 
 _PLAN_CACHE_ATTR = "_decode_plans"
 _PLAN_CACHE_MAX = 8
@@ -476,7 +471,7 @@ class DecodePlan:
     def __init__(self, model: TinyLM, backend: PolicyBackend, batch: int) -> None:
         self.batch = batch
         self.backend_name = backend.name
-        self.sample_every = _TAP_SAMPLE
+        self.sample_every = DEFAULT_TAP_SAMPLE
         self.replays = 0
         self.sampled = 0
         self._tap_counter = 0
@@ -662,33 +657,16 @@ class _PlanEntry:
     plan: DecodePlan | None
 
 
-def set_compiled_default(value: bool) -> bool:
-    """Flip the process-wide compiled-decode default; returns the old one."""
-    global _COMPILED_DEFAULT
-    previous = _COMPILED_DEFAULT
-    _COMPILED_DEFAULT = bool(value)
-    return previous
-
-
-def set_tap_sampling(every: int) -> int:
-    """Set the 1-in-N sampled-tap period for new plans; returns the old N."""
-    global _TAP_SAMPLE
-    previous = _TAP_SAMPLE
-    _TAP_SAMPLE = max(1, int(every))
-    return previous
-
-
 def compiled_active(backend, override: bool | None = None) -> bool:
     """Whether a decode step should go through a compiled plan.
 
     Explicit ``override`` wins.  With no override, compiled is the
-    default (:func:`set_compiled_default`) but defers to eager whenever
-    something wants full per-op observation: an attached profiler, a
-    non-empty scope stack (outer scopes change policy layer paths), an
-    enabled numerics monitor, or a backend that is not a plain
-    :class:`PolicyBackend` (a subclass such as
-    :class:`~repro.models.sensitivity.SelectiveBackend` may override the
-    per-op dispatch the plan resolves ahead of time).
+    default but defers to eager whenever something wants full per-op
+    observation: an attached profiler, a non-empty scope stack (outer
+    scopes change policy layer paths), an enabled numerics monitor, or a
+    backend that is not a plain :class:`PolicyBackend` (a subclass such
+    as :class:`~repro.models.sensitivity.SelectiveBackend` may override
+    the per-op dispatch the plan resolves ahead of time).
     """
     if override is False:
         return False
@@ -696,7 +674,7 @@ def compiled_active(backend, override: bool | None = None) -> bool:
         return False
     if backend.profiler is not None or backend._scopes:
         return False
-    if override is None and (not _COMPILED_DEFAULT or get_monitor().enabled):
+    if override is None and get_monitor().enabled:
         return False
     return True
 

@@ -567,9 +567,10 @@ def _write_serving_numerics(trace, args) -> None:
 
     import numpy as np
 
+    from repro.errors import ConfigurationError
     from repro.models.backend import PolicyBackend, get_backend
     from repro.models.decoder import TinyLM
-    from repro.obs import baseline as bl
+    from repro.obs.baseline import build_report
     from repro.obs.numerics import NumericsMonitor, set_monitor
     from repro.perf.prepared import PreparedOperandCache, set_cache
 
@@ -595,14 +596,17 @@ def _write_serving_numerics(trace, args) -> None:
     finally:
         set_monitor(prev_monitor)
         set_cache(prev_cache)
-    report = bl.build_report(
+    report = build_report(
         monitor,
         model="tinylm-serve-replay",
         backend=backend.name,
         seed=args.seed,
         gen_tokens=replayed_tokens,
     )
-    bl.validate_report(report)
+    if not report["entries"]:
+        raise ConfigurationError(
+            f"--numerics-out: policy {backend.name} quantizes nothing, so "
+            "there are no numerics to report")
     args.numerics_out.write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )

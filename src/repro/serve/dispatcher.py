@@ -82,9 +82,9 @@ _COMPUTE_STAGES = ("shard_compute", "allreduce", "pp_transfer")
 class ModelProfile:
     """Cost-model identity of the two served model families.
 
-    The decoder defaults match the repo's prefill-vs-decode study
-    (``results/decoder_prefill_vs_decode.txt``); the ViT defaults are
-    DeiT-Tiny, the smallest paper configuration.
+    The decoder defaults match the claims ledger's decode / prefill
+    per-token latency entry (EXPERIMENTS.md, pinned model values); the ViT
+    defaults are DeiT-Tiny, the smallest paper configuration.
     """
 
     vit: ViTConfig = DEIT_TINY

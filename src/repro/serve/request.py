@@ -7,7 +7,7 @@ workload classes:
   the regime of the systolic-array related work);
 * ``"llm"`` — a decoder generation: one prefill over ``prompt_tokens``
   followed by ``gen_tokens`` KV-cache decode steps (the prefill/decode
-  split of ``results/decoder_prefill_vs_decode.txt``).
+  split the claims ledger pins as decode / prefill per-token latency).
 
 A request's lifecycle is broken into :class:`PhaseItem` units — the things
 the batcher coalesces and the dispatcher places on units.  Time is always

@@ -9,6 +9,7 @@ import pytest
 
 from repro.eval import claims
 from repro.eval.claims import EXPERIMENTS, LEDGER
+from repro.obs.baseline import monitored_run
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +60,38 @@ def test_hand_edited_digit_is_caught(values):
     edited = text.replace("| 1.201 | 1.201 |", "| 1.201 | 1.202 |", 1)
     assert edited != text
     assert claims.render_document(edited, values) == text
+
+
+def _numerics_misses(monkeypatch, capsys, report) -> list[str]:
+    monkeypatch.setattr(claims, "_numerics_report", lambda: report)
+    assert claims.run_claims(Namespace(full=False)) == 1
+    return [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("MISS ")]
+
+
+def test_raising_entry_misses_by_name(monkeypatch, capsys):
+    """A (layer, role) that vanishes from the numerics run makes its three
+    entries raise; each is a MISS naming the entry, not a traceback."""
+    report = monitored_run("bfp8-mixed").report
+    gone = {**report, "entries": [e for e in report["entries"]
+                                  if (e["layer"], e["role"]) != ("block0.attn", "kv")]}
+    misses = _numerics_misses(monkeypatch, capsys, gone)
+    assert misses == [
+        *(f"MISS block0.attn kv {what} (pin): raised KeyError: "
+          f"('block0.attn', 'kv'), needs {check}"
+          for what, check in (("SQNR (dB)", ">= 41.49"), ("saturation rate", "<= 0.0052"),
+                              ("underflow rate", "<= 0.0174"))),
+        "MISS (layer, role, precision) set equals the golden's (pin): model 0, needs exact",
+    ]
+
+
+def test_numerics_entries_catch_one_dropped_mantissa_bit(monkeypatch, capsys):
+    """The same TinyLM run at bfp7 (one mantissa bit truncated) misses every
+    per-layer SQNR entry, the logits SQNR and the precision set, by name."""
+    misses = _numerics_misses(monkeypatch, capsys,
+                              monitored_run("bfp7-mixed").report)
+    for layer, role, *_ in claims.NUMERICS_REFERENCE:
+        assert any(m.startswith(f"MISS {layer} {role} SQNR (dB) (pin): model ")
+                   for m in misses), (layer, role, misses)
+    assert any(m.startswith("MISS logits SQNR vs fp32 (dB)") for m in misses)
+    assert any(m.startswith("MISS (layer, role, precision) set") for m in misses)

@@ -1,4 +1,5 @@
-"""Golden-baseline reports: schema validation and the drift gate."""
+"""Numerics reports, and the claims-ledger entries that gate the
+bfp8-mixed TinyLM run: every drift they must catch, and what they pass."""
 
 import copy
 import json
@@ -6,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.eval import claims
 from repro.formats.int8q import quantize_intn
 from repro.obs import baseline as bl
 from repro.obs.numerics import NumericsMonitor
@@ -25,133 +26,125 @@ def report(rng):
     )
 
 
+@pytest.fixture
+def run():
+    """A private copy of the gated run's report."""
+    return copy.deepcopy(bl.monitored_run("bfp8-mixed").report)
+
+
+def _misses(monkeypatch, report) -> list[str]:
+    """Names of the ledger's numerics entries that ``report`` misses."""
+    monkeypatch.setattr(claims, "_numerics_report", lambda: report)
+    missed = []
+    for c in claims.LEDGER:
+        if c.table == "numerics":
+            lo, hi = c.bounds()
+            try:
+                ok = lo <= c.model() <= hi
+            except KeyError:
+                ok = False
+            if not ok:
+                missed.append(c.name)
+    return missed
+
+
+def _name(entry: dict, what: str) -> str:
+    return f"{entry['layer']} {entry['role']} {what}"
+
+
 def test_build_report_validates(report):
-    assert bl.validate_report(report) is report
+    assert report["schema"] == "repro.numerics-report"
     assert report["version"] == bl.REPORT_SCHEMA_VERSION
-    assert len(report["entries"]) == 2
+    assert report["config"] == {"model": "tinylm", "backend": "int8-linear",
+                                "seed": 0, "gen_tokens": 4}
+    assert [(e["layer"], e["role"], e["precision"]) for e in report["entries"]] == [
+        ("block0", "activation", "int8"), ("head", "activation", "int8")]
+    assert set(report["totals"]) == {"int8"}
 
 
 def test_report_json_roundtrip(report, tmp_path):
     p = tmp_path / "r.json"
     p.write_text(json.dumps(report))
-    loaded = bl.load_report(p)
+    loaded = json.loads(p.read_text())
     assert loaded["entries"] == report["entries"]
 
 
-@pytest.mark.parametrize(
-    "mutate, msg",
-    [
-        (lambda d: d.update(schema="nope"), "unknown schema"),
-        (lambda d: d.update(version=99), "unsupported version"),
-        (lambda d: d.update(entries=[]), "entries missing or empty"),
-        (lambda d: d["entries"][0].pop("sqnr_db"), "missing field"),
-        (lambda d: d["entries"][0].update(saturation_rate=1.5), "outside"),
-        (lambda d: d["entries"][0].update(tensors="three"), "has type"),
-        (lambda d: d["config"].pop("seed"), "missing field"),
-        (
-            lambda d: d["entries"].append(dict(d["entries"][0])),
-            "duplicates key",
-        ),
-    ],
-)
-def test_validate_rejects(report, mutate, msg):
-    bad = copy.deepcopy(report)
-    mutate(bad)
-    with pytest.raises(ConfigurationError, match=msg):
-        bl.validate_report(bad)
+# -- the ledger's numerics entries ------------------------------------------
+def test_identical_reports_have_no_drift(monkeypatch, run):
+    assert _misses(monkeypatch, run) == []
 
 
-# -- the gate ------------------------------------------------------------
-def test_identical_reports_have_no_drift(report):
-    assert bl.compare_reports(report, report) == []
+def test_config_mismatch_is_drift(monkeypatch):
+    """The entries gate the bfp8-mixed run; another backend's run misses."""
+    gated = claims._numerics_report()["config"]
+    assert gated == {"model": "tinylm", "backend": "bfp8-mixed", "seed": 0,
+                     "gen_tokens": 4}
+    other = bl.monitored_run("int8-linear").report
+    assert "(layer, role, precision) set equals the golden's" in _misses(
+        monkeypatch, other)
 
 
-def test_precision_change_is_drift(report):
-    cur = copy.deepcopy(report)
-    cur["entries"][0]["precision"] = "int7"
-    drift = bl.compare_reports(cur, report)
-    assert any("precision int8 -> int7" in d for d in drift)
+def test_precision_change_is_drift(monkeypatch, run):
+    run["entries"][0]["precision"] = "bfp7"
+    assert _misses(monkeypatch, run) == [
+        "(layer, role, precision) set equals the golden's"]
 
 
-def test_sqnr_degradation_beyond_tolerance_is_drift(report):
-    cur = copy.deepcopy(report)
-    cur["entries"][0]["sqnr_db"] -= 6.0  # one mantissa bit
-    drift = bl.compare_reports(cur, report, sqnr_tol_db=1.0)
-    assert any("SQNR degraded" in d for d in drift)
-    # A wide-open tolerance accepts the same report.
-    assert bl.compare_reports(cur, report, sqnr_tol_db=10.0) == []
+def test_sqnr_degradation_beyond_tolerance_is_drift(monkeypatch, run):
+    entry = run["entries"][0]
+    entry["sqnr_db"] -= 0.9  # within the 1 dB slack
+    assert _misses(monkeypatch, run) == []
+    entry["sqnr_db"] -= 5.1  # one mantissa bit
+    assert _misses(monkeypatch, run) == [_name(entry, "SQNR (dB)")]
 
 
-def test_sqnr_improvement_is_not_drift(report):
-    cur = copy.deepcopy(report)
-    for e in cur["entries"]:
+def test_sqnr_improvement_is_not_drift(monkeypatch, run):
+    for e in run["entries"]:
         e["sqnr_db"] += 20.0
-    assert bl.compare_reports(cur, report) == []
+    run["logits_sqnr_db"] += 20.0
+    assert _misses(monkeypatch, run) == []
 
 
-def test_saturation_ceiling_is_drift(report):
-    cur = copy.deepcopy(report)
-    cur["entries"][0]["saturation_rate"] += 0.05
-    drift = bl.compare_reports(cur, report, clip_margin=0.005)
-    assert any("saturation_rate" in d and "ceiling" in d for d in drift)
-    assert bl.compare_reports(cur, report, clip_margin=0.1) == []
+def test_saturation_ceiling_is_drift(monkeypatch, run):
+    entry = run["entries"][0]
+    entry["saturation_rate"] += 0.004
+    assert _misses(monkeypatch, run) == []
+    entry["saturation_rate"] += 0.05
+    entry["underflow_rate"] += 0.05
+    assert _misses(monkeypatch, run) == [_name(entry, "saturation rate"),
+                                         _name(entry, "underflow rate")]
 
 
-def test_missing_and_new_entries_are_drift(report):
-    cur = copy.deepcopy(report)
-    gone = cur["entries"].pop(0)
-    drift = bl.compare_reports(cur, report)
-    assert any("disappeared" in d for d in drift)
-    extra = copy.deepcopy(report)
-    new = copy.deepcopy(gone)
-    new["layer"] = "block9"
-    extra["entries"].append(new)
-    drift = bl.compare_reports(extra, report)
-    assert any("new entry" in d for d in drift)
+def test_missing_and_new_entries_are_drift(monkeypatch, run):
+    gone = copy.deepcopy(run)
+    entry = gone["entries"].pop(0)
+    assert _misses(monkeypatch, gone) == [
+        _name(entry, "SQNR (dB)"), _name(entry, "saturation rate"),
+        _name(entry, "underflow rate"),
+        "(layer, role, precision) set equals the golden's"]
+    run["entries"].append({**entry, "layer": "block9"})
+    assert _misses(monkeypatch, run) == [
+        "(layer, role, precision) set equals the golden's"]
 
 
-def test_config_mismatch_is_drift(report):
-    cur = copy.deepcopy(report)
-    cur["config"]["backend"] = "bfp8-mixed"
-    drift = bl.compare_reports(cur, report)
-    assert any("config.backend" in d for d in drift)
+def test_logits_sqnr_degradation_is_drift(monkeypatch, run):
+    run["logits_sqnr_db"] -= 5.0
+    assert _misses(monkeypatch, run) == ["logits SQNR vs fp32 (dB)"]
 
 
-def test_logits_sqnr_degradation_is_drift(report):
-    cur = copy.deepcopy(report)
-    cur["logits_sqnr_db"] = report["logits_sqnr_db"] - 5.0
-    drift = bl.compare_reports(cur, report)
-    assert any(d.startswith("logits:") for d in drift)
-
-
-def test_unmeasurable_sqnr_is_drift(report):
-    cur = copy.deepcopy(report)
-    cur["entries"][0]["sqnr_db"] = None
-    cur["logits_sqnr_db"] = None
-    drift = bl.compare_reports(cur, report)
-    assert any("unmeasurable" in d for d in drift)
-    assert sum("unmeasurable" in d for d in drift) == 2
+def test_unmeasurable_sqnr_is_drift(monkeypatch, run):
+    run["entries"][0]["sqnr_db"] = None
+    run["logits_sqnr_db"] = None
+    assert _misses(monkeypatch, run) == [
+        _name(run["entries"][0], "SQNR (dB)"), "logits SQNR vs fp32 (dB)"]
 
 
 # -- rendering -----------------------------------------------------------
 def test_render_markdown_table_and_drift(report):
-    md = bl.render_markdown(report, drift=["block0/activation: boom"])
+    md = bl.render_markdown(report)
     assert "| block0 | activation | int8 |" in md
-    assert "## DRIFT (1)" in md
-    clean = bl.render_markdown(report, drift=[])
-    assert "No drift" in clean
-    plain = bl.render_markdown(report)
-    assert "DRIFT" not in plain and "No drift" not in plain
-
-
-def test_compare_handles_sqnr_none_in_golden(report):
-    # A golden with no measurable SQNR gates nothing on SQNR.
-    base = copy.deepcopy(report)
-    for e in base["entries"]:
-        e["sqnr_db"] = None
-    base["logits_sqnr_db"] = None
-    cur = copy.deepcopy(report)
-    assert bl.compare_reports(cur, base) == []
+    assert "**int8 totals**" in md
+    assert "DRIFT" not in md and "No drift" not in md
 
 
 def test_np_floats_serialize(rng):

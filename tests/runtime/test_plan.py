@@ -27,7 +27,9 @@ from repro.errors import ConfigurationError
 from repro.models.backend import PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
 from repro.models.policy import PolicyRule, PrecisionPolicy, get_policy
+from repro.models.sensitivity import SelectiveBackend
 from repro.obs.numerics import NULL_MONITOR, NumericsMonitor, set_monitor
+from repro.obs.profile import Profiler
 from repro.perf.prepared import PreparedOperandCache, get_cache, set_cache
 from repro.runtime import plan as planmod
 from repro.runtime.plan import (
@@ -36,8 +38,6 @@ from repro.runtime.plan import (
     compiled_active,
     plan_stats,
     resolve_plan,
-    set_compiled_default,
-    set_tap_sampling,
 )
 
 
@@ -65,18 +65,14 @@ def _model(dim=48, depth=2, heads=4, seq_len=16, seed=3) -> TinyLM:
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Isolate the process-wide knobs every test touches."""
+    """Isolate the process-wide operand cache and monitor every test touches."""
     prev_cache = set_cache(PreparedOperandCache())
     prev_mon = set_monitor(NULL_MONITOR)
-    prev_default = set_compiled_default(True)
-    prev_tap = set_tap_sampling(planmod.DEFAULT_TAP_SAMPLE)
     try:
         yield
     finally:
         set_cache(prev_cache)
         set_monitor(prev_mon)
-        set_compiled_default(prev_default)
-        set_tap_sampling(prev_tap)
 
 
 def _decode_both(model, policy, steps=8, batch=2, seed=11):
@@ -266,17 +262,23 @@ class TestEagerFallback:
         model.blocks[0].attn.causal = True
 
     def test_compiled_active_gates(self):
+        """Compiled is the default and ``override=False`` forces eager; an
+        attached profiler, an open scope or a backend that is not exactly a
+        PolicyBackend keep the step eager even against ``override=True``."""
         backend = PolicyBackend(get_policy("bfp8-mixed"))
         assert compiled_active(backend)
+        assert compiled_active(backend, override=True)
         assert not compiled_active(backend, override=False)
         assert not compiled_active(object())
+        assert not compiled_active(SelectiveBackend("linear", ("bfp", 8)),
+                                   override=True)
         with backend.scope("outer"):
             assert not compiled_active(backend)
+            assert not compiled_active(backend, override=True)
         assert compiled_active(backend)
-
-        set_compiled_default(False)
+        backend.profiler = Profiler()
         assert not compiled_active(backend)
-        assert compiled_active(backend, override=True)
+        assert not compiled_active(backend, override=True)
 
     def test_monitor_defaults_to_eager(self):
         """A live monitor flips the default to eager (full taps) unless
@@ -288,8 +290,8 @@ class TestEagerFallback:
 
 
 class TestSampledTaps:
-    def test_one_in_n_steps_sample_full_taps(self):
-        set_tap_sampling(2)
+    def test_one_in_n_steps_sample_full_taps(self, monkeypatch):
+        monkeypatch.setattr(planmod, "DEFAULT_TAP_SAMPLE", 2)
         model = _model(depth=1)
         backend = PolicyBackend(get_policy("bfp8-mixed"))
         mon = NumericsMonitor()
@@ -306,8 +308,8 @@ class TestSampledTaps:
         # bfp8 activation observations.
         assert mon.as_dict(), "sampled taps recorded nothing"
 
-    def test_monitored_compiled_logits_match_eager(self):
-        set_tap_sampling(3)
+    def test_monitored_compiled_logits_match_eager(self, monkeypatch):
+        monkeypatch.setattr(planmod, "DEFAULT_TAP_SAMPLE", 3)
         model = _model(depth=1)
         be = PolicyBackend(get_policy("bfp8-mixed"))
         bc = PolicyBackend(get_policy("bfp8-mixed"))
@@ -396,10 +398,10 @@ class TestKvTileStaleness:
             schedule,
         )
 
-    def test_sampled_eager_steps_between_replays(self):
+    def test_sampled_eager_steps_between_replays(self, monkeypatch):
         """With the monitor on, every third step runs eagerly and appends
         K/V without tiling them; the next replay must catch up."""
-        set_tap_sampling(3)
+        monkeypatch.setattr(planmod, "DEFAULT_TAP_SAMPLE", 3)
         set_monitor(NumericsMonitor())
         model = _model(depth=1, seq_len=32)
         caches = _compiled_matches_eager(
