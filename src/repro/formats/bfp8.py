@@ -225,34 +225,37 @@ def quantize_dense(
         # then across its columns from a small column-major copy: reducing
         # the 8-wide column axis in place runs one short loop per row and
         # measured ~30x slower.
-        v = np.ascontiguousarray(np.moveaxis(ufunc.reduce(tiles, axis=-3), -1, 0))
-        return ufunc.reduce(v, axis=0).astype(np.float64)
+        v = ufunc.reduce(tiles, axis=-3)
+        v = np.ascontiguousarray(v.transpose(-1, *range(v.ndim - 1)))
+        return ufunc.reduce(v, axis=0)
 
     hi, lo = extreme(np.maximum), extreme(np.minimum)
     amax = np.maximum(hi, -lo)
     if not np.isfinite(amax).all():
         raise ConfigurationError("NaN/Inf in block quantizer input")
     _, e = np.frexp(amax)
-    expb = np.where(
-        amax == 0.0, EXP_MIN, np.clip(e - 1 - target_msb, EXP_MIN, EXP_MAX)
-    ).astype(np.int64)
+    e = np.minimum(np.maximum(e - (1 + target_msb), EXP_MIN), EXP_MAX)
+    expb = np.where(amax == 0.0, EXP_MIN, e).astype(np.int64)
 
-    def over_range(expb: np.ndarray) -> np.ndarray:
-        s = np.ldexp(1.0, -expb.astype(np.int32))
+    def over_range(s: np.ndarray) -> np.ndarray:
         return (rnd(hi * s) > man_max) | (rnd(lo * s) < -man_max)
 
-    over = over_range(expb)
+    s = np.ldexp(1.0, -expb)
+    over = over_range(s)
+    clamp = False
     if over.any():
-        expb = np.where(over, np.minimum(expb + 1, EXP_MAX), expb)
-        over = over_range(expb)
-    scale = np.ldexp(1.0, -expb.astype(np.int32))[..., :, None, :, None]
+        expb = np.minimum(expb + over, EXP_MAX)
+        s = np.ldexp(1.0, -expb)
+        clamp = over_range(s).any()
+    scale = s[..., :, None, :, None]
     nl = len(lead)
     perm = (*range(nl), *(nl + i for i in order))
     out = np.empty([tiles.shape[i] for i in perm])
     np.multiply(tiles.transpose(perm), scale.transpose(perm), out=out)
     rnd(out, out=out)
-    if over.any():
-        np.clip(out, -man_max, man_max, out=out)
+    if clamp:
+        np.minimum(out, man_max, out=out)
+        np.maximum(out, -man_max, out=out)
     return out.astype(np.float32), expb
 
 

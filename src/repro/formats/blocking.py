@@ -23,7 +23,7 @@ from repro.formats.bfp8 import (
 )
 from repro.formats.rounding import RoundingMode
 
-__all__ = ["BfpMatrix", "pad_to_blocks", "iter_block_index"]
+__all__ = ["BfpMatrix", "pad_to_blocks"]
 
 
 def pad_to_blocks(
@@ -39,13 +39,6 @@ def pad_to_blocks(
     if pm == 0 and pn == 0:
         return x
     return np.pad(x, ((0, pm), (0, pn)))
-
-
-def iter_block_index(n_block_rows: int, n_block_cols: int):
-    """Row-major iteration over block coordinates."""
-    for bi in range(n_block_rows):
-        for bj in range(n_block_cols):
-            yield bi, bj
 
 
 @dataclass(frozen=True)

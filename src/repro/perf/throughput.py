@@ -139,10 +139,3 @@ def half_peak_flops(fmt_name: str, cfg: ClockConfig = DEFAULT_CLOCK) -> float:
     fmt = HALF_FORMATS[fmt_name]
     lanes = half_lane_count(fmt, cfg.cols)
     return lanes * 2 * cfg.freq_hz
-
-
-def half_throughput_flops(
-    fmt_name: str, length: int, cfg: ClockConfig = DEFAULT_CLOCK
-) -> float:
-    """Eqn-10-style achieved FLOPS for a half-precision stream."""
-    return half_peak_flops(fmt_name, cfg) * fp32_efficiency(length)

@@ -394,6 +394,8 @@ def run_serve_sim(args) -> int:
 
     if args.cluster:
         return _run_cluster_sim(args)
+    if args.numerics_out is not None:
+        _refuse_exact_policy(args)
     traffic = TrafficConfig(rate_rps=args.rate, vit_fraction=args.vit_frac)
     trace = poisson_trace(args.requests, traffic, seed=args.seed)
     tracer = NULL_TRACER
@@ -549,6 +551,23 @@ def _print_precision_split(config: ServeConfig) -> None:
         print(render_metrics(
             f"precision policy {config.precision.name!r}: "
             f"{phase} unit-cycles by format", split))
+
+
+def _refuse_exact_policy(args) -> None:
+    """Refuse ``--numerics-out`` before simulating when every format the
+    ``--policy`` names is exact fp32: its replay would quantize nothing.
+    The replay's own empty-report check stays as the backstop."""
+    from repro.errors import ConfigurationError
+    from repro.formats.registry import FP32Format, get_format
+
+    precision = _precision(args)
+    if precision is None:
+        return
+    names = {rule.format for rule in precision.rules} | {precision.default}
+    if all(isinstance(get_format(n), FP32Format) for n in names - {None}):
+        raise ConfigurationError(
+            f"--numerics-out: policy {precision.name} quantizes nothing, so "
+            "there are no numerics to report")
 
 
 def _write_serving_numerics(trace, args) -> None:
