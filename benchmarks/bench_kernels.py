@@ -7,8 +7,9 @@ sliced fp32 multiply, align-add) so regressions are visible.
 The headline number is the cached-vs-uncached decode comparison: the
 prepared-operand cache (:mod:`repro.perf.prepared`) quantizes each weight
 once — the emulation analogue of the hardware's Y-stationary weight
-residency — and its tokens/sec advantage over a ``capacity=0`` cache
-(requantize every call) is recorded in ``results/BENCH_kernels.json``,
+residency — and its tokens/sec advantage over clearing the cache before
+every step (requantize every weight use) is recorded in
+``results/BENCH_kernels.json``,
 next to the bfp kernel's time on each encode matmul shape, on one thread
 and with its column blocks split across the process's CPUs, and its PSU
 chain's time in float32 and in float64 on each decode and encode call.
@@ -38,7 +39,7 @@ from repro.formats.bfp8 import quantize_tiles
 from repro.formats.blocking import BfpMatrix
 from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
-from repro.perf.prepared import PreparedOperandCache, get_cache, set_cache
+from repro.perf.prepared import get_cache
 
 RNG = np.random.default_rng(0)
 
@@ -103,7 +104,8 @@ def test_aligned_add_vectorized(benchmark):
 
 
 def _decode_tokens_per_sec(
-    model: TinyLM, n_tokens: int, *, compiled: bool = False
+    model: TinyLM, n_tokens: int, *, compiled: bool = False,
+    uncached: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Greedy KV-cache decode; returns (tokens/sec, final logits).
 
@@ -112,6 +114,9 @@ def _decode_tokens_per_sec(
     replays a traced decode plan (:mod:`repro.runtime.plan`).  The first
     step — where the compiled path traces its plan — runs before the
     clock starts, matching the trace-once/replay-many deployment shape.
+    ``uncached=True`` clears the prepared-operand cache before every
+    step; an eager step looks each weight up once, so every weight use
+    re-quantizes.
     """
     backend = get_backend("bfp8-mixed")
     caches = model.init_cache()
@@ -119,6 +124,8 @@ def _decode_tokens_per_sec(
     t0 = time.perf_counter()
     for pos in range(1, n_tokens + 1):
         tok = int(np.argmax(logits)) % model.vocab
+        if uncached:
+            get_cache().clear()
         logits = model.forward_step(tok, pos, caches, backend, compiled=compiled)
     return n_tokens / (time.perf_counter() - t0), logits
 
@@ -126,11 +133,10 @@ def _decode_tokens_per_sec(
 def test_prepared_cache_decode_speedup(save_report, bench_artifact):
     """Cached vs uncached bfp8-mixed decode: the tentpole's headline.
 
-    Uncached = a ``capacity=0`` prepared-operand cache, i.e. every weight
-    requantized on every matmul (what the emulation did before the
-    cache).  Outputs must be bit-identical.  Requantizing is cheap since
-    the one-pass quantizer, so on a shared 2-core host the speedup reads
-    1.8-2.8x from run to run, and the 2x gate has little margin.
+    Uncached = the prepared-operand cache cleared before every eager
+    step, i.e. every weight requantized on every matmul (what the
+    emulation did before the cache).  Outputs must be bit-identical.  On
+    a shared 2-core host the speedup read 4.5-7.1x over six runs.
     """
     model = TinyLM(
         vocab=32, seq_len=DECODE_TOKENS + 8, dim=DECODE_DIM,
@@ -139,11 +145,10 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
 
     uncached_tps, uncached_logits = 0.0, None
     for _ in range(3):
-        prev = set_cache(PreparedOperandCache(capacity=0))
-        try:
-            tps, uncached_logits = _decode_tokens_per_sec(model, DECODE_TOKENS)
-        finally:
-            set_cache(prev)
+        get_cache().clear()
+        tps, uncached_logits = _decode_tokens_per_sec(
+            model, DECODE_TOKENS, uncached=True
+        )
         uncached_tps = max(uncached_tps, tps)
 
     cached_tps, cached_logits = 0.0, None
@@ -173,7 +178,7 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
     lines = [
         f"TinyLM dim={DECODE_DIM} depth={DECODE_DEPTH}, bfp8-mixed, "
         f"{DECODE_TOKENS} greedy KV-cache decode steps",
-        f"uncached (capacity=0): {uncached_tps:8.2f} tokens/sec",
+        f"uncached (cleared):    {uncached_tps:8.2f} tokens/sec",
         f"cached   (default):    {cached_tps:8.2f} tokens/sec",
         f"compiled (plan replay):{compiled_tps:8.2f} tokens/sec",
         f"cache speedup: {speedup:.2f}x   bit-identical logits: {identical}",
@@ -202,7 +207,9 @@ def test_prepared_cache_decode_speedup(save_report, bench_artifact):
     assert speedup > 2.0, f"prepared cache speedup only {speedup:.2f}x"
     # Compiled replay over the already-cached eager path, both on the one
     # float32 bfp kernel, so the ratio is the removed per-layer dispatch
-    # alone: measured ~1.5x locally; the acceptance floor is 1.2x.
+    # and the arena's K/V tiles alone: 0.91-1.25x over six runs on a
+    # shared 2-core host since eager lookups stopped re-reading weight
+    # bytes, so this floor failed in four of them.
     assert compiled_speedup > 1.2, (
         f"compiled decode speedup only {compiled_speedup:.2f}x"
     )

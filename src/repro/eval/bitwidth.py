@@ -37,14 +37,7 @@ SWEEP_BITS = (4, 5, 6, 8)
 def sqnr_table(
     shape: tuple[int, int] = (256, 256), seed: int = 0
 ) -> list[dict]:
-    """SQNR (dB) of bfp-N vs int-N across distributions and bitwidths.
-
-    The sqnr helpers memoize through the prepared-operand cache
-    (:mod:`repro.perf.prepared`), so repeated sweeps over the same
-    tensors quantize each (tensor, width) pair once; the model sweep
-    below likewise prepares each model weight once per width via the
-    backends instead of requantizing it per evaluation batch.
-    """
+    """SQNR (dB) of bfp-N vs int-N across distributions and bitwidths."""
     rng = np.random.default_rng(seed)
     rows = []
     for dist in DISTRIBUTIONS:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.formats.blocking import BfpMatrix
+from repro.formats.int8q import quantize_intn
 
 __all__ = [
     "sqnr_db",
@@ -37,32 +39,17 @@ def sqnr_db(reference: np.ndarray, quantized: np.ndarray) -> float:
 
 
 def bfp_sqnr_db(x: np.ndarray, man_bits: int = 8) -> float:
-    """SQNR of block-fp quantization (8x8 blocks, shared exponent).
-
-    Quantization goes through the shared prepared-operand cache
-    (:mod:`repro.perf.prepared`), so sweeps that re-measure the same
-    tensor — per distribution x width, or alongside a backend that has
-    already prepared it — block-quantize it once per width.
-    """
-    from repro.perf.prepared import get_cache
-
+    """SQNR of block-fp quantization (8x8 blocks, shared exponent)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigurationError("expected a 2-D tensor")
-    prepared, _ = get_cache().prepare_bfp(x, man_bits=man_bits)
-    q = prepared.payload.to_dense()
-    return sqnr_db(x, q)
+    return sqnr_db(x, BfpMatrix.from_dense(x, man_bits=man_bits).to_dense())
 
 
 def intn_sqnr_db(x: np.ndarray, bits: int = 8) -> float:
-    """SQNR of per-tensor symmetric integer quantization (memoized via
-    the prepared-operand cache, like :func:`bfp_sqnr_db`)."""
-    from repro.perf.prepared import get_cache
-
+    """SQNR of per-tensor symmetric integer quantization."""
     x = np.asarray(x, dtype=np.float64)
-    prepared, _ = get_cache().prepare_int(x, bits=bits)
-    q = prepared.payload.decode().reshape(x.shape)
-    return sqnr_db(x, q)
+    return sqnr_db(x, quantize_intn(x, bits).decode().reshape(x.shape))
 
 
 def sample_distribution(

@@ -15,8 +15,9 @@ role) —
   stream);
 * **prepared-weight builder** — :meth:`~QuantFormat.prepare_weight`
   routes a weight matrix through the shared
-  :class:`~repro.perf.prepared.PreparedOperandCache` keyed by this
-  format's id (quantize-once Y-stationary residency);
+  :class:`~repro.perf.prepared.PreparedOperandCache`, keyed by this
+  format's id and the weight array's identity (quantize-once
+  Y-stationary residency; in-place weight writers clear it);
 * **cost-model hooks** — ``precision`` labels profiler attribution and
   compiled-stage modes; ``array_mode`` names the
   :mod:`repro.cost.modes` unit mode the format's matmuls execute under

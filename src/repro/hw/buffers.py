@@ -177,10 +177,6 @@ class XBuffer:
         exp = self.brams[lane * 4 + 3].read(pos)
         return _decode_fp32_bytes(b0 & 0xFF, b1 & 0xFF, b2 & 0xFF, exp & 0xFF)
 
-    @property
-    def fp32_len(self) -> int:
-        return self._fp32_len
-
 
 @dataclass
 class YBuffer(XBuffer):

@@ -84,9 +84,11 @@ class MultiHeadSelfAttention(Module):
     ) -> np.ndarray:
         """Incremental decode: one new token attends over the KV cache.
 
-        ``x`` has shape ``(b, 1, dim)``; ``kv_cache`` holds ``"k"``/``"v"``
-        arrays of shape ``(b, h, t, hd)`` (empty arrays for ``t = 0``) and
-        is updated in place.  Only causal attention supports stepping.
+        ``x`` has shape ``(b, 1, dim)``; ``kv_cache`` holds an ``"arena"``
+        (a :class:`~repro.runtime.plan.KvArena` with ``b`` rows, as
+        :meth:`~repro.models.decoder.TinyLM.init_cache` builds) that the
+        new K/V are appended to in place; ``"k"``/``"v"`` are set to its
+        ``(b, h, t, hd)`` views.  Only causal attention supports stepping.
         """
         if not self.causal:
             raise ConfigurationError("forward_step requires causal attention")
@@ -94,24 +96,19 @@ class MultiHeadSelfAttention(Module):
         b, n, d = x.shape
         if n != 1:
             raise ConfigurationError("forward_step consumes exactly one token")
+        arena = kv_cache.get("arena")
+        if arena is None:
+            raise ConfigurationError(
+                "KV cache has no arena; build caches with TinyLM.init_cache()"
+            )
         h, hd = self.n_heads, self.head_dim
         qkv = self.qkv.forward(x, backend)
         qkv = qkv.reshape(b, 1, 3, h, hd).transpose(2, 0, 3, 1, 4)
         q, k_new, v_new = qkv[0], qkv[1], qkv[2]  # (b, h, 1, hd)
-        arena = kv_cache.get("arena")
-        if arena is not None:
-            # Preallocated KV arena: one in-place write, zero-copy views
-            # (no per-token re-stack — see repro.runtime.plan.KvArena).
-            arena.append(k_new, v_new)
-            k, v = arena.views()
-            kv_cache["k"], kv_cache["v"] = k, v
-        elif kv_cache["k"].size == 0:
-            kv_cache["k"], kv_cache["v"] = k_new, v_new
-            k, v = k_new, v_new
-        else:
-            kv_cache["k"] = np.concatenate([kv_cache["k"], k_new], axis=2)
-            kv_cache["v"] = np.concatenate([kv_cache["v"], v_new], axis=2)
-            k, v = kv_cache["k"], kv_cache["v"]
+        # One in-place write, zero-copy views (no per-token re-stack).
+        arena.append(k_new, v_new)
+        k, v = arena.views()
+        kv_cache["k"], kv_cache["v"] = k, v
         scores = self._bmm(backend, q, k.transpose(0, 1, 3, 2)) * self.scale
         probs = self.attn_softmax.forward(scores.astype(np.float32), backend)
         ctx = self._bmm(backend, probs, v).transpose(0, 2, 1, 3).reshape(b, 1, d)

@@ -225,9 +225,6 @@ class PolicyBackend:
             "rows": self.matmul_rows,
         }
 
-    def reset_stats(self) -> None:
-        self.matmul_count = self.matmul_macs = self.matmul_rows = 0
-
     # -- scopes --------------------------------------------------------------
     def scope(self, name: str):
         """Profiling/policy scope for a model component.

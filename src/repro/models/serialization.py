@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.models.layers import Module
+from repro.perf.prepared import get_cache
 
 __all__ = ["save_weights", "load_weights", "state_dict", "load_state_dict"]
 
@@ -26,7 +27,10 @@ def load_state_dict(model: Module, state: dict[str, np.ndarray], *,
                     strict: bool = True) -> None:
     """Copy arrays into the model's parameters, in place.
 
-    ``strict`` requires the key sets and shapes to match exactly.
+    ``strict`` requires the key sets and shapes to match exactly.  The
+    prepared weights quantized from the old values are dropped
+    (:mod:`repro.perf.prepared`), so the next forward, eager or compiled,
+    quantizes the loaded ones.
     """
     params = model.named_parameters()
     missing = set(params) - set(state)
@@ -45,6 +49,7 @@ def load_state_dict(model: Module, state: dict[str, np.ndarray], *,
                 f"shape mismatch for {name!r}: {src.shape} vs {target.shape}"
             )
         target[...] = src.astype(target.dtype)
+    get_cache().clear()
 
 
 def save_weights(model: Module, path: str | Path) -> None:

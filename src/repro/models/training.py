@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.models.data import Dataset
 from repro.models.vit import SequenceClassifier
+from repro.perf.prepared import get_cache
 
 __all__ = [
     "cross_entropy",
@@ -50,6 +51,8 @@ class Adam:
     _t: int = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """Update ``params`` in place, then drop the prepared weights
+        quantized from their old values (:mod:`repro.perf.prepared`)."""
         self._t += 1
         for k, p in params.items():
             g = grads.get(k)
@@ -62,6 +65,7 @@ class Adam:
             mh = m / (1 - self.beta1**self._t)
             vh = v / (1 - self.beta2**self._t)
             p -= (self.lr * mh / (np.sqrt(vh) + self.eps)).astype(p.dtype)
+        get_cache().clear()
 
 
 @dataclass
@@ -129,15 +133,6 @@ def train_lm(
             batches += 1
         losses.append(total / batches)
     return losses
-
-
-def _named_leaf_modules(model) -> list:
-    mods = [model]
-    i = 0
-    while i < len(mods):
-        mods.extend(mods[i].children())
-        i += 1
-    return mods
 
 
 def train_classifier(

@@ -10,9 +10,11 @@ specifics — see DESIGN.md substitutions).
 Every :class:`~repro.models.layers.Linear` routes its weight through
 ``backend.prepare_weight`` — under the quantizing backends the weight is
 block-/int-quantized once into the shared prepared-operand cache
-(:mod:`repro.perf.prepared`) and reused across forwards, matching the
-Y-stationary weight residency of the modeled hardware.  Call
-:meth:`Module.prepare` to warm the cache explicitly before timing.
+(:mod:`repro.perf.prepared`) and reused across forwards for as long as
+that weight array is unchanged, matching the Y-stationary weight
+residency of the modeled hardware.  Code that writes weights in place
+clears the cache afterwards (``Adam.step`` and ``load_state_dict`` do).
+Call :meth:`Module.prepare` to warm the cache explicitly before timing.
 """
 
 from __future__ import annotations

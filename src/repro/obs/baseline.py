@@ -79,7 +79,6 @@ def monitored_run(backend: str = "bfp8-mixed", seed: int = 0,
     from repro.models.decoder import TinyLM
     from repro.obs.metrics import MetricsRegistry, set_registry
     from repro.obs.numerics import NumericsMonitor, set_monitor
-    from repro.perf.prepared import PreparedOperandCache, set_cache
 
     be = get_backend(backend)
     model = TinyLM(seed=seed)
@@ -92,10 +91,10 @@ def monitored_run(backend: str = "bfp8-mixed", seed: int = 0,
 
     monitor = NumericsMonitor()
     prev_monitor = set_monitor(monitor)
-    # A fresh operand cache so every weight is quantized (and therefore
-    # observed) exactly once inside this run; a fresh registry so the
-    # published numerics.* metrics carry no prior-process state.
-    prev_cache = set_cache(PreparedOperandCache())
+    # The model's weights are fresh arrays, so the prepared-operand cache
+    # quantizes (and the monitor observes) each exactly once inside this
+    # run; a fresh registry so the published numerics.* metrics carry no
+    # prior-process state.
     registry = MetricsRegistry()
     prev_registry = set_registry(registry)
     # The alignment probe rides along: aligned-width-prediction evidence
@@ -109,7 +108,6 @@ def monitored_run(backend: str = "bfp8-mixed", seed: int = 0,
         monitor.publish(registry)
     finally:
         set_monitor(prev_monitor)
-        set_cache(prev_cache)
         set_registry(prev_registry)
         set_alignment_probe(prev_probe)
 

@@ -4,8 +4,8 @@ The paper's fixed-function bfp array wins because every expensive decision
 — number format, operand residency, alignment policy — is made at
 *configuration* time, not per MAC.  The emulated decode path used to
 re-make those decisions in Python on every token: per-layer scope pushes,
-policy/format resolution, prepared-cache fingerprint revalidation, monitor
-taps and KV re-stacking.  This module hoists all of it out of the loop:
+policy/format resolution, prepared-cache lookups, monitor taps and KV
+re-stacking.  This module hoists all of it out of the loop:
 
 * :class:`DecodePlan` traces one ``TinyLM.forward_step_batch`` per
   (backend, batch-group shape) into a flat sequence of fused ops with the
@@ -32,10 +32,12 @@ taps and KV re-stacking.  This module hoists all of it out of the loop:
   recorded in a small ring buffer, so quantization health survives
   compilation without the per-step overhead.
 
-Weight-mutation contract: a plan holds prepared-weight handles and skips
-the per-call fingerprint revalidation (that is the point).  After mutating
-model weights in place, call ``repro.perf.prepared.get_cache().clear()`` —
-it bumps the cache generation, which invalidates every cached plan.
+Weight-mutation contract: a plan holds prepared-weight handles and makes
+no per-call cache lookup (that is the point), so eager and compiled decode
+follow the prepared cache's one rule: write weights in place, then call
+``repro.perf.prepared.get_cache().clear()``.  That bumps the cache
+generation, which invalidates every cached plan.  ``Adam.step`` and
+``load_state_dict`` clear it themselves.
 """
 
 from __future__ import annotations
@@ -262,14 +264,6 @@ class KvArena:
         self.length = length
 
 
-def _entry_length(entry: dict) -> int:
-    arena = entry.get("arena")
-    if arena is not None:
-        return arena.length
-    k = entry["k"]
-    return 0 if k.size == 0 else k.shape[2]
-
-
 def bind_group_cache(
     entries: list[dict],
     n_heads: int,
@@ -283,8 +277,8 @@ def bind_group_cache(
     the arena is reused zero-copy (the steady state of a stable batch).
     Otherwise the sessions' K/V are stacked once into a fresh arena — the
     one-time cost the per-step ``np.concatenate`` used to pay every token
-    — and each entry is re-bound to its row.  Legacy plain-dict caches
-    (no ``"arena"`` key) are adopted the same way.
+    — and each entry is re-bound to its row.  Every entry must come from
+    :meth:`~repro.models.decoder.TinyLM.init_cache`.
     """
     first = entries[0].get("arena")
     if (
@@ -296,7 +290,11 @@ def bind_group_cache(
         )
     ):
         return first
-    lengths = [_entry_length(e) for e in entries]
+    if any("arena" not in e for e in entries):
+        raise ConfigurationError(
+            "KV cache entry has no arena; build caches with TinyLM.init_cache()"
+        )
+    lengths = [e["arena"].length for e in entries]
     if any(t != lengths[0] for t in lengths):
         raise ConfigurationError(
             "sessions at one position must have equal KV length"
@@ -308,11 +306,7 @@ def bind_group_cache(
     )
     arena.stack_events = 1
     for i, entry in enumerate(entries):
-        src = entry.get("arena")
-        if src is not None:
-            k, v = src.row_kv(entry["row"])
-        else:
-            k, v = entry["k"], entry["v"]
+        k, v = entry["arena"].row_kv(entry["row"])
         arena.load_row(i, k, v, length)
         entry["arena"] = arena
         entry["row"] = i
@@ -329,7 +323,7 @@ class _LinearOp:
     """One linear layer, resolved at trace time.
 
     Holds the format and the prepared-weight handle, so replay does no
-    per-call cache lookup or fingerprint revalidation.
+    per-call cache lookup.
     """
 
     __slots__ = ("fmt", "prepared", "bias", "d_in", "d_out")
@@ -652,7 +646,6 @@ class DecodePlan:
 class _PlanEntry:
     backend: PolicyBackend
     policy: object
-    cache: object
     generation: int
     plan: DecodePlan | None
 
@@ -683,12 +676,12 @@ def resolve_plan(model, backend, batch: int) -> DecodePlan | None:
     """The model's plan for this (backend, batch) shape, building on miss.
 
     Cache keys are ``(id(backend), batch)``; entries hold strong refs to
-    the backend, its policy and the prepared-operand cache (plus its
-    generation), so any of those changing re-traces.  An untraceable
+    the backend and its policy, and the prepared-operand cache's
+    generation, so any of those changing re-traces.  An untraceable
     model caches a ``None`` marker — the eager fallback — rather than
     re-raising per token.
     """
-    cache = get_cache()
+    generation = get_cache().generation
     plans = model.__dict__.get(_PLAN_CACHE_ATTR)
     if plans is None:
         plans = model.__dict__[_PLAN_CACHE_ATTR] = OrderedDict()
@@ -698,8 +691,7 @@ def resolve_plan(model, backend, batch: int) -> DecodePlan | None:
         if (
             entry.backend is backend
             and entry.policy is backend.policy
-            and entry.cache is cache
-            and entry.generation == cache.generation
+            and entry.generation == generation
         ):
             return entry.plan
         del plans[key]
@@ -707,7 +699,7 @@ def resolve_plan(model, backend, batch: int) -> DecodePlan | None:
         plan: DecodePlan | None = DecodePlan(model, backend, batch)
     except PlanUnsupported:
         plan = None
-    plans[key] = _PlanEntry(backend, backend.policy, cache, cache.generation, plan)
+    plans[key] = _PlanEntry(backend, backend.policy, generation, plan)
     while len(plans) > _PLAN_CACHE_MAX:
         plans.popitem(last=False)
     return plan

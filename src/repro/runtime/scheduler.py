@@ -90,13 +90,6 @@ class CompiledModel:
             out[s.mode] = out.get(s.mode, 0.0) + s.ops
         return out
 
-    def latency_by_kind(self, n_units: int | None = None) -> dict[str, int]:
-        n = n_units or self.clock.n_units
-        out: dict[str, int] = {}
-        for s in self.stages:
-            out[s.kind] = out.get(s.kind, 0) + s.latency_cycles(n)
-        return out
-
     def latency_by_mode(self, n_units: int | None = None) -> dict[str, int]:
         """Per-format cycle attribution — the policy view of the schedule."""
         n = n_units or self.clock.n_units

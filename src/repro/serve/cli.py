@@ -591,7 +591,6 @@ def _write_serving_numerics(trace, args) -> None:
     from repro.models.decoder import TinyLM
     from repro.obs.baseline import build_report
     from repro.obs.numerics import NumericsMonitor, set_monitor
-    from repro.perf.prepared import PreparedOperandCache, set_cache
 
     llm = [r for r in trace if r.kind == "llm"][: args.numerics_requests]
     model = TinyLM(seed=args.seed)
@@ -603,7 +602,6 @@ def _write_serving_numerics(trace, args) -> None:
     rng = np.random.default_rng(args.seed)
     monitor = NumericsMonitor()
     prev_monitor = set_monitor(monitor)
-    prev_cache = set_cache(PreparedOperandCache())
     replayed_tokens = 0
     try:
         for r in llm:
@@ -614,7 +612,6 @@ def _write_serving_numerics(trace, args) -> None:
             replayed_tokens += n_gen
     finally:
         set_monitor(prev_monitor)
-        set_cache(prev_cache)
     report = build_report(
         monitor,
         model="tinylm-serve-replay",

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.models.attention import MultiHeadSelfAttention
 from repro.models.decoder import TinyLM
+from repro.runtime.plan import KvArena
+
+
+def _arena_cache(attn: MultiHeadSelfAttention) -> dict:
+    return {"arena": KvArena(1, attn.n_heads, attn.head_dim, max_capacity=16)}
 
 
 class TestAttentionStep:
@@ -17,35 +22,37 @@ class TestAttentionStep:
         attn = MultiHeadSelfAttention(16, 4, rng=rng, causal=True)
         x = rng.normal(size=(1, 6, 16)).astype(np.float32)
         full = attn.forward(x)
-        cache = {"k": np.zeros((1, 0, 0, 0), np.float32),
-                 "v": np.zeros((1, 0, 0, 0), np.float32)}
+        cache = _arena_cache(attn)
         steps = [attn.forward_step(x[:, i : i + 1], cache) for i in range(6)]
         stepped = np.concatenate(steps, axis=1)
         assert np.allclose(stepped, full, atol=1e-5)
 
     def test_requires_causal(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng=rng, causal=False)
-        cache = {"k": np.zeros((1, 0, 0, 0), np.float32),
-                 "v": np.zeros((1, 0, 0, 0), np.float32)}
         with pytest.raises(ConfigurationError):
-            attn.forward_step(np.zeros((1, 1, 8), np.float32), cache)
+            attn.forward_step(np.zeros((1, 1, 8), np.float32), _arena_cache(attn))
 
     def test_one_token_at_a_time(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng=rng, causal=True)
-        cache = {"k": np.zeros((1, 0, 0, 0), np.float32),
-                 "v": np.zeros((1, 0, 0, 0), np.float32)}
         with pytest.raises(ConfigurationError):
-            attn.forward_step(np.zeros((1, 2, 8), np.float32), cache)
+            attn.forward_step(np.zeros((1, 2, 8), np.float32), _arena_cache(attn))
 
     def test_cache_grows(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng=rng, causal=True)
-        cache = {"k": np.zeros((1, 0, 0, 0), np.float32),
-                 "v": np.zeros((1, 0, 0, 0), np.float32)}
+        cache = _arena_cache(attn)
         for t in range(4):
             attn.forward_step(
                 rng.normal(size=(1, 1, 8)).astype(np.float32), cache
             )
             assert cache["k"].shape[2] == t + 1
+            assert cache["arena"].length == t + 1
+
+    def test_plain_dict_cache_rejected(self, rng):
+        attn = MultiHeadSelfAttention(8, 2, rng=rng, causal=True)
+        cache = {"k": np.zeros((1, 0, 0, 0), np.float32),
+                 "v": np.zeros((1, 0, 0, 0), np.float32)}
+        with pytest.raises(ConfigurationError, match="init_cache"):
+            attn.forward_step(np.zeros((1, 1, 8), np.float32), cache)
 
 
 class TestTinyLMCache:

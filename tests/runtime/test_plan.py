@@ -6,7 +6,8 @@ The contract under test (:mod:`repro.runtime.plan`):
   for every precision policy (SHA-256 over the raw bytes), and backend
   op statistics match exactly;
 * plans are cached per (backend, batch) and invalidated by policy
-  swaps, prepared-cache clears (generation bump) and cache swaps;
+  swaps and prepared-cache clears (generation bump), which the in-place
+  weight writers (``load_state_dict``, ``Adam.step``) make;
 * untraceable models and non-policy backends fall back to eager;
 * with a live numerics monitor the compiled path samples 1-in-N steps
   through the full eager tap path and replays the rest tap-free;
@@ -30,7 +31,9 @@ from repro.models.policy import PolicyRule, PrecisionPolicy, get_policy
 from repro.models.sensitivity import SelectiveBackend
 from repro.obs.numerics import NULL_MONITOR, NumericsMonitor, set_monitor
 from repro.obs.profile import Profiler
-from repro.perf.prepared import PreparedOperandCache, get_cache, set_cache
+from repro.models.serialization import load_state_dict, state_dict
+from repro.models.training import train_lm
+from repro.perf.prepared import get_cache
 from repro.runtime import plan as planmod
 from repro.runtime.plan import (
     KvArena,
@@ -65,13 +68,12 @@ def _model(dim=48, depth=2, heads=4, seq_len=16, seed=3) -> TinyLM:
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Isolate the process-wide operand cache and monitor every test touches."""
-    prev_cache = set_cache(PreparedOperandCache())
+    """Start every test from an empty operand cache and no monitor."""
+    get_cache().clear()
     prev_mon = set_monitor(NULL_MONITOR)
     try:
         yield
     finally:
-        set_cache(prev_cache)
         set_monitor(prev_mon)
 
 
@@ -197,14 +199,6 @@ class TestPlanCache:
         p2 = resolve_plan(model, backend, 1)
         assert p1 is not p2
 
-    def test_prepared_cache_swap_invalidates(self):
-        model = _model()
-        backend = PolicyBackend(get_policy("bfp8-mixed"))
-        p1 = resolve_plan(model, backend, 1)
-        set_cache(PreparedOperandCache())
-        p2 = resolve_plan(model, backend, 1)
-        assert p1 is not p2
-
     def test_weight_mutation_contract_end_to_end(self):
         """In-place weight edit + get_cache().clear() re-traces and the
         replayed logits track the new weights exactly."""
@@ -223,6 +217,35 @@ class TestPlanCache:
             le = model.forward_step(2, s, ce, eager_backend, compiled=False)
             lc = model.forward_step(2, s, cc, backend, compiled=True)
             assert np.array_equal(le, lc)
+
+    @pytest.mark.parametrize("writer", ["load_state_dict", "adam_step"])
+    def test_weight_writers_invalidate(self, writer):
+        """After the library's in-place weight writers, compiled and eager
+        decode on a model that has traced a plan both equal a fresh model
+        holding the new weights."""
+        model = _model(depth=1)
+        backend = PolicyBackend(get_policy("bfp8-mixed"))
+        model.forward_step(1, 0, model.init_cache(), backend, compiled=True)
+        if writer == "load_state_dict":
+            load_state_dict(model, state_dict(_model(depth=1, seed=9)))
+        else:
+            toks = np.random.default_rng(5).integers(0, model.vocab, (4, 16))
+            train_lm(model, toks, epochs=1, batch_size=4, lr=1e-2)  # 1 step
+        fresh = _model(depth=1, seed=11)
+        new = model.named_parameters()
+        for name, arr in fresh.named_parameters().items():
+            arr[...] = new[name]  # nothing prepared from these yet
+
+        def decode(m, be, compiled):
+            cache = m.init_cache()
+            return np.stack([
+                m.forward_step(2, s, cache, be, compiled=compiled)
+                for s in range(3)
+            ])
+
+        expected = decode(fresh, PolicyBackend(get_policy("bfp8-mixed")), False)
+        assert np.array_equal(decode(model, backend, True), expected)
+        assert np.array_equal(decode(model, backend, False), expected)
 
     def test_cache_bounded(self):
         model = _model(depth=1)
@@ -576,16 +599,13 @@ class TestKvArena:
                 model.blocks[0].attn.head_dim,
             )
 
-    def test_legacy_plain_dict_adopted(self, rng):
-        """Caches without an arena (pre-plan layout) are stacked in."""
+    def test_plain_dict_cache_rejected(self, rng):
+        """Caches without an arena are refused, naming init_cache."""
         h, hd, t = 2, 4, 3
         k = rng.normal(size=(1, h, t, hd)).astype(np.float32)
         v = rng.normal(size=(1, h, t, hd)).astype(np.float32)
-        entry = {"k": k, "v": v}
-        arena = bind_group_cache([entry], h, hd, max_capacity=8)
-        assert entry["arena"] is arena
-        assert np.array_equal(entry["k"], k)
-        assert np.array_equal(entry["v"], v)
+        with pytest.raises(ConfigurationError, match="init_cache"):
+            bind_group_cache([{"k": k, "v": v}], h, hd, max_capacity=8)
 
 
 class TestPlanStats:
