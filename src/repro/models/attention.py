@@ -59,7 +59,7 @@ class MultiHeadSelfAttention(Module):
         ctx = self._bmm(backend, probs, v)  # (b, h, n, hd)
         ctx = ctx.transpose(0, 2, 1, 3).reshape(b, n, d)
         out = self.proj.forward(ctx, backend)
-        self._cache = (q, k, v, probs)
+        self._cache = (q, k, v, probs) if self.training else None
         return out
 
     @staticmethod
@@ -115,7 +115,8 @@ class MultiHeadSelfAttention(Module):
         return self.proj.forward(ctx.astype(np.float32), backend)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._cache is not None, "forward() must run before backward()"
+        if self._cache is None:
+            raise self._no_state()
         q, k, v, probs = self._cache
         b, h, n, hd = q.shape
         d = self.dim

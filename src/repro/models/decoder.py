@@ -20,7 +20,23 @@ from repro.models.attention import MultiHeadSelfAttention
 from repro.models.backend import PolicyBackend, get_backend
 from repro.models.layers import Embedding, Linear, Module
 
-__all__ = ["RMSNorm", "SwiGLUMLP", "DecoderBlock", "TinyLM"]
+__all__ = ["RMSNorm", "SwiGLUMLP", "DecoderBlock", "TinyLM", "swiglu"]
+
+
+def _silu(gate: np.ndarray) -> np.ndarray:
+    z = gate.astype(np.float64)
+    return (z / (1.0 + np.exp(-z))).astype(np.float32)
+
+
+def swiglu(gu: np.ndarray) -> np.ndarray:
+    """The SwiGLU gate ``silu(gate) * up`` over ``gu = [gate | up]``
+    (the two halves of the last axis), silu in float64.
+
+    Eager :meth:`SwiGLUMLP.forward` and compiled decode replay
+    (:mod:`repro.runtime.plan`) both call it, so they give the same bytes.
+    """
+    half = gu.shape[-1] // 2
+    return _silu(gu[..., :half]) * gu[..., half:]
 
 
 class RMSNorm(Module):
@@ -40,13 +56,14 @@ class RMSNorm(Module):
             ms = (v.astype(np.float64) ** 2).mean(-1, keepdims=True)
             inv = (1.0 / np.sqrt(ms + self.eps)).astype(np.float32)
             norm = v * inv
-            self._cache = (v, inv, norm)
+            self._cache = (v, inv, norm) if self.training else None
             return norm * gamma
 
         return backend.nonlinear("rmsnorm", fn, x.astype(np.float32))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
+        if self._cache is None:
+            raise self._no_state()
         x, inv, norm = self._cache
         gamma = self.params["gamma"]
         n = x.shape[-1]
@@ -71,30 +88,28 @@ class SwiGLUMLP(Module):
         self.gate = Linear(dim, hidden, bias=False, rng=rng)
         self.up = Linear(dim, hidden, bias=False, rng=rng)
         self.down = Linear(hidden, dim, bias=False, rng=rng)
-        self._cache: tuple | None = None
-
-    @staticmethod
-    def _silu(z: np.ndarray) -> np.ndarray:
-        return z / (1.0 + np.exp(-z))
+        self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
         backend = backend or get_backend("fp32")
         g = self.gate.forward(x, backend)
         u = self.up.forward(x, backend)
-
-        def fn(gu: np.ndarray) -> np.ndarray:
-            half = gu.shape[-1] // 2
-            gg, uu = gu[..., :half], gu[..., half:]
-            act = self._silu(gg.astype(np.float64)).astype(np.float32)
-            self._cache = (gg, uu, act)
-            return act * uu
+        fn = swiglu
+        self._cache = None
+        if self.training:
+            def fn(gu: np.ndarray) -> np.ndarray:
+                self._cache = gu
+                return swiglu(gu)
 
         gated = backend.nonlinear("swiglu", fn, np.concatenate([g, u], axis=-1))
         return self.down.forward(gated, backend)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        gg, uu, act = self._cache
+        if self._cache is None:
+            raise self._no_state()
+        half = self._cache.shape[-1] // 2
+        gg, uu = self._cache[..., :half], self._cache[..., half:]
+        act = _silu(gg)
         dgated = self.down.backward(dout)
         du = dgated * act
         z = gg.astype(np.float64)

@@ -1,8 +1,12 @@
 """NumPy Transformer layers with explicit forward/backward passes.
 
-Everything is built from scratch on NumPy: no autograd.  Each layer caches
-what its backward pass needs; gradients accumulate into ``grads`` keyed like
-``params``.  Forward passes take an optional
+Everything is built from scratch on NumPy: no autograd.  A module keeps
+what its backward pass needs only in training mode (:meth:`Module.train`);
+an inference forward, the default, keeps nothing once it returns, as the
+hardware streams each layer's activations out.  ``backward`` after an
+inference forward raises :class:`~repro.errors.ConfigurationError`.
+Gradients accumulate into ``grads`` keyed like ``params``.  Forward
+passes take an optional
 :class:`~repro.models.backend.PolicyBackend` so the same model definition
 runs under fp32, bfp8-mixed, or int8 arithmetic regimes (backward is fp32
 only — the paper's whole point is *no retraining*, so only inference runs
@@ -57,11 +61,33 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 class Module:
-    """Minimal parameter container with gradient slots."""
+    """Minimal parameter container with gradient slots.
+
+    ``training`` (default ``False``) decides whether a forward keeps its
+    backward state: in inference mode a forward keeps no activations, so
+    nothing a layer read stays pinned after its output is consumed.
+    :meth:`train` sets the mode on a module and all its children.
+    """
+
+    training = False
 
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+
+    def train(self, mode: bool = True) -> "Module":
+        """Set training mode on this module and every child; return self."""
+        self.training = bool(mode)
+        for child in self.children():
+            child.train(mode)
+        return self
+
+    def _no_state(self) -> ConfigurationError:
+        """What ``backward`` raises when no training-mode forward ran."""
+        return ConfigurationError(
+            f"{type(self).__name__}.backward() needs the state of a forward "
+            "run in training mode; call train() on the model before it"
+        )
 
     def zero_grad(self) -> None:
         for k in self.params:
@@ -134,7 +160,7 @@ class Linear(Module):
                 f"Linear expected trailing dim {self.d_in}, got {x.shape}"
             )
         backend = backend or get_backend("fp32")
-        self._x = x
+        self._x = x if self.training else None
         flat = x.reshape(-1, self.d_in)
         y = backend.matmul(flat, backend.prepare_weight(self.params["w"]))
         if "b" in self.params:
@@ -142,7 +168,8 @@ class Linear(Module):
         return y.reshape(*x.shape[:-1], self.d_out).astype(np.float32)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._x is not None, "forward() must run before backward()"
+        if self._x is None:
+            raise self._no_state()
         flat_x = self._x.reshape(-1, self.d_in).astype(np.float64)
         flat_d = dout.reshape(-1, self.d_out).astype(np.float64)
         self.grads["w"] = self.grads.get("w", 0) + (flat_x.T @ flat_d).astype(np.float32)
@@ -171,13 +198,14 @@ class LayerNorm(Module):
             var = v.var(-1, keepdims=True)
             inv = 1.0 / np.sqrt(var + self.eps)
             norm = (v - mu) * inv
-            self._cache = (v, mu, inv, norm)
+            self._cache = (v, mu, inv, norm) if self.training else None
             return norm * gamma + beta
 
         return backend.nonlinear("layernorm", fn, x.astype(np.float32))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
+        if self._cache is None:
+            raise self._no_state()
         x, mu, inv, norm = self._cache
         gamma = self.params["gamma"]
         n = x.shape[-1]
@@ -203,11 +231,12 @@ class GELU(Module):
 
     def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
         backend = backend or get_backend("fp32")
-        self._x = x
+        self._x = x if self.training else None
         return backend.nonlinear("gelu", gelu, x.astype(np.float32))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._x is not None
+        if self._x is None:
+            raise self._no_state()
         return (dout * _gelu_grad(self._x.astype(np.float64))).astype(np.float32)
 
 
@@ -221,11 +250,12 @@ class Softmax(Module):
     def forward(self, x: np.ndarray, backend: PolicyBackend | None = None) -> np.ndarray:
         backend = backend or get_backend("fp32")
         y = backend.nonlinear("softmax", softmax, x.astype(np.float32))
-        self._y = y
+        self._y = y if self.training else None
         return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._y is not None
+        if self._y is None:
+            raise self._no_state()
         y = self._y.astype(np.float64)
         d = dout.astype(np.float64)
         return (y * (d - (d * y).sum(-1, keepdims=True))).astype(np.float32)
@@ -245,11 +275,12 @@ class Embedding(Module):
         idx = np.asarray(idx)
         if idx.size and (idx.min() < 0 or idx.max() >= self.vocab):
             raise ConfigurationError("token index out of vocabulary range")
-        self._idx = idx
+        self._idx = idx if self.training else None
         return self.params["w"][idx]
 
     def backward(self, dout: np.ndarray) -> None:
-        assert self._idx is not None
+        if self._idx is None:
+            raise self._no_state()
         g = self.grads.get("w")
         if not isinstance(g, np.ndarray):
             g = np.zeros_like(self.params["w"])

@@ -3,6 +3,11 @@
 Training always runs in fp32 — the entire point of the paper's deployment
 story is that a model trained once in fp32 can be served in bfp8/fp32 mixed
 precision *without* quantization-aware retraining.
+
+:func:`train_lm` and :func:`train_classifier` switch the model to training
+mode (:meth:`~repro.models.layers.Module.train`) for their steps, so its
+forwards keep what ``backward`` needs, and back to inference mode before
+they return.
 """
 
 from __future__ import annotations
@@ -119,6 +124,7 @@ def train_lm(
     opt = Adam(lr=lr)
     losses: list[float] = []
     n = tokens.shape[0]
+    model.train()
     for _ in range(epochs):
         order = rng.permutation(n)
         total, batches = 0.0, 0
@@ -132,6 +138,7 @@ def train_lm(
             total += loss
             batches += 1
         losses.append(total / batches)
+    model.train(False)
     return losses
 
 
@@ -151,6 +158,7 @@ def train_classifier(
     opt = Adam(lr=lr)
     losses: list[float] = []
     n = train.tokens.shape[0]
+    model.train()
     for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -167,6 +175,7 @@ def train_classifier(
         losses.append(epoch_loss / batches)
         if verbose:  # pragma: no cover - logging only
             print(f"epoch {epoch:3d} loss {losses[-1]:.4f}")
+    model.train(False)
     return TrainResult(
         model=model,
         losses=losses,

@@ -224,13 +224,14 @@ class SequenceClassifier(Module):
                 x = blk.forward(x, backend)
         with backend.scope("final_norm"):
             x = self.norm.forward(x, backend)
-        self._n = x.shape[1]
+        self._n = x.shape[1] if self.training else None
         pooled = x.mean(axis=1)
         with backend.scope("head"):
             return self.head.forward(pooled, backend)
 
     def backward(self, dlogits: np.ndarray) -> None:
-        assert self._n is not None
+        if self._n is None:
+            raise self._no_state()
         dpooled = self.head.backward(dlogits)
         d = np.repeat(dpooled[:, None, :], self._n, axis=1) / self._n
         d = self.norm.backward(d.astype(np.float32))

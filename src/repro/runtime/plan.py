@@ -59,7 +59,7 @@ from repro.formats.bfp8 import BLOCK_COLS, BLOCK_ROWS, quantize_dense
 from repro.formats.registry import BfpFormat
 from repro.models.attention import MultiHeadSelfAttention
 from repro.models.backend import PolicyBackend
-from repro.models.decoder import DecoderBlock, RMSNorm, SwiGLUMLP, TinyLM
+from repro.models.decoder import DecoderBlock, RMSNorm, SwiGLUMLP, TinyLM, swiglu
 from repro.models.layers import Embedding, Linear, Softmax
 from repro.obs.numerics import NULL_MONITOR, get_monitor, set_monitor
 from repro.perf.prepared import get_cache
@@ -422,19 +422,6 @@ class _NonlinearShim:
         return self._fmt.nonlinear(kind, fn, x)
 
 
-def _swiglu_fn(mod: SwiGLUMLP):
-    """The eager SwiGLU closure, rebuilt so replay fills ``mod._cache``."""
-
-    def fn(gu: np.ndarray) -> np.ndarray:
-        half = gu.shape[-1] // 2
-        gg, uu = gu[..., :half], gu[..., half:]
-        act = mod._silu(gg.astype(np.float64)).astype(np.float32)
-        mod._cache = (gg, uu, act)
-        return act * uu
-
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # The plan
 # ---------------------------------------------------------------------------
@@ -444,7 +431,6 @@ def _swiglu_fn(mod: SwiGLUMLP):
 class _BlockOps:
     norm1: RMSNorm
     norm2: RMSNorm
-    mlp: SwiGLUMLP
     softmax: Softmax
     nl_attn: _NonlinearShim
     nl_mlp: _NonlinearShim
@@ -456,7 +442,6 @@ class _BlockOps:
     up: _LinearOp | None
     down: _LinearOp
     attn: _AttentionOp  # Q.K^T and P.V in the attention-role format
-    swiglu: object
 
 
 class DecodePlan:
@@ -520,7 +505,6 @@ class DecodePlan:
             self.blocks.append(_BlockOps(
                 norm1=blk.norm1,
                 norm2=blk.norm2,
-                mlp=mlp,
                 softmax=attn.attn_softmax,
                 nl_attn=_NonlinearShim(backend._fmt_at(apath, "nonlinear")),
                 nl_mlp=_NonlinearShim(backend._fmt_at(mpath, "nonlinear")),
@@ -535,7 +519,6 @@ class DecodePlan:
                 up=None if fuse else _LinearOp(lin_m, mlp.up),
                 down=_LinearOp(lin_m, mlp.down),
                 attn=attn_op(attn_fmt),
-                swiglu=_swiglu_fn(mlp),
             ))
             self.n_heads, self.head_dim = h, hd
             self.scale = attn.scale
@@ -616,7 +599,7 @@ class DecodePlan:
                 gu = np.concatenate(
                     [ops.gate_up(nrm2), ops.up(nrm2)], axis=-1
                 )
-            gated = ops.nl_mlp.nonlinear("swiglu", ops.swiglu, gu)
+            gated = ops.nl_mlp.nonlinear("swiglu", swiglu, gu)
             x = ops.res_mlp.requantize(x + ops.down(gated))
             x = x.astype(np.float32)
         x = self.final_norm.forward(x, self.nl_final)

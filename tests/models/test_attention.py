@@ -50,7 +50,7 @@ class TestForward:
 
 class TestBackward:
     def test_input_gradient_fd(self, rng):
-        attn = MultiHeadSelfAttention(8, 2, rng=rng)
+        attn = MultiHeadSelfAttention(8, 2, rng=rng).train()
         x = rng.normal(size=(1, 4, 8)).astype(np.float32)
         dout = rng.normal(size=(1, 4, 8)).astype(np.float32)
         attn.zero_grad()
@@ -67,7 +67,7 @@ class TestBackward:
             assert abs(num - dx[idx]) <= 5e-3 * max(1.0, abs(num))
 
     def test_param_grads_populated(self, rng):
-        attn = MultiHeadSelfAttention(8, 2, rng=rng)
+        attn = MultiHeadSelfAttention(8, 2, rng=rng).train()
         attn.zero_grad()
         x = rng.normal(size=(2, 3, 8)).astype(np.float32)
         attn.forward(x)

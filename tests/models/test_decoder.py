@@ -36,7 +36,7 @@ class TestRMSNorm:
         assert np.allclose(y, 1.0, atol=1e-4)
 
     def test_gradient(self, rng):
-        ln = RMSNorm(6)
+        ln = RMSNorm(6).train()
         ln.zero_grad()
         x = rng.normal(size=(3, 6)).astype(np.float32)
         dout = rng.normal(size=(3, 6)).astype(np.float32)
@@ -72,7 +72,7 @@ class TestSwiGLU:
         assert np.allclose(out, ref, atol=1e-4)
 
     def test_gradient(self, rng):
-        mlp = SwiGLUMLP(6, 10, rng=rng)
+        mlp = SwiGLUMLP(6, 10, rng=rng).train()
         mlp.zero_grad()
         x = rng.normal(size=(1, 2, 6)).astype(np.float32)
         dout = rng.normal(size=(1, 2, 6)).astype(np.float32)

@@ -36,7 +36,7 @@ _DIGEST = """if True:
 
     rng = np.random.default_rng(0)
     x = (rng.normal(size=(64, 768)) * 3).astype(np.float32)
-    norm = RMSNorm(768)
+    norm = RMSNorm(768).train()
     norm.params["gamma"] = rng.normal(size=768).astype(np.float32)
     norm.forward(x)
     h = hashlib.sha256()

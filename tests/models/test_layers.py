@@ -47,14 +47,14 @@ class TestLinear:
         assert "b" not in lin.params
 
     def test_input_gradient(self, rng):
-        lin = Linear(4, 3, rng=rng)
+        lin = Linear(4, 3, rng=rng).train()
         x = rng.normal(size=(5, 4)).astype(np.float32)
         dout = rng.normal(size=(5, 3)).astype(np.float32)
         _fd_check(lambda v: lin.forward(v), lin.backward, x, dout,
                   [(0, 0), (4, 3 - 1), (2, 2)])
 
     def test_weight_gradient(self, rng):
-        lin = Linear(3, 2, rng=rng)
+        lin = Linear(3, 2, rng=rng).train()
         x = rng.normal(size=(4, 3)).astype(np.float32)
         dout = rng.normal(size=(4, 2)).astype(np.float32)
         lin.zero_grad()
@@ -85,7 +85,7 @@ class TestLayerNorm:
         assert np.allclose(y.mean(-1), 1.0, atol=1e-5)
 
     def test_gradient(self, rng):
-        ln = LayerNorm(6)
+        ln = LayerNorm(6).train()
         x = rng.normal(size=(4, 6)).astype(np.float32)
         dout = rng.normal(size=(4, 6)).astype(np.float32)
         ln.zero_grad()
@@ -104,7 +104,7 @@ class TestGELU:
         assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, rel=1e-4)
 
     def test_gradient(self, rng):
-        g = GELU()
+        g = GELU().train()
         x = rng.normal(size=(3, 4)).astype(np.float32)
         dout = rng.normal(size=(3, 4)).astype(np.float32)
         _fd_check(lambda v: g.forward(v), g.backward, x, dout,
@@ -122,7 +122,7 @@ class TestSoftmax:
         assert np.allclose(out.sum(-1), 1.0, atol=1e-6)
 
     def test_gradient(self, rng):
-        s = Softmax()
+        s = Softmax().train()
         x = rng.normal(size=(2, 5)).astype(np.float32)
         dout = rng.normal(size=(2, 5)).astype(np.float32)
         _fd_check(lambda v: s.forward(v), s.backward, x, dout,
@@ -138,7 +138,7 @@ class TestEmbedding:
         assert np.array_equal(out[0, 0], emb.params["w"][1])
 
     def test_gradient_accumulates_repeats(self, rng):
-        emb = Embedding(5, 2, rng=rng)
+        emb = Embedding(5, 2, rng=rng).train()
         emb.zero_grad()
         idx = np.array([[0, 0, 1]])
         emb.forward(idx)

@@ -30,7 +30,7 @@ class TestTransformerBlock:
         assert np.allclose(blk.forward(x), x, atol=1e-6)
 
     def test_backward_fd(self, rng):
-        blk = TransformerBlock(8, 2, rng=rng)
+        blk = TransformerBlock(8, 2, rng=rng).train()
         x = rng.normal(size=(1, 3, 8)).astype(np.float32)
         dout = rng.normal(size=(1, 3, 8)).astype(np.float32)
         blk.zero_grad()
@@ -116,7 +116,7 @@ class TestSequenceClassifier:
 
     def test_backward_updates_all_grads(self, rng):
         m = SequenceClassifier(vocab=10, seq_len=8, dim=16, depth=2,
-                               n_heads=2, seed=0)
+                               n_heads=2, seed=0).train()
         m.zero_grad()
         logits = m.forward(rng.integers(0, 10, (4, 8)))
         m.backward(np.ones_like(logits) / 4)

@@ -22,12 +22,19 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.arith.bfp_matmul import resident_tiles
 from repro.errors import ConfigurationError
 from repro.models.backend import PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
-from repro.models.policy import PolicyRule, PrecisionPolicy, get_policy
+from repro.models.policy import (
+    POLICY_PRESETS,
+    PolicyRule,
+    PrecisionPolicy,
+    get_policy,
+)
 from repro.models.sensitivity import SelectiveBackend
 from repro.obs.numerics import NULL_MONITOR, NumericsMonitor, set_monitor
 from repro.obs.profile import Profiler
@@ -165,6 +172,39 @@ class TestBitIdentity:
         # Two group shapes -> two plans (batch 2 and batch 1).
         batches = sorted(p["batch"] for p in plan_stats(model))
         assert batches == [1, 2]
+
+
+class TestRandomDecoders:
+    """The compiled ≡ eager rung of the verification ladder, over random
+    decoder shapes, batch sizes and policies."""
+
+    @given(
+        heads=st.integers(1, 4),
+        head_dim=st.sampled_from([8, 12, 16, 24]),
+        depth=st.integers(1, 2),
+        batch=st.integers(1, 8),
+        # Past 8 steps every draw crosses an 8-token K/V block.
+        steps=st.integers(9, 17),
+        policy=st.sampled_from(
+            sorted(POLICY_PRESETS) + ["bfp4-mixed", "bfp6-all"]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_compiled_equals_eager(
+        self, heads, head_dim, depth, batch, steps, policy, seed
+    ):
+        model = TinyLM(
+            vocab=32, seq_len=steps, dim=heads * head_dim, depth=depth,
+            n_heads=heads, seed=seed,
+        )
+        (le, se), (lc, sc) = _decode_both(
+            model, get_policy(policy), steps=steps, batch=batch, seed=seed
+        )
+        for s in range(steps):
+            assert _sha(lc[s]) == _sha(le[s]), f"step {s} diverged"
+        assert sc == se, "backend op statistics diverged"
+        (stats,) = plan_stats(model)
+        assert stats["replays"] == steps
 
 
 class TestPlanCache:
