@@ -15,7 +15,6 @@ from repro.cost.modes import (
     UnitMode,
     available_modes,
     get_mode,
-    register_mode,
     resolve_unit_mode,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "UnitMode",
     "StageCost",
     "ModeOptions",
-    "register_mode",
     "get_mode",
     "available_modes",
     "resolve_unit_mode",

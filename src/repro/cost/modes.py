@@ -6,9 +6,10 @@ the :mod:`repro.formats.registry` template:
 * :class:`UnitMode` — one execution personality of a unit: how a stream's
   compute cycles scale (:meth:`UnitMode.compute_cycles`, the only
   implementation of Eqn 9 and Eqn 10), what its operands cost on the
-  AXI/HBM path, what a datapath reconfiguration costs, and which
-  registered :class:`~repro.formats.registry.QuantFormat` names it
-  natively executes.
+  AXI/HBM path and what a datapath reconfiguration costs.  A mode does
+  not list formats: which unit runs a format is the format's
+  ``array_mode`` (:class:`~repro.formats.registry.QuantFormat`) unless a
+  :class:`ModeOptions` override says otherwise (:func:`resolve_unit_mode`).
 * the builtin modes — ``bfp8_mac`` (the paper's array), ``fp32_vector``
   (the slicing fallback / non-linear personality), and ``fp16_dot``
   (a TransDot/DHFP-PE-style dual-precision dot-product mode: fp16 MACs
@@ -33,20 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, RegistryError
 from repro.perf.memory import DEFAULT_MEMORY, MemoryModel
 from repro.perf.throughput import DEFAULT_CLOCK, ClockConfig
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf.resources import Resources
-
 __all__ = [
     "UnitMode",
     "StageCost",
     "ModeOptions",
-    "register_mode",
     "get_mode",
     "available_modes",
     "resolve_unit_mode",
@@ -98,8 +94,6 @@ class UnitMode:
     slices: int = 1
     reconfig_cycles: int = 0
     operand_bytes: int = 1
-    formats: tuple[str, ...] = ()
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("array", "vector"):
@@ -206,40 +200,32 @@ class UnitMode:
             ops=float(plan.ops * copies),
         )
 
-    # -- resource truth ------------------------------------------------------
-    def resource_delta(self) -> "Resources | None":
-        """Incremental FPGA resources of adding this mode to the multimode
-        array (``None`` when the mode rides the baseline configuration).
-
-        Resolution is by convention: a mode named ``<name>`` looks for
-        ``repro.perf.resources.<name>_extension()``.
-        """
-        from repro.perf import resources
-
-        fn = getattr(resources, f"{self.name}_extension", None)
-        return fn() if fn is not None else None
-
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, UnitMode] = {}
-
-
-def register_mode(mode: UnitMode, *, replace: bool = False) -> UnitMode:
-    """Register a mode under its ``name``; duplicate names raise."""
-    if not replace and mode.name in _REGISTRY:
-        raise RegistryError(
-            f"unit mode {mode.name!r} is already registered; pass "
-            "replace=True to override deliberately"
-        )
-    _REGISTRY[mode.name] = mode
-    return mode
+_REGISTRY: dict[str, UnitMode] = {
+    mode.name: mode
+    for mode in (
+        # The paper's 8x8 bfp8 MAC array (Eqn-9 streams).
+        UnitMode(name="bfp8_mac", kind="array"),
+        # The 4-lane fp32 vector personality: non-linear programs and the
+        # MAC-by-MAC fallback for formats with no array mapping.
+        UnitMode(name="fp32_vector", kind="vector"),
+        # TransDot-style dual-precision dot-product mode: fp16 MACs on
+        # the same DSP48E2s, two mantissa slices per product, 16-bit
+        # operand streams.
+        UnitMode(
+            name="fp16_dot", kind="array", slices=2, reconfig_cycles=32,
+            operand_bytes=2,
+        ),
+    )
+}
 
 
 def get_mode(name: str) -> UnitMode:
-    """Look up a registered unit mode by name."""
+    """Look up a unit mode by name."""
     mode = _REGISTRY.get(name)
     if mode is None:
         raise RegistryError(
@@ -249,40 +235,8 @@ def get_mode(name: str) -> UnitMode:
 
 
 def available_modes() -> list[str]:
-    """Names currently registered (sorted)."""
+    """Names of the unit modes (sorted)."""
     return sorted(_REGISTRY)
-
-
-def _register_builtins() -> None:
-    register_mode(UnitMode(
-        name="bfp8_mac",
-        kind="array",
-        slices=1,
-        formats=("bfp8", "int8", "ibert", "bf16", "fp8-e4m3", "fp8-e5m2"),
-        description="The paper's 8x8 bfp8 MAC array (Eqn-9 streams); "
-                    "also executes int8 and single-slice minifloats.",
-    ))
-    register_mode(UnitMode(
-        name="fp32_vector",
-        kind="vector",
-        formats=("fp32",),
-        description="4-lane fp32 vector personality: non-linear programs "
-                    "and the MAC-by-MAC fallback for unmapped formats.",
-    ))
-    register_mode(UnitMode(
-        name="fp16_dot",
-        kind="array",
-        slices=2,
-        reconfig_cycles=32,
-        operand_bytes=2,
-        formats=("fp16",),
-        description="TransDot-style dual-precision dot-product mode: fp16 "
-                    "MACs on the same DSP48E2s, two mantissa slices per "
-                    "product, 16-bit operand streams.",
-    ))
-
-
-_register_builtins()
 
 
 # ---------------------------------------------------------------------------

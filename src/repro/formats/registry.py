@@ -13,11 +13,15 @@ role) —
   :meth:`~QuantFormat.nonlinear` / :meth:`~QuantFormat.requantize`
   (value-domain grid behaviour of non-linear functions and the residual
   stream);
-* **prepared-weight builder** — :meth:`~QuantFormat.prepare_weight`
-  routes a weight matrix through the shared
-  :class:`~repro.perf.prepared.PreparedOperandCache`, keyed by this
-  format's id and the weight array's identity (quantize-once
-  Y-stationary residency; in-place weight writers clear it);
+* **weight build** — a quantizing format (:class:`QuantizingFormat`,
+  the base of the bfp, integer and minifloat formats) defines its weight
+  quantization once, in :meth:`~QuantizingFormat.weight_payload`
+  (quantize, then the monitor's ``weight`` tap).
+  :meth:`~QuantFormat.prepare_weight` hands that build to the shared,
+  format-agnostic :class:`~repro.perf.prepared.PreparedOperandCache`
+  under the format's ``weight_key`` (quantize-once Y-stationary
+  residency; in-place weight writers clear it), and a matmul given a raw
+  weight runs the same build;
 * **cost-model hooks** — ``precision`` labels profiler attribution and
   compiled-stage modes; ``array_mode`` names the
   :mod:`repro.cost.modes` unit mode the format's matmuls execute under
@@ -27,12 +31,12 @@ role) —
   process :class:`~repro.obs.numerics.NumericsMonitor` under the
   format's precision label and a tensor role.
 
-Formats are looked up by name through :func:`get_format`; registration is
-guarded against duplicates with :class:`~repro.errors.RegistryError`.
-Parametric families (``bfp4``, ``int6``, ...) materialize on first lookup.
-The registered set covers the paper's regimes (fp32, bfp8, int8, the
-I-BERT integer non-linear package), the 16-bit vector-extension formats
-(bf16, fp16) and the minifloat fp8 pair (e4m3/e5m2).
+Formats are looked up by name through :func:`get_format`; an unknown
+name raises :class:`~repro.errors.RegistryError`.  Parametric families
+(``bfp4``, ``int6``, ...) materialize on first lookup.  The builtin set
+covers the paper's regimes (fp32, bfp8, int8, the I-BERT integer
+non-linear package), the 16-bit vector-extension formats (bf16, fp16)
+and the minifloat fp8 pair (e4m3/e5m2).
 """
 
 from __future__ import annotations
@@ -43,16 +47,19 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import RegistryError
+from repro.formats.halfprec import BF16, FP16
+from repro.formats.minifloat import E4M3, E5M2
 from repro.obs.numerics import get_monitor
+from repro.perf.prepared import PreparedTensor, get_cache
 
 __all__ = [
     "QuantFormat",
     "FP32Format",
+    "QuantizingFormat",
     "BfpFormat",
     "IntFormat",
     "MiniFloatFormat",
     "IBertFormat",
-    "register_format",
     "get_format",
     "available_formats",
 ]
@@ -71,10 +78,10 @@ def _record(record: Recorder | None, elements: int) -> None:
 class QuantFormat:
     """One arithmetic regime's kernels, taps and cost-model identity.
 
-    Subclasses override the private ``_*`` hooks; the public methods share
-    the operand bookkeeping.  ``record`` callbacks (when given) receive the
-    element count of quantization work the emulation actually performed —
-    the backend routes them into the profiler's ``quantize`` bucket.
+    Subclasses override the grid and kernel methods below.  ``record``
+    callbacks (when given) receive the element count of quantization work
+    the emulation actually performed — the backend routes them into the
+    profiler's ``quantize`` bucket.
     """
 
     #: registry key and policy-file spelling of this format
@@ -137,7 +144,43 @@ class FP32Format(QuantFormat):
     """Exact float32: the reference regime (no array mapping)."""
 
 
-class BfpFormat(QuantFormat):
+class QuantizingFormat(QuantFormat):
+    """A format that quantizes its weights.
+
+    :meth:`weight_payload` is the format's one weight build: quantize,
+    then the numerics monitor's ``weight`` tap.  :meth:`prepare_weight`
+    runs it once per resident weight through the shared
+    :class:`~repro.perf.prepared.PreparedOperandCache`, and a matmul
+    handed a raw weight runs it on the spot (:meth:`_weight`).
+    """
+
+    #: prepared-cache key of this format's weight payload (formats that
+    #: build the same payload share it, so they share cache entries)
+    weight_key: str
+
+    def weight_payload(self, w: np.ndarray):
+        """Quantize a weight matrix into this format's matmul payload."""
+        raise NotImplementedError
+
+    def prepare_weight(self, w, record: Recorder | None = None):
+        if isinstance(w, PreparedTensor):
+            return w
+        prepared, hit = get_cache().prepare(
+            w, self.weight_key, self.weight_payload
+        )
+        if not hit:
+            _record(record, int(np.prod(prepared.shape)))
+        return prepared
+
+    def _weight(self, w, record: Recorder | None):
+        """The payload of a prepared weight, or one built from a raw one."""
+        if isinstance(w, PreparedTensor):
+            return w.payload
+        _record(record, np.asarray(w).size)
+        return self.weight_payload(w)
+
+
+class BfpFormat(QuantizingFormat):
     """Block floating point: 8x8 blocks, shared exponent, ``man_bits``
     mantissas — the paper's systolic-array number format."""
 
@@ -145,8 +188,7 @@ class BfpFormat(QuantFormat):
 
     def __init__(self, man_bits: int = 8) -> None:
         self.man_bits = int(man_bits)
-        self.name = f"bfp{self.man_bits}"
-        self.precision = f"bfp{self.man_bits}"
+        self.name = self.precision = self.weight_key = f"bfp{self.man_bits}"
 
     def quantize(self, x: np.ndarray):
         from repro.formats.blocking import BfpMatrix
@@ -156,23 +198,9 @@ class BfpFormat(QuantFormat):
     def dequantize(self, payload, shape: tuple[int, ...]) -> np.ndarray:
         return payload.to_dense().reshape(shape).astype(np.float32)
 
-    def prepare_weight(self, w, record: Recorder | None = None):
-        from repro.perf.prepared import PreparedTensor, get_cache
-
-        if isinstance(w, PreparedTensor):
-            return w
-        prepared, hit = get_cache().prepare_bfp(w, man_bits=self.man_bits)
-        if not hit:
-            _record(record, int(np.prod(prepared.shape)))
-        return prepared
-
-    def _weight_blocks(self, w, record: Recorder | None):
+    def weight_payload(self, w):
         from repro.arith.bfp_matmul import BfpWeight
-        from repro.perf.prepared import PreparedTensor
 
-        if isinstance(w, PreparedTensor):
-            return w.payload
-        _record(record, np.asarray(w).size)
         bw = BfpWeight.from_dense(w, man_bits=self.man_bits)
         mon = get_monitor()
         if mon.enabled:
@@ -182,7 +210,7 @@ class BfpFormat(QuantFormat):
     def matmul(self, x, w, record: Recorder | None = None) -> np.ndarray:
         from repro.arith.bfp_matmul import activation_blocks, bfp_matmul_prepared
 
-        wm = self._weight_blocks(w, record)
+        wm = self._weight(w, record)
         _record(record, np.asarray(x).size)
         am = activation_blocks(x, man_bits=self.man_bits)
         mon = get_monitor()
@@ -224,15 +252,14 @@ class BfpFormat(QuantFormat):
         return self.snap(x)
 
 
-class IntFormat(QuantFormat):
+class IntFormat(QuantizingFormat):
     """Per-tensor integer quantization (the conventional-int8 comparison)."""
 
     array_mode = "bfp8_mac"
 
     def __init__(self, bits: int = 8) -> None:
         self.bits = int(bits)
-        self.name = f"int{self.bits}"
-        self.precision = f"int{self.bits}"
+        self.name = self.precision = self.weight_key = f"int{self.bits}"
 
     def quantize(self, x: np.ndarray):
         from repro.formats.int8q import quantize_intn
@@ -242,30 +269,22 @@ class IntFormat(QuantFormat):
     def dequantize(self, payload, shape: tuple[int, ...]) -> np.ndarray:
         return payload.decode().reshape(shape).astype(np.float32)
 
-    def prepare_weight(self, w, record: Recorder | None = None):
-        from repro.perf.prepared import PreparedTensor, get_cache
+    def weight_payload(self, w):
+        from repro.formats.int8q import quantize_intn
 
-        if isinstance(w, PreparedTensor):
-            return w
-        prepared, hit = get_cache().prepare_int(w, bits=self.bits)
-        if not hit:
-            _record(record, int(np.prod(prepared.shape)))
-        return prepared
+        q = quantize_intn(w, self.bits)
+        mon = get_monitor()
+        if mon.enabled:
+            mon.observe_int("weight", w, q, bits=self.bits)
+        return q
 
     def matmul(self, x, w, record: Recorder | None = None) -> np.ndarray:
         from repro.formats.int8q import int8_matmul, quantize_intn
-        from repro.perf.prepared import PreparedTensor
 
-        mon = get_monitor()
-        if isinstance(w, PreparedTensor):
-            wq = w.payload
-            _record(record, np.asarray(x).size)
-        else:
-            _record(record, np.asarray(x).size + np.asarray(w).size)
-            wq = quantize_intn(w, self.bits)
-            if mon.enabled:
-                mon.observe_int("weight", w, wq, bits=self.bits)
+        wq = self._weight(w, record)
+        _record(record, np.asarray(x).size)
         xq = quantize_intn(x, self.bits)
+        mon = get_monitor()
         if mon.enabled:
             mon.observe_int("activation", x, xq, bits=self.bits)
         return int8_matmul(xq, wq).astype(np.float32)
@@ -289,7 +308,7 @@ class IntFormat(QuantFormat):
         return self.snap(x)
 
 
-class MiniFloatFormat(QuantFormat):
+class MiniFloatFormat(QuantizingFormat):
     """A narrow float format (bf16/fp16/fp8) on the shared half-prec grid.
 
     Operands are rounded to the grid (RNE, saturate, flush-to-zero — see
@@ -302,8 +321,7 @@ class MiniFloatFormat(QuantFormat):
 
     def __init__(self, fmt) -> None:
         self.fmt = fmt
-        self.name = fmt.name
-        self.precision = fmt.name
+        self.name = self.precision = self.weight_key = fmt.name
         # Single-slice minifloats ride the bfp8 MAC array; multi-slice
         # fp16 has no default array mapping (route it onto ``fp16_dot``
         # through a ModeOptions override to avoid the vector cliff).
@@ -317,28 +335,19 @@ class MiniFloatFormat(QuantFormat):
     def dequantize(self, payload, shape: tuple[int, ...]) -> np.ndarray:
         return np.asarray(payload, dtype=np.float32).reshape(shape)
 
-    def prepare_weight(self, w, record: Recorder | None = None):
-        from repro.perf.prepared import PreparedTensor, get_cache
+    def weight_payload(self, w):
+        from repro.formats.halfprec import quantize_half
 
-        if isinstance(w, PreparedTensor):
-            return w
-        prepared, hit = get_cache().prepare_half(w, fmt=self.fmt)
-        if not hit:
-            _record(record, int(np.prod(prepared.shape)))
-        return prepared
+        # quantize_half taps the monitor under the role it is given.
+        return quantize_half(
+            np.asarray(w, dtype=np.float32), self.fmt, role="weight"
+        )
 
     def matmul(self, x, w, record: Recorder | None = None) -> np.ndarray:
         from repro.formats.halfprec import quantize_half
-        from repro.perf.prepared import PreparedTensor
 
-        if isinstance(w, PreparedTensor):
-            wq = w.payload
-            _record(record, np.asarray(x).size)
-        else:
-            _record(record, np.asarray(x).size + np.asarray(w).size)
-            wq = quantize_half(
-                np.asarray(w, dtype=np.float32), self.fmt, role="weight"
-            )
+        wq = self._weight(w, record)
+        _record(record, np.asarray(x).size)
         xq = quantize_half(
             np.asarray(x, dtype=np.float32), self.fmt, role="activation"
         )
@@ -371,6 +380,8 @@ class IBertFormat(IntFormat):
     """
 
     def __init__(self, bits: int = 8, act_bits: int = 8) -> None:
+        # Keeps IntFormat's ``int{bits}`` weight key: ibert's weights are
+        # the int8 formats' payloads, so they share cache entries.
         super().__init__(bits=bits)
         self.act_bits = int(act_bits)
         self.name = "ibert"
@@ -421,23 +432,21 @@ class IBertFormat(IntFormat):
 # Registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, QuantFormat] = {}
+_REGISTRY: dict[str, QuantFormat] = {
+    fmt.name: fmt
+    for fmt in (
+        FP32Format(),
+        BfpFormat(man_bits=8),
+        IntFormat(bits=8),
+        IBertFormat(),
+        *(MiniFloatFormat(half) for half in (BF16, FP16, E4M3, E5M2)),
+    )
+}
 
 _PARAMETRIC = (
     (re.compile(r"bfp(\d+)"), lambda n: BfpFormat(man_bits=n)),
     (re.compile(r"int(\d+)"), lambda n: IntFormat(bits=n)),
 )
-
-
-def register_format(fmt: QuantFormat, *, replace: bool = False) -> QuantFormat:
-    """Register a format under its ``name``; duplicate names raise."""
-    if not replace and fmt.name in _REGISTRY:
-        raise RegistryError(
-            f"format {fmt.name!r} is already registered; pass replace=True "
-            "to override deliberately"
-        )
-    _REGISTRY[fmt.name] = fmt
-    return fmt
 
 
 def get_format(name: str) -> QuantFormat:
@@ -448,7 +457,8 @@ def get_format(name: str) -> QuantFormat:
     for pattern, make in _PARAMETRIC:
         m = pattern.fullmatch(name)
         if m:
-            return register_format(make(int(m.group(1))))
+            fmt = _REGISTRY[name] = make(int(m.group(1)))
+            return fmt
     raise RegistryError(
         f"unknown quantization format {name!r}; "
         f"available: {sorted(_REGISTRY)} (plus parametric bfpN / intN)"
@@ -456,21 +466,6 @@ def get_format(name: str) -> QuantFormat:
 
 
 def available_formats() -> list[str]:
-    """Names currently registered (sorted; parametric families excluded
+    """Names currently known (sorted; parametric families excluded
     until first use)."""
     return sorted(_REGISTRY)
-
-
-def _register_builtins() -> None:
-    from repro.formats.halfprec import BF16, FP16
-    from repro.formats.minifloat import E4M3, E5M2
-
-    register_format(FP32Format())
-    register_format(BfpFormat(man_bits=8))
-    register_format(IntFormat(bits=8))
-    register_format(IBertFormat())
-    for half in (BF16, FP16, E4M3, E5M2):
-        register_format(MiniFloatFormat(half))
-
-
-_register_builtins()

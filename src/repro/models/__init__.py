@@ -29,7 +29,6 @@ from repro.models.policy import (
     PrecisionPolicy,
     get_policy,
     load_policy,
-    register_policy_preset,
 )
 from repro.models.ops_count import (
     PAPER_TABLE4_OPS,
@@ -132,7 +131,6 @@ __all__ = [
     "needle_task",
     "nonlinear_flops_per_element",
     "quantize_int8",
-    "register_policy_preset",
     "softmax",
     "table4_partitions",
     "train_classifier",

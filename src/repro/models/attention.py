@@ -87,8 +87,8 @@ class MultiHeadSelfAttention(Module):
         ``x`` has shape ``(b, 1, dim)``; ``kv_cache`` holds an ``"arena"``
         (a :class:`~repro.runtime.plan.KvArena` with ``b`` rows, as
         :meth:`~repro.models.decoder.TinyLM.init_cache` builds) that the
-        new K/V are appended to in place; ``"k"``/``"v"`` are set to its
-        ``(b, h, t, hd)`` views.  Only causal attention supports stepping.
+        new K/V are appended to in place.  Only causal attention supports
+        stepping.
         """
         if not self.causal:
             raise ConfigurationError("forward_step requires causal attention")
@@ -108,7 +108,6 @@ class MultiHeadSelfAttention(Module):
         # One in-place write, zero-copy views (no per-token re-stack).
         arena.append(k_new, v_new)
         k, v = arena.views()
-        kv_cache["k"], kv_cache["v"] = k, v
         scores = self._bmm(backend, q, k.transpose(0, 1, 3, 2)) * self.scale
         probs = self.attn_softmax.forward(scores.astype(np.float32), backend)
         ctx = self._bmm(backend, probs, v).transpose(0, 2, 1, 3).reshape(b, 1, d)

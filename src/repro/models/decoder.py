@@ -265,11 +265,10 @@ class TinyLM(Module):
     def init_cache(self, *, capacity: int | None = None) -> list[dict]:
         """Fresh per-block KV caches for incremental decoding.
 
-        Each entry is backed by a preallocated :class:`KvArena` (in-place
-        appends with capacity doubling, capped at the context window)
-        instead of per-token ``np.concatenate`` re-stacks; ``"k"``/``"v"``
-        stay zero-copy views of the arena so existing consumers see the
-        same arrays they always did.
+        Each entry is ``{"arena", "row"}``: a session's row of a
+        preallocated :class:`KvArena` (in-place appends with capacity
+        doubling, capped at the context window) instead of per-token
+        ``np.concatenate`` re-stacks.
         """
         from repro.runtime.plan import KvArena
 
@@ -280,8 +279,7 @@ class TinyLM(Module):
                 capacity=min(16, self.seq_len) if capacity is None else capacity,
                 max_capacity=self.seq_len,
             )
-            k, v = arena.row_kv(0)
-            caches.append({"k": k, "v": v, "arena": arena, "row": 0})
+            caches.append({"arena": arena, "row": 0})
         return caches
 
     def forward_step(
@@ -385,11 +383,7 @@ class TinyLM(Module):
                     x = self.norm.forward(x, backend)
                 with backend.scope("head"):
                     logits = self.head.forward(x, backend)[:, 0]
-            for j, i in enumerate(idxs):
-                out[i] = logits[j]
-                for bi in range(len(self.blocks)):
-                    entry = caches_batch[i][bi]
-                    entry["k"], entry["v"] = arenas[bi].row_kv(entry["row"])
+            out[idxs] = logits
         return out
 
     def generate_cached(

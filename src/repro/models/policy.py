@@ -46,7 +46,6 @@ __all__ = [
     "PolicyRule",
     "PrecisionPolicy",
     "POLICY_PRESETS",
-    "register_policy_preset",
     "get_policy",
     "load_policy",
 ]
@@ -239,33 +238,20 @@ def _mixed_fp8(name: str = "mixed-fp8") -> PrecisionPolicy:
     )
 
 
-POLICY_PRESETS: dict[str, Callable[[], PrecisionPolicy]] = {}
-
-
-def register_policy_preset(
-    name: str, factory: Callable[[], PrecisionPolicy]
-) -> None:
-    """Add a named preset; duplicate names raise (no silent overwrite)."""
-    if name in POLICY_PRESETS:
-        raise RegistryError(f"policy preset {name!r} is already registered")
-    POLICY_PRESETS[name] = factory
-
-
-for _name, _factory in (
-    ("fp32", lambda: _uniform("fp32", "fp32")),
-    ("bfp8-mixed", lambda: _linear_only("bfp8-mixed", "bfp8")),
-    ("bfp8-all", lambda: _uniform("bfp8-all", "bfp8")),
-    ("int8-linear", lambda: _linear_only("int8-linear", "int8")),
-    ("int8-all", lambda: _uniform("int8-all", "int8")),
+POLICY_PRESETS: dict[str, Callable[[], PrecisionPolicy]] = {
+    "fp32": lambda: _uniform("fp32", "fp32"),
+    "bfp8-mixed": lambda: _linear_only("bfp8-mixed", "bfp8"),
+    "bfp8-all": lambda: _uniform("bfp8-all", "bfp8"),
+    "int8-linear": lambda: _linear_only("int8-linear", "int8"),
+    "int8-all": lambda: _uniform("int8-all", "int8"),
     # fp16 linear algebra, exact fp32 elsewhere.  Without a unit-mode
     # override fp16 pays the fp32 vector cliff; with
     # ``--array-mode fp16`` it maps onto the fp16 dot-product array
     # personality (repro.cost.modes) instead.
-    ("fp16-linear", lambda: _linear_only("fp16-linear", "fp16")),
-    ("ibert", _ibert),
-    ("mixed-fp8", _mixed_fp8),
-):
-    register_policy_preset(_name, _factory)
+    "fp16-linear": lambda: _linear_only("fp16-linear", "fp16"),
+    "ibert": _ibert,
+    "mixed-fp8": _mixed_fp8,
+}
 
 
 #: Width names: ``bfpN-mixed`` / ``intN-linear`` quantize the array-mapped

@@ -8,16 +8,16 @@ re-run block quantization on **both** operands of every matmul — so a
 KV-cache decode step paid O(d^2) weight-quantization work for O(d)
 useful row work, exactly the cost the hardware never pays.
 
-:class:`PreparedOperandCache` closes that gap.  It memoizes the quantized
-form of a weight — a :class:`~repro.arith.bfp_matmul.BfpWeight` (block
-encoding plus its matmul-ready flat layout) for the block-fp formats, an
-:class:`~repro.formats.int8q.Int8Tensor` for the integer formats, a
-grid-snapped float32 array for the half/minifloat formats — keyed by the
-full format id from the format registry (``bfp8``, ``int6``,
-``fp8-e4m3``, ...), any residual parameters (rounding mode) and the
-identity of the source array.  A hit needs the very array object the
-entry was built from: the entry's weak reference must still resolve to
-it, and its callback drops the entry when the array is collected.
+:class:`PreparedOperandCache` closes that gap without knowing any number
+format.  It memoizes whatever payload a caller's ``build`` makes of a
+weight, keyed by the caller's ``key`` and the identity of the source
+array.  The formats of :mod:`repro.formats.registry` are its callers:
+each passes its weight key (``bfp8``, ``int6``, ``fp8-e4m3``, ...) and
+its one weight build, so the quantization, the payload's layout and the
+numerics-monitor tap all live with the format.  A hit needs the very
+array object the entry was built from: the entry's weak reference must
+still resolve to it, and its callback drops the entry when the array is
+collected.
 
 A lookup never reads the weight's bytes, so the cache cannot see an
 in-place edit.  As with the accelerator's ``update_A`` flag, the writer
@@ -42,16 +42,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.obs.metrics import get_registry
-from repro.obs.numerics import get_monitor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.arith.bfp_matmul import BfpWeight
-    from repro.formats.int8q import Int8Tensor
 
 __all__ = ["PreparedTensor", "PreparedOperandCache", "get_cache"]
 
@@ -62,35 +57,34 @@ _METRIC_PREFIX = "prepared.cache"
 class PreparedTensor:
     """A quantized operand ready for repeated matmul use.
 
-    ``payload`` is the format-specific quantized form (``BfpWeight``,
+    ``payload`` is the format's quantized form (``BfpWeight``,
     ``Int8Tensor``, grid-snapped float32 array) with its arrays frozen
     read-only; ``shape`` is the source matrix shape, so a prepared weight
     can stand in for the dense array wherever only the shape is consulted
     (op statistics, profiler).
     """
 
-    fmt: str  # registry format id: "bfp8" | "int8" | "fp8-e4m3" | ...
-    params: tuple
     payload: object
     shape: tuple[int, ...]
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        try:
+def _freeze(payload: object) -> None:
+    """Mark the payload's arrays read-only: the payload itself when it is
+    an array, else every array among its fields."""
+    fields = (payload,) if isinstance(payload, np.ndarray) else vars(payload).values()
+    for a in fields:
+        if isinstance(a, np.ndarray):
             a.flags.writeable = False
-        except ValueError:  # a view whose base we do not own
-            pass
 
 
 class PreparedOperandCache:
-    """Prepared (quantized) weights, keyed by format and array identity.
+    """Prepared (quantized) weights, keyed by caller key and array identity.
 
-    Entries are keyed by ``(format_id, params, id(array))``, so two
-    formats (or two widths of one family) never serve each other's
-    payloads, and each holds a weak reference to its source array: a
-    lookup hits only while that reference resolves to the array passed
-    in, and the entry is dropped when the array is collected.
+    Entries are keyed by ``(key, id(array))``, so two formats (or two
+    widths of one family) never serve each other's payloads, and each
+    holds a weak reference to its source array: a lookup hits only while
+    that reference resolves to the array passed in, and the entry is
+    dropped when the array is collected.
     """
 
     def __init__(self) -> None:
@@ -102,91 +96,33 @@ class PreparedOperandCache:
     def prepare(
         self,
         arr: np.ndarray,
-        fmt: str,
-        params: tuple,
+        key: str,
         build: Callable[[np.ndarray], object],
     ) -> tuple[PreparedTensor, bool]:
-        """Look up or build the prepared form of ``arr``.
+        """Look up or build the prepared form of ``arr`` under ``key``.
 
         ``build`` maps the dense array to its payload; it only runs on a
         miss.  Returns ``(prepared, hit)``.
         """
         arr = np.asarray(arr)
         reg = get_registry()
-        key = (fmt, params, id(arr))
-        entry = self._entries.get(key)
+        entry_key = (key, id(arr))
+        entry = self._entries.get(entry_key)
         if entry is not None and entry[0]() is arr:
             reg.counter(f"{_METRIC_PREFIX}.hits").inc()
             return entry[1], True
         reg.counter(f"{_METRIC_PREFIX}.misses").inc()
-        prepared = PreparedTensor(fmt, params, build(arr), tuple(arr.shape))
+        payload = build(arr)
+        _freeze(payload)
+        prepared = PreparedTensor(payload, tuple(arr.shape))
         # CPython runs the callback as ``arr`` is freed, before its id
         # can be reused, so it only ever drops this entry.
-        ref = weakref.ref(arr, lambda _, key=key: self._entries.pop(key, None))
-        self._entries[key] = (ref, prepared)
+        ref = weakref.ref(
+            arr, lambda _, k=entry_key: self._entries.pop(k, None)
+        )
+        self._entries[entry_key] = (ref, prepared)
         return prepared, False
 
-    # -- format-specific entry points ---------------------------------------
-    def prepare_bfp(
-        self,
-        arr: np.ndarray,
-        *,
-        man_bits: int = 8,
-        rounding: str = "nearest_even",
-    ) -> tuple[PreparedTensor, bool]:
-        """Prepared :class:`BfpWeight` encoding of a dense matrix.
-
-        The payload holds the codes once, in the kernel's matmul-ready
-        float32 layout, so a cache hit skips the per-call re-layout as
-        well as the quantization."""
-        from repro.arith.bfp_matmul import BfpWeight
-
-        def build(a: np.ndarray) -> "BfpWeight":
-            bw = BfpWeight.from_dense(a, man_bits=man_bits, rounding=rounding)
-            mon = get_monitor()
-            if mon.enabled:
-                # Build runs only on a miss — weights are observed exactly
-                # once per residency, matching quantize-once semantics.
-                mon.observe_bfp("weight", a, bw.matrix, man_bits=man_bits)
-            _freeze(bw.man, bw.exp)
-            return bw
-
-        return self.prepare(arr, f"bfp{man_bits}", (rounding,), build)
-
-    def prepare_int(
-        self, arr: np.ndarray, *, bits: int = 8
-    ) -> tuple[PreparedTensor, bool]:
-        """Prepared :class:`Int8Tensor` encoding of a dense tensor."""
-        from repro.formats.int8q import quantize_intn
-
-        def build(a: np.ndarray) -> "Int8Tensor":
-            q = quantize_intn(np.asarray(a, dtype=np.float64), bits)
-            mon = get_monitor()
-            if mon.enabled:
-                mon.observe_int("weight", a, q, bits=bits)
-            _freeze(q.values)
-            return q
-
-        return self.prepare(arr, f"int{bits}", (), build)
-
-    def prepare_half(self, arr: np.ndarray, *, fmt) -> tuple[PreparedTensor, bool]:
-        """Prepared half/minifloat encoding: the grid-snapped float32 array.
-
-        ``fmt`` is a :class:`~repro.formats.halfprec.HalfFormat`; the
-        emulation keeps the decoded float32 values since that is what the
-        matmul kernel consumes."""
-        from repro.formats.halfprec import quantize_half
-
-        def build(a: np.ndarray) -> np.ndarray:
-            # Build runs only on a miss — the observe tap inside
-            # quantize_half fires exactly once per weight residency.
-            q = quantize_half(np.asarray(a, dtype=np.float32), fmt, role="weight")
-            _freeze(q)
-            return q
-
-        return self.prepare(arr, fmt.name, (fmt.exp_bits, fmt.man_bits), build)
-
-    # -- bookkeeping ---------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -250,8 +250,7 @@ def fp16_dot_extension(rows: int = 8, cols: int = 8) -> Resources:
     style), so the mode costs **zero additional DSPs or BRAM** — only the
     per-PE mantissa split/select muxes and per-column recombination adders
     (LUTs) plus operand staging and exponent-pair pipeline registers (FFs).
-    This is the delta :meth:`repro.cost.modes.UnitMode.resource_delta`
-    reports for ``fp16_dot``.
+    Fig. 6 and Table II add it as the ``fp16_dot`` unit mode's extension.
     """
     n = rows * cols
     return Resources(

@@ -310,7 +310,6 @@ def bind_group_cache(
         arena.load_row(i, k, v, length)
         entry["arena"] = arena
         entry["row"] = i
-        entry["k"], entry["v"] = arena.row_kv(i)
     return arena
 
 

@@ -1,4 +1,4 @@
-"""The quantization-format registry: lookup, guards, minifloat semantics."""
+"""The quantization-format registry: lookup, array mapping, minifloat semantics."""
 
 from __future__ import annotations
 
@@ -10,13 +10,10 @@ from repro.formats.halfprec import quantize_half
 from repro.formats.minifloat import E4M3, E5M2
 from repro.formats.registry import (
     BfpFormat,
-    FP32Format,
     IntFormat,
     MiniFloatFormat,
-    QuantFormat,
     available_formats,
     get_format,
-    register_format,
 )
 
 
@@ -46,22 +43,6 @@ class TestLookup:
         fmt = get_format("int6")
         assert isinstance(fmt, IntFormat)
         assert fmt.name == "int6"
-
-
-class TestDuplicateGuard:
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(RegistryError, match="already registered"):
-            register_format(FP32Format())
-
-    def test_replace_allows_reregistration(self):
-        class Custom(QuantFormat):
-            name = "test-custom-fmt"
-
-        register_format(Custom())
-        with pytest.raises(RegistryError):
-            register_format(Custom())
-        register_format(Custom(), replace=True)
-        assert get_format("test-custom-fmt").name == "test-custom-fmt"
 
 
 class TestArrayMapping:

@@ -44,7 +44,6 @@ class TestAttentionStep:
             attn.forward_step(
                 rng.normal(size=(1, 1, 8)).astype(np.float32), cache
             )
-            assert cache["k"].shape[2] == t + 1
             assert cache["arena"].length == t + 1
 
     def test_plain_dict_cache_rejected(self, rng):

@@ -31,7 +31,9 @@ def _run(backend_name: str, *, monitored: bool):
     return logits, seq, monitor
 
 
-@pytest.mark.parametrize("backend_name", ["bfp8-mixed", "int8-linear"])
+@pytest.mark.parametrize(
+    "backend_name", ["bfp8-mixed", "int8-linear", "mixed-fp8"]
+)
 def test_monitor_is_bit_invisible(backend_name):
     ref_logits, ref_seq, _ = _run(backend_name, monitored=False)
     logits, seq, monitor = _run(backend_name, monitored=True)
@@ -63,15 +65,19 @@ def test_int8_run_covers_all_roles():
 
 
 def test_weights_observed_once_per_residency():
-    _, _, monitor = _run("bfp8-mixed", monitored=True)
     # Each block carries 5 linear weights (fused qkv + proj in attention,
     # gate/up/down in the MLP) plus the shared head — each prepared (and
-    # therefore observed) exactly once despite prefill + decode reusing it.
-    weight_tensors = sum(
-        st.tensors for (_, _, role), st in monitor.stats.items()
-        if role == "weight"
-    )
-    assert weight_tensors == 11  # 2 blocks * 5 + head
+    # therefore observed) exactly once despite prefill + decode reusing it,
+    # under every weight-quantizing format (bfp, int, minifloat).
+    for backend_name in (
+        "bfp8-mixed", "int8-linear", "mixed-fp8", "fp16-linear", "ibert",
+    ):
+        _, _, monitor = _run(backend_name, monitored=True)
+        weight_tensors = sum(
+            st.tensors for (_, _, role), st in monitor.stats.items()
+            if role == "weight"
+        )
+        assert weight_tensors == 11, backend_name  # 2 blocks * 5 + head
 
 
 def test_man_bits_injection_changes_precision_label_and_sqnr():

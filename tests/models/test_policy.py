@@ -15,7 +15,6 @@ from repro.models.policy import (
     PrecisionPolicy,
     get_policy,
     load_policy,
-    register_policy_preset,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -115,10 +114,6 @@ class TestPresets:
     def test_get_policy_unknown_raises(self):
         with pytest.raises(RegistryError, match="unknown policy preset"):
             get_policy("no-such-preset")
-
-    def test_duplicate_preset_registration_raises(self):
-        with pytest.raises(RegistryError, match="already registered"):
-            register_policy_preset("fp32", lambda: get_policy("fp32"))
 
     def test_load_policy_prefers_preset_names(self):
         assert load_policy("mixed-fp8") == get_policy("mixed-fp8")

@@ -2,16 +2,17 @@
 
 The prepared-operand cache only buys performance; every backend's matmul
 must be *bit-identical* with and without it, for every mantissa / integer
-bitwidth, and a weight edited in place and then cleared from the cache
-must never be served stale.
+bitwidth and minifloat format, and a weight edited in place and then
+cleared from the cache must never be served stale.
 """
 
 import numpy as np
 import pytest
 
-from repro.models.backend import get_backend
+from repro.models.backend import PolicyBackend, get_backend
 from repro.models.decoder import TinyLM
 from repro.models.layers import Linear
+from repro.models.policy import PrecisionPolicy
 from repro.obs.profile import Profiler
 from repro.perf.prepared import PreparedTensor, get_cache
 
@@ -19,8 +20,15 @@ FACTORIES = [
     pytest.param(lambda name=name: get_backend(name), id=name)
     for name in (
         "bfp8-mixed", "bfp4-mixed", "bfp6-mixed", "bfp8-all", "int8-linear",
-        "int4-linear", "int6-linear", "int8-all", "ibert",
+        "int4-linear", "int6-linear", "int8-all", "ibert", "fp16-linear",
+        "mixed-fp8",
     )
+] + [
+    # mixed-fp8 runs fp8 only in MLP scopes; this runs it in every scope.
+    pytest.param(
+        lambda: PolicyBackend(PrecisionPolicy("fp8-e4m3", (), "fp8-e4m3")),
+        id="fp8-e4m3",
+    ),
 ]
 
 
